@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -184,15 +183,10 @@ def _cmd_verify(args) -> int:
     if args.id == "all":
         if overrides:
             _print_progress("note: bound overrides apply only to single-id runs")
-        if args.workers > 1:
-            reports = run_all(args.profile, seed=args.seed, workers=args.workers)
-        else:
-            reports = []
-            for id in sorted(REGISTRY):
-                _print_progress(f"running {id} ...")
-                reports.extend(
-                    run_all(args.profile, seed=args.seed, ids=[id])
-                )
+        reports = []
+        for id in sorted(REGISTRY):
+            _print_progress(f"running {id} ...")
+            reports.extend(run_all(args.profile, seed=args.seed, ids=[id]))
     else:
         if args.id not in REGISTRY:
             _print_progress(f"error: unknown check id {args.id!r}")
@@ -254,11 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--profile", choices=("quick", "full"), default="quick")
     p_verify.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
     p_verify.add_argument("--out", default=None, help="directory for report files")
-    p_verify.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("QUANTA_WORKERS", "1")),
-    )
     p_verify.add_argument("--seed", type=int, default=0)
     for flag in _BOUND_FLAGS:
         p_verify.add_argument(f"--{flag}", type=int, default=None)

@@ -9,7 +9,7 @@ recurrence is simply run with polynomial ring elements.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .scalars import QuadExt
 from .sequences import (
@@ -21,6 +21,7 @@ from .sequences import (
     falling_factorial,
     omega_table,
     omega_top,
+    psi_closed,
     psi_point,
     psi_rec,
 )
@@ -298,10 +299,6 @@ class UniPoly:
                 parts.append(f"{c}*x^{i}")
         return " + ".join(parts)
 
-    def coeff_strings(self) -> list[str]:
-        """Coefficient array (index = degree) for JSON reports."""
-        return [str(c) for c in self.coeffs]
-
     def __repr__(self) -> str:
         return f"UniPoly({self.to_text()})"
 
@@ -311,23 +308,7 @@ class UniPoly:
 
 def psi_bipoly(n: int) -> BiPoly:
     """psi(a, b, n) as an exact polynomial in (a, b), from the closed form."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    half = n // 2
-    a = BiPoly.var_a()
-    t = 2 * a - BiPoly.var_b()
-    tpowers = [BiPoly.const(1)]
-    for _ in range(half):
-        tpowers.append(tpowers[-1] * t)
-    total = BiPoly()
-    apow = BiPoly.const(1)
-    for i in range(half + 1):
-        coeff = Fraction(n, n - i) * comb(n - i, i)
-        if i & 1:
-            coeff = -coeff
-        total = total + coeff * apow * tpowers[half - i]
-        apow = apow * a
-    return total
+    return psi_closed(BiPoly.var_a(), BiPoly.var_b(), n)
 
 
 def psi_k_poly(

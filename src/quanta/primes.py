@@ -173,16 +173,6 @@ def harmonic_number(k: int) -> Fraction:
     return span(1, k + 1)
 
 
-@dataclass(frozen=True)
-class Harmonic:
-    k: int
-    value: Fraction
-
-    @classmethod
-    def of(cls, k: int) -> Harmonic:
-        return cls(k, harmonic_number(k))
-
-
 def _as_int(x) -> int:
     if isinstance(x, QuadExt):
         f = x.as_fraction()

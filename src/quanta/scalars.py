@@ -37,20 +37,14 @@ class ScalarParseError(ValueError):
         self.pos = pos
 
 
-_SQUARE_FREE_OK: set[int] = {0, 1}
-
-
 def is_square_free(d: int) -> bool:
     if d < 0:
         return False
-    if d in _SQUARE_FREE_OK:
-        return True
     f = 2
     while f * f <= d:
         if d % (f * f) == 0:
             return False
         f += 1
-    _SQUARE_FREE_OK.add(d)
     return True
 
 

@@ -15,10 +15,12 @@ entry omega_0(floor(n/2)) divided by the falling-factorial product
 single most exercised identity in the verification suite.
 
 The recurrence runners are generic over any ring whose elements support
-arithmetic with ints (exact scalars, residues, polynomials).  The omega
-triangle additionally has tuned integer paths: rational points are scaled to
-integer multipliers and quadratic points run on integer component pairs, so
-the large sweeps stay in native bigint arithmetic.
+arithmetic with ints (exact scalars, residues, polynomials).  The omega,
+lambda and Fibonacci-companion triangles share one kernel, ``_triangle``,
+which fills X_r(k) = f(k+r) X_r(k-1) + g(r) X_{r+1}(k-1) from a seed row and
+the two multiplier vectors f and g that each caller builds.  The omega caller
+keeps the large sweeps in native bigint arithmetic: rational points are scaled
+to integer multipliers and quadratic points run on integer component pairs.
 """
 
 from __future__ import annotations
@@ -128,33 +130,6 @@ def as_point(point: QPoint | tuple) -> QPoint:
     if isinstance(point, QPoint):
         return point
     return QPoint(*point)
-
-
-class SeqParams:
-    """Bundle of recurrence parameters (a, b, n) with the parity indicator."""
-
-    __slots__ = ("a", "b", "n", "delta_n")
-
-    def __init__(self, a: Scalar, b: Scalar, n: int) -> None:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        point = QPoint(a, b)  # validates (a, b) != (0, 0) and the shared ring
-        object.__setattr__(self, "a", point.alpha)
-        object.__setattr__(self, "b", point.beta)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "delta_n", n & 1)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SeqParams is immutable")
-
-    def psi(self) -> QuadExt:
-        return psi_point(QPoint(self.a, self.b), self.n)
-
-    def __repr__(self) -> str:
-        return (
-            f"SeqParams({format_scalar(self.a)}, {format_scalar(self.b)}, "
-            f"n={self.n})"
-        )
 
 
 # -- psi --------------------------------------------------------------------
@@ -280,60 +255,48 @@ def _point_multipliers(point: QPoint) -> tuple[int, tuple[int, int], tuple[int, 
     return s, a_pair, b_pair, point.d
 
 
-def _scalar_levels(A: int, B: int, n: int, K: int, mod: int | None, keep: bool):
-    sign = _coupling_sign
-    dlt = (n - 1) & 1
-    prev = [1] * (K + 1)
-    levels = [prev]
-    cbs = [B * (n - 2 * r - dlt) for r in range(K)]
-    for k in range(1, K + 1):
-        width = K - k + 1
-        if sign < 0:
-            cur = [A * (n - k - r) * prev[r] - cbs[r] * prev[r + 1] for r in range(width)]
-        else:
-            cur = [A * (n - k - r) * prev[r] + cbs[r] * prev[r + 1] for r in range(width)]
-        if mod is not None:
-            cur = [x % mod for x in cur]
-        if keep:
-            levels.append(cur)
-        prev = cur
-    return levels if keep else [prev]
+def _triangle(seed, diag, coupling, d=None, modulus=None, keep=True):
+    """Fill X_r(k) = diag[k+r] X_r(k-1) + coupling[r] X_{r+1}(k-1) by levels.
 
-
-def _pair_levels(
-    A: tuple[int, int],
-    B: tuple[int, int],
-    d: int,
-    n: int,
-    K: int,
-    mod: int | None,
-    keep: bool,
-):
-    sign = _coupling_sign
-    dlt = (n - 1) & 1
-    a1, a2 = A
-    b1, b2 = B
-    prev = [(1, 0)] * (K + 1)
+    The seed row X_r(0) has K+1 entries and fixes the triangle 0 <= r+k <= K.
+    Entries are ints or any ring elements that multiply with those of
+    ``diag`` and ``coupling``.  With a radicand ``d``, each row, ``diag`` and
+    ``coupling`` is instead a pair (u, v) of int lists for u + v sqrt(d).
+    With a ``modulus`` every entry is reduced.  Returns every level when
+    ``keep``, else only the last.
+    """
+    m = modulus
+    if d is not None:
+        (a1, a2), (c1, c2) = diag, coupling
+        a2d = [x * d for x in a2]
+        c2d = [x * d for x in c2]
+    prev = seed
     levels = [prev]
-    cbs = [(b1 * (n - 2 * r - dlt), b2 * (n - 2 * r - dlt)) for r in range(K)]
-    for k in range(1, K + 1):
-        width = K - k + 1
-        cur = []
-        for r in range(width):
-            c = n - k - r
-            ca1, ca2 = a1 * c, a2 * c
-            u, v = prev[r]
-            u2, v2 = prev[r + 1]
-            w1, w2 = cbs[r]
-            if sign < 0:
-                nu = ca1 * u + ca2 * v * d - w1 * u2 - w2 * v2 * d
-                nv = ca1 * v + ca2 * u - w1 * v2 - w2 * u2
+    for k in range(1, len(seed[0] if d is not None else seed)):
+        if d is None:
+            # indexing beats zip here on small rows and ties on large ones
+            w = range(len(prev) - 1)
+            if m is None:
+                cur = [diag[k + r] * prev[r] + coupling[r] * prev[r + 1] for r in w]
             else:
-                nu = ca1 * u + ca2 * v * d + w1 * u2 + w2 * v2 * d
-                nv = ca1 * v + ca2 * u + w1 * v2 + w2 * u2
-            if mod is not None:
-                nu, nv = nu % mod, nv % mod
-            cur.append((nu, nv))
+                cur = [(diag[k + r] * prev[r] + coupling[r] * prev[r + 1]) % m for r in w]
+        else:
+            # two fused passes, one per component of
+            # (p + q sqrt d)(x + y sqrt d) + (s + t sqrt d)(x2 + y2 sqrt d)
+            u, v = prev
+            p1, u2, v2 = a1[k:], u[1:], v[1:]
+            cu = zip(p1, a2d[k:], c1, c2d, u, v, u2, v2)
+            cv = zip(p1, a2[k:], c1, c2, u, v, u2, v2)
+            if m is None:
+                cur = (
+                    [p * x + q * y + s * x2 + t * y2 for p, q, s, t, x, y, x2, y2 in cu],
+                    [p * y + q * x + s * y2 + t * x2 for p, q, s, t, x, y, x2, y2 in cv],
+                )
+            else:
+                cur = (
+                    [(p * x + q * y + s * x2 + t * y2) % m for p, q, s, t, x, y, x2, y2 in cu],
+                    [(p * y + q * x + s * y2 + t * x2) % m for p, q, s, t, x, y, x2, y2 in cv],
+                )
         if keep:
             levels.append(cur)
         prev = cur
@@ -371,29 +334,29 @@ class OmegaTable:
             raise IndexError(f"(r={r}, k={k}) outside triangle for n={self.n}")
         if self._top_only:
             raise IndexError("table was built top-only; rebuild with omega_table()")
-        raw = self._levels[k][r]
-        return self._materialize(raw, k)
+        return self._materialize(self._levels[k], r, k)
 
     def __getitem__(self, rk: tuple[int, int]):
         return self.entry(*rk)
 
     def top(self):
         """omega_0(floor(n/2)), the numerator of the fundamental ratio."""
-        raw = self._levels[-1][0]
-        return self._materialize(raw, self.K)
+        return self._materialize(self._levels[-1], 0, self.K)
 
     def stable_column(self) -> list:
         """The r = 0 column across all levels."""
         return [self.entry(0, k) for k in range(self.K + 1)]
 
-    def _materialize(self, raw, k: int):
+    def _materialize(self, level, r: int, k: int):
+        if self._paired:
+            u, v = level[0][r], level[1][r]
+        else:
+            raw = level[r]
         if self.modulus is not None:
             if self._paired:
-                u, v = raw
                 return QuadExt(u, v, self.point.d)
             return ModInt(raw, self.modulus)
         if self._paired:
-            u, v = raw
             if self._scale == 1:
                 return QuadExt(u, v, self.point.d)
             sk = self._scale**k
@@ -432,22 +395,25 @@ def _build_omega(point: QPoint, n: int, modulus: int | None, keep: bool) -> Omeg
     if n < 1:
         raise ValueError("n must be >= 1")
     K = n // 2
-    if modulus is not None:
+    if modulus is None:
+        scale, a_pair, b_pair, d = _point_multipliers(point)
+    else:
         au, av = reduce_mod(point.alpha, modulus)
         bu, bv = reduce_mod(point.beta, modulus)
-        a_pair = ((2 * au - bu) % modulus, (2 * av - bv) % modulus)
-        b_pair = ((2 * au) % modulus, (2 * av) % modulus)
-        if point.d == 0:
-            levels = _scalar_levels(a_pair[0], b_pair[0], n, K, modulus, keep)
-            return OmegaTable(point, n, modulus, levels, 1, False)
-        levels = _pair_levels(a_pair, b_pair, point.d % modulus, n, K, modulus, keep)
-        return OmegaTable(point, n, modulus, levels, 1, True)
-    s, a_pair, b_pair, d = _point_multipliers(point)
-    if d == 0:
-        levels = _scalar_levels(a_pair[0], b_pair[0], n, K, None, keep)
-        return OmegaTable(point, n, None, levels, s, False)
-    levels = _pair_levels(a_pair, b_pair, d, n, K, None, keep)
-    return OmegaTable(point, n, None, levels, s, True)
+        scale, d = 1, point.d % modulus
+        a_pair, b_pair = (2 * au - bu, 2 * av - bv), (2 * au, 2 * av)
+    # omega_r(k) = A(n-r-k) omega_r(k-1) + sign B(n-2r-d(n-1)) omega_{r+1}(k-1);
+    # the fault-injection sign lives in the coupling vector, not the kernel
+    paired = point.d != 0
+    parts = 2 if paired else 1
+    dlt = (n - 1) & 1
+    diag = [[a * (n - j) for j in range(K + 1)] for a in a_pair[:parts]]
+    coupling = [[_coupling_sign * b * (n - 2 * r - dlt) for r in range(K)] for b in b_pair[:parts]]
+    if paired:
+        levels = _triangle(([1] * (K + 1), [0] * (K + 1)), diag, coupling, d, modulus, keep)
+    else:
+        levels = _triangle([1] * (K + 1), diag[0], coupling[0], None, modulus, keep)
+    return OmegaTable(point, n, modulus, levels, scale, paired)
 
 
 def omega_table(point: QPoint | tuple, n: int, modulus: int | None = None) -> OmegaTable:
@@ -517,13 +483,12 @@ class LambdaTable:
 
 def lambda_seed(n: int, r: int) -> int:
     """(-1)^r n/(n-r) C(n-r, r), checked integral rather than assumed."""
-    s = Fraction(n, n - r) * comb(n - r, r)
-    if s.denominator != 1:
-        raise TheoremViolationError(f"lambda seed not integral at n={n}, r={r}")
-    return -s.numerator if r & 1 else s.numerator
+    return (-1) ** r * _lucas_coeff(n, r)
 
 
 def lambda_table(point: QPoint | tuple, n: int) -> LambdaTable:
+    """lambda_r(k) = m1(K-r-k+1) lambda_r(k-1) + m2(r+1) lambda_{r+1}(k-1)
+    with m1 = 2z-x, m2 = z and the signed closed-form seeds."""
     if n < 1:
         raise ValueError("n must be >= 1")
     point = as_point(point)
@@ -536,17 +501,10 @@ def lambda_table(point: QPoint | tuple, n: int) -> LambdaTable:
     else:
         m1 = 2 * point.alpha - point.beta
         m2 = point.alpha
-    prev = [lambda_seed(n, r) for r in range(K + 1)]
-    levels = [prev]
-    for k in range(1, K + 1):
-        width = K - k + 1
-        cur = [
-            m1 * (K - k - r + 1) * prev[r] + m2 * (r + 1) * prev[r + 1]
-            for r in range(width)
-        ]
-        levels.append(cur)
-        prev = cur
-    return LambdaTable(point, n, levels)
+    diag = [m1 * (K - j + 1) for j in range(K + 1)]
+    coupling = [m2 * (r + 1) for r in range(K)]
+    seed = [lambda_seed(n, r) for r in range(K + 1)]
+    return LambdaTable(point, n, _triangle(seed, diag, coupling))
 
 
 def lambda_from_omega(
@@ -755,16 +713,9 @@ def fib_lambda_table(n: int) -> tuple[FibTable, int]:
         raise ValueError("n must be >= 2")
     K = (n - 1) // 2
     dn = delta(n)
-    prev = [1] * (K + 1)
-    levels = [prev]
-    for k in range(1, K + 1):
-        width = K - k + 1
-        cur = [
-            (n - r - k) * prev[r] + 2 * (n - 1 - 2 * r - dn) * prev[r + 1]
-            for r in range(width)
-        ]
-        levels.append(cur)
-        prev = cur
+    diag = [n - j for j in range(K + 1)]
+    coupling = [2 * (n - 1 - 2 * r - dn) for r in range(K)]
+    levels = _triangle([1] * (K + 1), diag, coupling)
     table = FibTable(n, levels)
     denom = prod(n - j for j in range(1, K + 1))
     value, rem = divmod(table.top(), denom)

@@ -14,7 +14,6 @@ import io
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -1590,7 +1589,6 @@ def run_all(
     profile: str = "quick",
     *,
     seed: int = 0,
-    workers: int = 1,
     ids: Iterable[str] | None = None,
     registry: Mapping[str, TheoremCheck] | None = None,
 ) -> list[TheoremReport]:
@@ -1603,19 +1601,12 @@ def run_all(
         raise ValueError("profile must be 'quick' or 'full'")
     registry = REGISTRY if registry is None else registry
     selected = sorted(ids) if ids is not None else sorted(registry)
-    jobs = []
+    reports = []
     for id in selected:
         check = registry[id]
         bounds = check.quick if profile == "quick" else check.full
-        jobs.append((check, bounds, bounds is None))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_execute, check, bounds, seed, skip)
-                for check, bounds, skip in jobs
-            ]
-            return [f.result() for f in futures]
-    return [_execute(check, bounds, seed, skip) for check, bounds, skip in jobs]
+        reports.append(_execute(check, bounds, seed, bounds is None))
+    return reports
 
 
 def reports_to_csv(reports: Iterable[TheoremReport], volatile: bool = True) -> str:

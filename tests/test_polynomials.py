@@ -71,9 +71,6 @@ class TestUniPoly:
         p = UniPoly([1, -3, 0, 4])
         assert p.evaluate(Fraction(1, 2)) == 1 - Fraction(3, 2) + Fraction(1, 2)
 
-    def test_coeff_strings(self):
-        assert UniPoly([1, 0, Fraction(-2, 3)]).coeff_strings() == ["1", "0", "-2/3"]
-
 
 class TestPsiBipoly:
     def test_small_cases(self):

@@ -9,7 +9,6 @@ from quanta.sequences import KernelPointError, QPoint, TheoremViolationError
 from quanta.primes import (
     EXACT_EMERGENCE_MAX_P,
     FeasibilityError,
-    Harmonic,
     PrimeCache,
     combinatorial_identity_check,
     emergence_check,
@@ -80,10 +79,6 @@ class TestHarmonicNumbers:
         for t in range(1, 60):
             acc += Fraction(1, t)
         assert harmonic_number(59) == acc
-
-    def test_wrapper(self):
-        h = Harmonic.of(3)
-        assert (h.k, h.value) == (3, Fraction(11, 6))
 
 
 class TestEmergence:

@@ -371,17 +371,6 @@ class TestHelpers:
         assert [fibonacci(n) for n in range(7)] == [0, 1, 1, 2, 3, 5, 8]
         assert [lucas(n) for n in range(7)] == [2, 1, 3, 4, 7, 11, 18]
 
-    def test_seq_params(self):
-        from quanta.sequences import SeqParams
-
-        params = SeqParams(1, 4, 9)
-        assert params.delta_n == 1
-        assert params.psi() == psi_rec(1, 4, 9)
-        with pytest.raises(ValueError):
-            SeqParams(0, 0, 3)
-        with pytest.raises(AttributeError):
-            params.n = 4
-
     def test_qpoint_rejects_zero(self):
         with pytest.raises(ValueError):
             QPoint(0, 0)

@@ -1,9 +1,11 @@
 """Registry behavior: coverage, reproducibility, skipping, fault injection."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from quanta.scalars import SQRT2, SQRT3
 from quanta.verify import (
     OMEGA_TOUCHING_IDS,
     REGISTRY,
@@ -102,15 +104,6 @@ class TestRunAll:
         with pytest.raises(ValueError):
             run_all("fast")
 
-    def test_workers_agree_with_serial(self):
-        ids = ["def0", "comp3", "00"]
-        serial = [r.to_json(volatile=False) for r in run_all("quick", ids=ids)]
-        threaded = [
-            r.to_json(volatile=False)
-            for r in run_all("quick", ids=ids, workers=3)
-        ]
-        assert serial == threaded
-
 
 class TestCsv:
     def test_summary_format(self):
@@ -122,14 +115,36 @@ class TestCsv:
 
 
 class TestFaultInjection:
-    def test_flipped_coupling_changes_tables(self):
-        from quanta.sequences import QPoint, omega_top
+    # one point per triangle-kernel mode: integer, scaled rational, quadratic
+    # pairs, modular scalar, modular quadratic pairs
+    @pytest.mark.parametrize(
+        "point, n, modulus",
+        [
+            ((1, 1), 7, None),
+            ((Fraction(1, 2), Fraction(-3, 5)), 7, None),
+            ((1, SQRT2), 7, None),
+            ((2, 3), 5, 7),
+            ((2, SQRT3 - 1), 7, 13),
+        ],
+        ids=["integer", "rational", "quadratic", "modular", "modular-quadratic"],
+    )
+    def test_flipped_coupling_changes_tables(self, point, n, modulus):
+        from quanta.sequences import QPoint, fib_lambda_table, lambda_table, omega_top
 
-        clean = omega_top(QPoint(1, 1), 7)
+        def fib_entries():
+            t, _ = fib_lambda_table(n)
+            return [t.entry(r, k) for k in range(t.K + 1) for r in range(t.K - k + 1)]
+
+        point = QPoint(*point)
+        clean = omega_top(point, n, modulus)
+        lam, fib = lambda_table(point, n).to_dict(), fib_entries()
         with flipped_omega_coupling():
-            perturbed = omega_top(QPoint(1, 1), 7)
+            perturbed = omega_top(point, n, modulus)
+            # the flip perturbs the omega coupling only, never the other triangles
+            assert lambda_table(point, n).to_dict() == lam
+            assert fib_entries() == fib
         assert clean != perturbed
-        assert omega_top(QPoint(1, 1), 7) == clean  # flag restored
+        assert omega_top(point, n, modulus) == clean  # flag restored
 
     def test_sensitivity_is_high(self):
         fraction, statuses = mutation_sensitivity()
