@@ -4,6 +4,9 @@
 directional-derivative identities can be verified coefficient-exactly;
 ``UniPoly`` carries the Chebyshev and Dickson comparisons, where the psi
 recurrence is simply run with polynomial ring elements.
+
+Coefficients are exact rationals in the scalar layer's canonical form: an
+``int`` when integral, a ``Fraction`` otherwise (``scalars._canon``).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .scalars import QuadExt
+from .scalars import QuadExt, _canon
 from .sequences import (
     OmegaTable,
     QPoint,
@@ -38,11 +41,11 @@ class BiPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict[tuple[int, int], Fraction] | None = None) -> None:
-        clean: dict[tuple[int, int], Fraction] = {}
+    def __init__(self, coeffs: dict[tuple[int, int], int | Fraction] | None = None) -> None:
+        clean: dict[tuple[int, int], int | Fraction] = {}
         if coeffs:
             for key, value in coeffs.items():
-                value = Fraction(value)
+                value = _canon(value)
                 if value:
                     clean[key] = value
         object.__setattr__(self, "coeffs", clean)
@@ -52,15 +55,15 @@ class BiPoly:
 
     @classmethod
     def const(cls, c) -> BiPoly:
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def var_a(cls) -> BiPoly:
-        return cls({(1, 0): Fraction(1)})
+        return cls({(1, 0): 1})
 
     @classmethod
     def var_b(cls) -> BiPoly:
-        return cls({(0, 1): Fraction(1)})
+        return cls({(0, 1): 1})
 
     def __add__(self, other) -> BiPoly:
         if isinstance(other, _SCALARS):
@@ -69,7 +72,7 @@ class BiPoly:
             return NotImplemented
         merged = dict(self.coeffs)
         for key, value in other.coeffs.items():
-            merged[key] = merged.get(key, Fraction(0)) + value
+            merged[key] = merged.get(key, 0) + value
         return BiPoly(merged)
 
     __radd__ = __add__
@@ -89,15 +92,15 @@ class BiPoly:
 
     def __mul__(self, other) -> BiPoly:
         if isinstance(other, _SCALARS):
-            c = Fraction(other)
+            c = _canon(other)
             return BiPoly({k: v * c for k, v in self.coeffs.items()})
         if not isinstance(other, BiPoly):
             return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], int | Fraction] = {}
         for (i1, j1), v1 in self.coeffs.items():
             for (i2, j2), v2 in other.coeffs.items():
                 key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
+                out[key] = out.get(key, 0) + v1 * v2
         return BiPoly(out)
 
     __rmul__ = __mul__
@@ -141,7 +144,7 @@ class BiPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.coeffs.get((0, 0), Fraction(0))
+        return Fraction(self.coeffs.get((0, 0), 0))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _SCALARS):
@@ -172,7 +175,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_canon(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -222,13 +225,13 @@ class UniPoly:
 
     def __mul__(self, other) -> UniPoly:
         if isinstance(other, _SCALARS):
-            c = Fraction(other)
+            c = _canon(other)
             return UniPoly([v * c for v in self.coeffs])
         if not isinstance(other, UniPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, v1 in enumerate(self.coeffs):
             if not v1:
                 continue
@@ -260,7 +263,7 @@ class UniPoly:
         """Multiply by x^k."""
         if not self.coeffs:
             return self
-        return UniPoly([Fraction(0)] * k + list(self.coeffs))
+        return UniPoly([0] * k + list(self.coeffs))
 
     def deriv(self) -> UniPoly:
         return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])

@@ -7,6 +7,14 @@ quadratic points (sqrt(2), sqrt(3), sqrt(5), golden ratio) all live in one
 type.  ``ModInt`` is a canonical residue used by the modular table builders
 and the Mersenne doubling test.
 
+An exact rational -- a ``QuadExt`` component here, a polynomial coefficient
+in ``polynomials`` -- is stored as a plain ``int`` when it is integral and as
+a ``Fraction`` only when it is not.  ``_canon`` is the one place that makes
+this choice; almost every value the library meets is integral, and ``int``
+arithmetic is two orders of magnitude faster than ``Fraction`` arithmetic.
+Results that must be rational by contract (``norm``, ``as_fraction``) are
+still returned as ``Fraction``.
+
 All scalars are immutable; no operation mutates its operands.
 """
 
@@ -18,6 +26,15 @@ from math import gcd
 from typing import Union
 
 RationalLike = Union[int, Fraction, "QuadExt"]
+Rational = Union[int, Fraction]
+
+
+def _canon(x: int | Fraction) -> Rational:
+    """The canonical exact rational: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class RingMismatchError(ValueError):
@@ -52,9 +69,10 @@ class QuadExt:
     """Exact element ``a + b*sqrt(d)`` with rational a, b and square-free d >= 0.
 
     d in {0, 1} is canonicalized to the rational subring (b folded into a),
-    and b == 0 forces d == 0, so the representation is unique.  Values with
-    d == 0 interoperate with any radicand; two genuinely quadratic values
-    combine only when their radicands match.
+    and b == 0 forces d == 0, so the representation is unique.  Each
+    component is an ``int`` when integral and a ``Fraction`` otherwise (see
+    ``_canon``).  Values with d == 0 interoperate with any radicand; two
+    genuinely quadratic values combine only when their radicands match.
     """
 
     __slots__ = ("a", "b", "d")
@@ -62,12 +80,12 @@ class QuadExt:
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0, d: int = 0) -> None:
         if isinstance(a, QuadExt) or isinstance(b, QuadExt):
             raise TypeError("components must be int or Fraction, not QuadExt")
-        a = Fraction(a)
-        b = Fraction(b)
+        a = _canon(a)
+        b = _canon(b)
         if d == 1:
-            a, b, d = a + b, Fraction(0), 0
+            a, b, d = _canon(a + b), 0, 0
         if d == 0 or b == 0:
-            b, d = Fraction(0), 0
+            b, d = 0, 0
         elif not is_square_free(d):
             raise ValueError(f"radicand {d} is not square-free and nonnegative")
         object.__setattr__(self, "a", a)
@@ -81,12 +99,12 @@ class QuadExt:
     def sqrt(cls, d: int) -> QuadExt:
         return cls(0, 1, d)
 
-    @classmethod
-    def _coerce(cls, x: object) -> QuadExt | None:
-        if isinstance(x, QuadExt):
+    @staticmethod
+    def _coerce(x: object) -> QuadExt | None:
+        if type(x) is QuadExt:
             return x
         if isinstance(x, (int, Fraction)):
-            return cls(x)
+            return _result(x, 0, 0)
         return None
 
     def _common_d(self, other: QuadExt) -> int:
@@ -101,21 +119,25 @@ class QuadExt:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: object) -> QuadExt:
+        if type(other) is int:
+            return _result(self.a + other, self.b, self.d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self._common_d(o))
+        return _result(self.a + o.a, self.b + o.b, self._common_d(o))
 
     __radd__ = __add__
 
     def __neg__(self) -> QuadExt:
-        return QuadExt(-self.a, -self.b, self.d)
+        return _result(-self.a, -self.b, self.d)
 
     def __sub__(self, other: object) -> QuadExt:
+        if type(other) is int:
+            return _result(self.a - other, self.b, self.d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self._common_d(o))
+        return _result(self.a - o.a, self.b - o.b, self._common_d(o))
 
     def __rsub__(self, other: object) -> QuadExt:
         o = self._coerce(other)
@@ -124,11 +146,15 @@ class QuadExt:
         return o - self
 
     def __mul__(self, other: object) -> QuadExt:
+        if type(other) is int:
+            return _result(self.a * other, self.b * other, self.d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         d = self._common_d(o)
-        return QuadExt(
+        if d == 0:
+            return _result(self.a * o.a, 0, 0)
+        return _result(
             self.a * o.a + self.b * o.b * d,
             self.a * o.b + self.b * o.a,
             d,
@@ -141,7 +167,7 @@ class QuadExt:
             return NotImplemented
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        result = QuadExt(1)
+        result = _result(1, 0, 0)
         base = self
         while e:
             if e & 1:
@@ -151,10 +177,11 @@ class QuadExt:
         return result
 
     def inverse(self) -> QuadExt:
-        n = self.norm()
+        n = _canon(self.norm())
         if n == 0:
             raise ZeroDivisionError("inverse of zero quadratic element")
-        return QuadExt(self.a / n, -self.b / n, self.d)
+        # Fraction(x, n), not x / n: two int operands would give a float
+        return _result(Fraction(self.a, n), Fraction(-self.b, n), self.d)
 
     def __truediv__(self, other: object) -> QuadExt:
         o = self._coerce(other)
@@ -171,11 +198,11 @@ class QuadExt:
     # -- structure ----------------------------------------------------------
 
     def conjugate(self) -> QuadExt:
-        return QuadExt(self.a, -self.b, self.d)
+        return _result(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - b^2 d; zero exactly when the element is zero."""
-        return self.a * self.a - self.b * self.b * self.d
+        return Fraction(self.a * self.a - self.b * self.b * self.d)
 
     @property
     def is_rational(self) -> bool:
@@ -184,12 +211,12 @@ class QuadExt:
     @property
     def is_integral(self) -> bool:
         """True when both components are rational integers."""
-        return self.a.denominator == 1 and self.b.denominator == 1
+        return type(self.a) is int and type(self.b) is int
 
     def as_fraction(self) -> Fraction:
         if self.d != 0:
             raise ValueError(f"{self} is not rational")
-        return self.a
+        return Fraction(self.a)
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
@@ -210,6 +237,33 @@ class QuadExt:
 
     def __str__(self) -> str:
         return format_scalar(self)
+
+
+_new = object.__new__
+_set_a = QuadExt.a.__set__
+_set_b = QuadExt.b.__set__
+_set_d = QuadExt.d.__set__
+
+
+def _result(a: Rational, b: Rational, d: int) -> QuadExt:
+    """QuadExt from the components of a ring operation on canonical operands.
+
+    Such components are ints or Fractions and d is a valid radicand, so
+    ``__init__``'s type and square-free checks are skipped; only the two
+    canonical forms are restored: integral Fractions become ints, and
+    b == 0 forces d == 0.
+    """
+    if type(a) is not int and a.denominator == 1:
+        a = a.numerator
+    if not b:
+        b = d = 0
+    elif type(b) is not int and b.denominator == 1:
+        b = b.numerator
+    x = _new(QuadExt)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
 
 
 SQRT2 = QuadExt.sqrt(2)

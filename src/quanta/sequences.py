@@ -155,10 +155,7 @@ def psi_point(point: QPoint | tuple, n: int) -> QuadExt:
     point = as_point(point)
     al, be = point.alpha, point.beta
     if point.is_rational:
-        av, bv = al.a, be.a
-        if av.denominator == 1 and bv.denominator == 1:
-            return QuadExt(psi_rec(av.numerator, bv.numerator, n))
-        return QuadExt(psi_rec(av, bv, n))
+        return QuadExt(psi_rec(al.a, be.a, n))
     return psi_rec(al, be, n)
 
 
@@ -245,14 +242,10 @@ def flipped_omega_coupling() -> Iterator[None]:
 def _point_multipliers(point: QPoint) -> tuple[int, tuple[int, int], tuple[int, int], int]:
     """Scale s and integer component pairs for A = s(2z-x), B = s(2z)."""
     al, be = point.alpha, point.beta
-    s = lcm(
-        al.a.denominator, al.b.denominator, be.a.denominator, be.b.denominator
-    )
-    big_a = 2 * al - be
-    big_b = 2 * al
-    a_pair = (int(big_a.a * s), int(big_a.b * s))
-    b_pair = (int(big_b.a * s), int(big_b.b * s))
-    return s, a_pair, b_pair, point.d
+    parts = (al.a, al.b, be.a, be.b)
+    s = lcm(*(c.denominator for c in parts))
+    zu, zv, xu, xv = (c.numerator * (s // c.denominator) for c in parts)
+    return s, (2 * zu - xu, 2 * zv - xv), (2 * zu, 2 * zv), point.d
 
 
 def _triangle(seed, diag, coupling, d=None, modulus=None, keep=True):
@@ -496,8 +489,6 @@ def lambda_table(point: QPoint | tuple, n: int) -> LambdaTable:
     if point.is_rational:
         m1 = 2 * point.alpha.a - point.beta.a
         m2 = point.alpha.a
-        if m1.denominator == 1 and m2.denominator == 1:
-            m1, m2 = m1.numerator, m2.numerator
     else:
         m1 = 2 * point.alpha - point.beta
         m2 = point.alpha

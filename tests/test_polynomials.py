@@ -72,6 +72,25 @@ class TestUniPoly:
         assert p.evaluate(Fraction(1, 2)) == 1 - Fraction(3, 2) + Fraction(1, 2)
 
 
+class TestExactTypeContract:
+    def test_coefficients_are_ints_when_integral(self):
+        p = UniPoly([Fraction(4, 2), 1]) * UniPoly([3, Fraction(1, 2)])
+        assert [type(c) for c in p.coeffs] == [int, int, Fraction]
+        q = (BiPoly.var_a() + BiPoly.var_b()) ** 3
+        assert all(type(c) is int for c in q.coeffs.values())
+
+    def test_division_never_gives_float(self):
+        assert UniPoly([3, 1]) / 2 == UniPoly([Fraction(3, 2), Fraction(1, 2)])
+        assert all(type(c) is Fraction for c in (UniPoly([3, 1]) / 2).coeffs)
+        half = BiPoly.const(3) / 2
+        assert half == BiPoly.const(Fraction(3, 2))
+        assert type(half.constant_value()) is Fraction
+
+    def test_constant_value_is_fraction(self):
+        assert type(BiPoly.const(3).constant_value()) is Fraction
+        assert type(BiPoly().constant_value()) is Fraction
+
+
 class TestPsiBipoly:
     def test_small_cases(self):
         a, b = BiPoly.var_a(), BiPoly.var_b()

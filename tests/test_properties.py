@@ -6,6 +6,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quanta.polynomials import UniPoly
 from quanta.scalars import ModInt, QuadExt, divides_int, format_scalar, parse_scalar
 from quanta.sequences import (
     QPoint,
@@ -64,6 +65,92 @@ class TestRingAxioms:
         rebuilt = QuadExt(x.a, x.b, x.d)
         assert rebuilt == x
         assert (rebuilt.a, rebuilt.b, rebuilt.d) == (x.a, x.b, x.d)
+
+
+def _canonical(c) -> bool:
+    """An exact rational is an int exactly when it is integral."""
+    return type(c) in (int, Fraction) and (type(c) is int) == (c.denominator == 1)
+
+
+def _ref_mul(x, y, d):
+    return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_poly_mul(p, q):
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            out[i + j] += u * v
+    return out
+
+
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+class TestIntegerBackedRationals:
+    """Ring results against by-hand Fraction arithmetic, and the storage
+    invariant: every component or coefficient is an int exactly when it is
+    integral."""
+
+    @given(
+        d=st.sampled_from([2, 3, 5, 7]),
+        xs=st.tuples(rationals, rationals),
+        ys=st.tuples(rationals, rationals),
+        e=st.integers(0, 5),
+    )
+    @settings(max_examples=200)
+    def test_quadext_ops_match_fraction_reference(self, d, xs, ys, e):
+        x, y = QuadExt(*xs, d), QuadExt(*ys, d)
+        xf = (Fraction(xs[0]), Fraction(xs[1]))
+        yf = (Fraction(ys[0]), Fraction(ys[1]))
+        expected = [
+            (x + y, (xf[0] + yf[0], xf[1] + yf[1])),
+            (x - y, (xf[0] - yf[0], xf[1] - yf[1])),
+            (x * y, _ref_mul(xf, yf, d)),
+            (x + 3, (xf[0] + 3, xf[1])),
+            (x * -2, (xf[0] * -2, xf[1] * -2)),
+            (x / 6, (xf[0] / 6, xf[1] / 6)),
+        ]
+        power = (Fraction(1), Fraction(0))
+        for _ in range(e):
+            power = _ref_mul(power, xf, d)
+        expected.append((x**e, power))
+        norm = yf[0] * yf[0] - yf[1] * yf[1] * d
+        if norm:
+            num = _ref_mul(xf, (yf[0], -yf[1]), d)
+            expected.append((x / y, (num[0] / norm, num[1] / norm)))
+        for got, (a, b) in expected:
+            assert (got.a, got.b) == (a, b)
+            assert got.d == (d if b else 0)
+            assert _canonical(got.a) and _canonical(got.b)
+
+    @given(x=quad_elements())
+    @settings(max_examples=150)
+    def test_constructed_components_are_canonical(self, x):
+        assert _canonical(x.a) and _canonical(x.b)
+
+    @given(
+        p=st.lists(rationals, max_size=6),
+        q=st.lists(rationals, max_size=6),
+    )
+    @settings(max_examples=150)
+    def test_unipoly_ops_match_fraction_reference(self, p, q):
+        up, uq = UniPoly(p), UniPoly(q)
+        width = max(len(p), len(q))
+        padded = [list(p) + [0] * (width - len(p)), list(q) + [0] * (width - len(q))]
+        sums = [Fraction(u) + v for u, v in zip(*padded)]
+        cases = [
+            (up * uq, _ref_poly_mul(p, q)),
+            (up + uq, sums),
+            (up * 4, [Fraction(u) * 4 for u in p]),
+        ]
+        for got, ref in cases:
+            assert got.coeffs == _trimmed(ref)
+            assert all(_canonical(c) for c in got.coeffs)
 
 
 class TestDivisibilityAgainstBruteForce:

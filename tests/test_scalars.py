@@ -94,6 +94,38 @@ class TestQuadExt:
             SQRT2.a = Fraction(1)
 
 
+class TestExactTypeContract:
+    """Components are int when integral, else Fraction; results that are
+    rational by contract stay Fraction, and no division yields a float."""
+
+    def test_rational_results_are_fractions(self):
+        for x in (QuadExt(3), QuadExt(1, 1, 2), GOLDEN):
+            assert type(x.norm()) is Fraction
+        assert type(QuadExt(3).as_fraction()) is Fraction
+        assert QuadExt(3).as_fraction() == 3
+
+    def test_division_never_gives_float(self):
+        half = QuadExt(3) / 2
+        assert half == QuadExt(Fraction(3, 2))
+        assert type(half.a) is Fraction
+        inv = QuadExt(2).inverse()
+        assert inv == QuadExt(Fraction(1, 2))
+        assert type(inv.a) is Fraction
+        assert type((QuadExt(6) / 3).a) is int
+        assert type((2 / QuadExt(4)).a) is Fraction
+        with pytest.raises(ZeroDivisionError):
+            QuadExt(3) / 0
+
+    def test_integral_components_are_ints(self):
+        x = QuadExt(Fraction(6, 2), Fraction(4, 2), 2)
+        assert (type(x.a), type(x.b)) == (int, int)
+        assert type((GOLDEN + GOLDEN.conjugate()).a) is int
+        assert type((QuadExt(Fraction(1, 2)) * 2).a) is int
+
+    def test_hash_ignores_representation(self):
+        assert hash(QuadExt(3)) == hash(QuadExt(Fraction(6, 2))) == hash(3)
+
+
 class TestDivisibility:
     def test_plain_integers(self):
         assert divides_int(5, QuadExt(120))

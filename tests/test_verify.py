@@ -1,7 +1,9 @@
 """Registry behavior: coverage, reproducibility, skipping, fault injection."""
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +83,21 @@ class TestReproducibility:
     def test_seed_recorded_in_grid(self):
         report = run_check("WW8", {"nmax": 6}, seed=3)
         assert "seed=3" in report.grid
+
+    def test_canonical_bytes_match_recorded_digests(self):
+        # SHA-256 of every check's canonical report at its fault-injection
+        # bounds, full profile, seed 0; gen1's four k=2 counterexamples
+        # are part of its report
+        path = Path(__file__).with_name("tiny_report_digests.json")
+        expected = json.loads(path.read_text())
+        assert set(expected) == set(REGISTRY)
+        changed = []
+        for id, check in sorted(REGISTRY.items()):
+            report = run_check(id, check.tiny, profile="full", seed=0)
+            digest = hashlib.sha256(report.to_json(volatile=False).encode()).hexdigest()
+            if digest != expected[id]:
+                changed.append(id)
+        assert not changed, f"canonical report bytes changed for {changed}"
 
 
 class TestRunAll:
