@@ -1,7 +1,16 @@
 """Registry of executable theorem checks with machine-readable reports.
 
-Each check id names one verified identity, binds a default parameter grid
-per profile (quick / full), and runs a sweep that records counterexamples.
+Each check id names one verified identity, binds its parameter grid per
+profile (quick / full, plus the reduced `tiny` grid of fault-injection runs)
+and names a runner.  A runner is a generator `runner(bounds, rng)` that
+yields cases `(params, fn, expected)`: the case passes when `fn()` equals
+`expected`, and a predicate case yields `expected=True`.  `_execute` is the
+one loop over cases.  It counts them, calls each `fn` under the
+TheoremViolationError/KernelPointError guard (a raise fails that case), and
+keeps the first MAX_FAILURES_RECORDED counterexamples.  A runner that raises
+mid-sweep leaves one sweep-level failure instead: status `fail` for a
+violation, `error` for any other exception, and the other checks still run.
+
 Reports serialize to a fixed JSON schema and a CSV summary; identical bounds
 and seed reproduce identical payloads (timing is zeroed in the canonical
 form, since wall-clock time is the one field that cannot be reproducible).
@@ -14,16 +23,17 @@ import io
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .scalars import GOLDEN, QuadExt, SQRT2, SQRT3, SQRT5
 from .sequences import (
     KernelPointError,
     QPoint,
     TheoremViolationError,
+    _lucas_coeff,
     delta,
     falling_factorial,
     fib_lambda_table,
@@ -110,41 +120,14 @@ class TheoremReport:
 MAX_FAILURES_RECORDED = 10
 
 
-class Sweep:
-    """Accumulates case outcomes; retains at most 10 counterexamples."""
-
-    def __init__(self) -> None:
-        self.cases_run = 0
-        self.failed = 0
-        self.failures: list[dict] = []
-
-    def record(self, params: Mapping, fn: Callable[[], object]) -> None:
-        self.cases_run += 1
-        try:
-            ok = fn()
-        except (TheoremViolationError, KernelPointError) as exc:
-            self._fail(params, "identity holds", f"{type(exc).__name__}: {exc}")
-            return
-        if ok is False:
-            self._fail(params, "True", "False")
-
-    def expect(self, params: Mapping, actual, expected) -> None:
-        self.cases_run += 1
-        if actual != expected:
-            self._fail(params, _show(expected), _show(actual))
-
-    def _fail(self, params: Mapping, expected: str, actual: str) -> None:
-        self.failed += 1
-        if len(self.failures) < MAX_FAILURES_RECORDED:
-            self.failures.append(
-                {"params": dict(params), "expected": expected, "actual": actual}
-            )
-
-
 def _show(value) -> str:
     if isinstance(value, QuadExt):
         return format_scalar(value)
     return str(value)
+
+
+# (params, fn, expected): the case passes when fn() == expected
+Case = tuple[Mapping, Callable[[], object], object]
 
 
 @dataclass(frozen=True)
@@ -152,11 +135,11 @@ class TheoremCheck:
     id: str
     anchor: str
     grid: str
-    runner: Callable[[Mapping, random.Random], Sweep]
+    runner: Callable[[Mapping, random.Random], Iterator[Case]]
     touches_omega: bool
     quick: Mapping | None  # None: skipped under the quick profile
     full: Mapping
-    tiny: Mapping = field(default_factory=dict)  # bounds for fault-injection runs
+    tiny: Mapping  # bounds for fault-injection runs
 
 
 # -- special-point expectation tables -------------------------------------------
@@ -302,76 +285,70 @@ def _pairs(rng: random.Random, count: int, span: int = 6) -> list[tuple[int, int
 # -- runners ----------------------------------------------------------------------
 
 
-def _run_def0(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 30)
+def _run_def0(bounds, rng) -> Iterator[Case]:
     for a, b in _pairs(rng, 12) + [(1, 4), (-2, -5), (0, -1)]:
-        sweep.expect({"a": a, "b": b, "n": 0}, psi_rec(a, b, 0), 2)
-        sweep.expect({"a": a, "b": b, "n": 1}, psi_rec(a, b, 1), 1)
-        for n in range(2, nmax + 1):
+        yield {"a": a, "b": b, "n": 0}, lambda: psi_rec(a, b, 0), 2
+        yield {"a": a, "b": b, "n": 1}, lambda: psi_rec(a, b, 1), 1
+        for n in range(2, bounds["nmax"] + 1):
             step = (2 * a - b) ** delta(n - 1) * psi_rec(a, b, n - 1) - a * psi_rec(
                 a, b, n - 2
             )
-            sweep.expect({"a": a, "b": b, "n": n}, psi_rec(a, b, n), step)
-    return sweep
+            yield {"a": a, "b": b, "n": n}, lambda: psi_rec(a, b, n), step
 
 
-def _run_comp3(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 40)
-    cases = [(a, b) for a, b in _pairs(rng, 10)]
+def _run_comp3(bounds, rng) -> Iterator[Case]:
+    cases = _pairs(rng, 10)
     cases += [(Fraction(1, 2), Fraction(-3, 5)), (Fraction(-2, 3), Fraction(7, 4))]
     for a, b in cases:
-        for n in range(1, nmax + 1):
-            sweep.expect(
-                {"a": str(a), "b": str(b), "n": n}, psi_closed(a, b, n), psi_rec(a, b, n)
+        for n in range(1, bounds["nmax"] + 1):
+            yield (
+                {"a": str(a), "b": str(b), "n": n},
+                lambda: psi_closed(a, b, n),
+                psi_rec(a, b, n),
             )
-    return sweep
 
 
-def _run_00(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 30)
-    from .sequences import _lucas_coeff
-
+def _run_00(bounds, rng) -> Iterator[Case]:
     for x, y in [(2, 1), (1, 1), (3, -1), (5, 2), (-2, 7), (1, 0)]:
-        for n in range(1, nmax + 1):
-            expansion = sum(
-                (-1) ** i * _lucas_coeff(n, i) * (x * y) ** i * (x + y) ** (n - 2 * i)
-                for i in range(n // 2 + 1)
+        for n in range(1, bounds["nmax"] + 1):
+            yield (
+                {"x": x, "y": y, "n": n},
+                lambda: sum(
+                    (-1) ** i
+                    * _lucas_coeff(n, i)
+                    * (x * y) ** i
+                    * (x + y) ** (n - 2 * i)
+                    for i in range(n // 2 + 1)
+                ),
+                x**n + y**n,
             )
-            sweep.expect({"x": x, "y": y, "n": n}, expansion, x**n + y**n)
-    return sweep
 
 
-def _run_ww4(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 30)
+def _run_ww4(bounds, rng) -> Iterator[Case]:
     for x, y in [(2, 1), (1, 1), (3, -1), (4, 3), (1, 0), (-3, 5)]:
-        for n in range(1, nmax + 1):
+        for n in range(1, bounds["nmax"] + 1):
             if n & 1 and x + y == 0:
                 continue
-            lhs = psi_point(QPoint(x * y, -x * x - y * y), n) * (x + y) ** delta(n)
-            sweep.expect({"x": x, "y": y, "n": n}, lhs, QuadExt(x**n + y**n))
-    return sweep
+            yield (
+                {"x": x, "y": y, "n": n},
+                lambda: psi_point(QPoint(x * y, -x * x - y * y), n)
+                * (x + y) ** delta(n),
+                QuadExt(x**n + y**n),
+            )
 
 
-def _run_ww8(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 20)
+def _run_ww8(bounds, rng) -> Iterator[Case]:
     for a, b in _pairs(rng, 8) + [(1, 4), (-1, -3)]:
-        for n in range(0, nmax + 1):
+        for n in range(0, bounds["nmax"] + 1):
             for m in range(0, n + 1):
-                sweep.record(
+                yield (
                     {"a": a, "b": b, "n": n, "m": m},
-                    lambda a=a, b=b, n=n, m=m: product_identity_check(a, b, n, m),
+                    lambda: product_identity_check(a, b, n, m),
+                    True,
                 )
-    return sweep
 
 
-def _run_ex00(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 12)
+def _run_ex00(bounds, rng) -> Iterator[Case]:
     scalars = [(1, 4), (2, -1), (1, 0)]
     xys = [(2, 1), (1, 1), (3, -1)]
     for point in _int_points(2):
@@ -379,79 +356,67 @@ def _run_ex00(bounds, rng) -> Sweep:
             if not (point.beta * a - point.alpha * b):
                 continue
             for x, y in xys:
-                for n in range(2, nmax + 1):
-                    sweep.record(
+                for n in range(2, bounds["nmax"] + 1):
+                    yield (
                         {"point": str(point), "a": a, "b": b, "x": x, "y": y, "n": n},
-                        lambda point=point, a=a, b=b, x=x, y=y, n=n: (
-                            psi_expansion_identity_check(a, b, point, x, y, n)
-                        ),
+                        lambda: psi_expansion_identity_check(a, b, point, x, y, n),
+                        True,
                     )
-    return sweep
 
 
-def _run_diff1(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 14)
+def _run_diff1(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, 0), QPoint(-1, 2), QPoint(2, -1)]
     for point in points:
-        for n in range(2, nmax + 1):
+        for n in range(2, bounds["nmax"] + 1):
             for r in range(n // 2):
-                sweep.record(
+                yield (
                     {"point": str(point), "n": n, "r": r},
-                    lambda point=point, n=n, r=r: verify_diff_ladder(n, r, point),
+                    lambda: verify_diff_ladder(n, r, point),
+                    True,
                 )
-    return sweep
 
 
-def _run_diff3(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 14)
+def _run_diff3(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, -2), QPoint(-2, 1), QPoint(1, 2)]
     for point in points:
-        for n in range(2, nmax + 1):
+        for n in range(2, bounds["nmax"] + 1):
             base = psi_bipoly(n)
             table = omega_table(point, n)
             for k in range(n // 2 + 1):
-                sweep.record(
+                yield (
                     {"point": str(point), "n": n, "k": k},
-                    lambda point=point, n=n, k=k, table=table, base=base: (
-                        verify_derivative_expansion(n, k, point, table, base)
-                    ),
+                    lambda: verify_derivative_expansion(n, k, point, table, base),
+                    True,
                 )
-    return sweep
 
 
-def _run_iaexp2(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 20)
+def _run_iaexp2(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(0, -1), QPoint(1, -2), QPoint(2, 3), QPoint(-1, -3)]
     for point in points:
-        for n in range(2, nmax + 1):
-            sweep.record(
+        for n in range(2, bounds["nmax"] + 1):
+            yield (
                 {"point": str(point), "n": n},
-                lambda point=point, n=n: verify_fundamental_psi(n, point),
+                lambda: verify_fundamental_psi(n, point),
+                True,
             )
-    return sweep
 
 
-def _run_g0(bounds, rng) -> Sweep:
+def _run_g0(bounds, rng) -> Iterator[Case]:
     # The triangle builder against its own definition: unit seed row, a direct
     # recomputation of every level from the recurrence, and modular tables
     # agreeing with the exact table reduced.
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 14)
     points = [QPoint(1, 1), QPoint(-2, -5), QPoint(2, 3)] + _QUAD_SAMPLE[:2]
     for point in points:
         al, be = point.alpha, point.beta
         big_a, big_b = 2 * al - be, 2 * al
-        for n in range(2, nmax + 1):
+        for n in range(2, bounds["nmax"] + 1):
             table = omega_table(point, n)
             K = n // 2
             dlt = delta(n - 1)
             for r in range(K + 1):
-                sweep.expect(
+                yield (
                     {"point": str(point), "n": n, "r": r, "k": 0},
-                    table.entry(r, 0),
+                    lambda: table.entry(r, 0),
                     QuadExt(1),
                 )
             for k in range(1, K + 1):
@@ -459,43 +424,39 @@ def _run_g0(bounds, rng) -> Sweep:
                     direct = big_a * (n - r - k) * table.entry(r, k - 1) - big_b * (
                         n - 2 * r - dlt
                     ) * table.entry(r + 1, k - 1)
-                    sweep.expect(
+                    yield (
                         {"point": str(point), "n": n, "r": r, "k": k},
-                        table.entry(r, k),
+                        lambda: table.entry(r, k),
                         direct,
                     )
             m = rng.choice([5, 7, 11, 13])
             mod_table = omega_table(point, n, modulus=m)
             for k in range(K + 1):
                 for r in range(K - k + 1):
-                    expected_pair = reduce_mod(table.entry(r, k), m)
                     got = mod_table.entry(r, k)
                     actual_pair = (
                         (int(got.a) % m, int(got.b) % m)
                         if isinstance(got, QuadExt)
                         else (got.residue, 0)
                     )
-                    sweep.expect(
+                    yield (
                         {"point": str(point), "n": n, "r": r, "k": k, "mod": m},
-                        actual_pair,
-                        expected_pair,
+                        lambda: actual_pair,
+                        reduce_mod(table.entry(r, k), m),
                     )
-    return sweep
 
 
-def _run_fd3(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 20)
+def _run_fd3(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, -2), QPoint(-2, 3), QPoint(2, -1)]
     for point in points:
         al, be = point.alpha, point.beta
-        for n in range(2, nmax + 1):
+        for n in range(2, bounds["nmax"] + 1):
             table = lambda_table(point, n)
             K = n // 2
             for r in range(K + 1):
-                sweep.expect(
+                yield (
                     {"point": str(point), "n": n, "r": r, "k": 0},
-                    table.entry(r, 0),
+                    lambda: table.entry(r, 0),
                     QuadExt(lambda_seed(n, r)),
                 )
             for k in range(1, K + 1):
@@ -503,189 +464,147 @@ def _run_fd3(bounds, rng) -> Sweep:
                     direct = (2 * al - be) * (K - k - r + 1) * table.entry(r, k - 1) + (
                         al * (r + 1) * table.entry(r + 1, k - 1)
                     )
-                    sweep.expect(
+                    yield (
                         {"point": str(point), "n": n, "r": r, "k": k},
-                        table.entry(r, k),
+                        lambda: table.entry(r, k),
                         direct,
                     )
-                    entry = table.entry(r, k)
                     if k >= 2:
-                        sweep.record(
+                        yield (
                             {"point": str(point), "n": n, "r": r, "k": k, "claim": "k!"},
-                            lambda entry=entry, k=k: divides_int(factorial(k), entry),
+                            lambda: divides_int(factorial(k), table.entry(r, k)),
+                            True,
                         )
-    return sweep
 
 
-def _run_h2(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 16)
+def _run_h2(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, -2), QPoint(-1, 2)] + _QUAD_SAMPLE[:2]
     for point in points:
-        for n in range(2, nmax + 1):
+        for n in range(2, bounds["nmax"] + 1):
             otable = omega_table(point, n)
             ltable = lambda_table(point, n)
             K = n // 2
             for k in range(K + 1):
                 for r in range(K - k + 1):
-                    sweep.expect(
+                    yield (
                         {"point": str(point), "n": n, "r": r, "k": k},
-                        lambda_from_omega(point, n, r, k, otable),
+                        lambda: lambda_from_omega(point, n, r, k, otable),
                         ltable.entry(r, k),
                     )
-    return sweep
 
 
-def _run_f1100(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 16)
-    coord = bounds.get("coord", 2)
+def _run_f1100(bounds, rng) -> Iterator[Case]:
     scalar_a, scalar_b = 1, 4
-    for point in _int_points(coord):
+    for point in _int_points(bounds["coord"]):
         if not (point.beta * scalar_a - point.alpha * scalar_b):
             continue
-        for n in range(2, nmax + 1):
+        for n in range(2, bounds["nmax"] + 1):
             otable = omega_table(point, n)
             ltable = lambda_table(point, n)
-            base = psi_bipoly(n)
-            K = n // 2
-            deriv = base
+            deriv = psi_bipoly(n)
             kfact = 1
-            for k in range(K + 1):
+            for k in range(n // 2 + 1):
                 if k:
                     deriv = dir_derivative(deriv, point)
                     kfact *= k
                 try:
                     value, coeffs = psi_k_expand(scalar_a, scalar_b, point, n, k, otable)
                 except TheoremViolationError as exc:
-                    sweep.cases_run += 1
-                    sweep._fail(
+                    yield (
                         {"point": str(point), "n": n, "k": k},
+                        lambda: str(exc),
                         "integral coefficients",
-                        str(exc),
                     )
                     continue
                 for r, c in enumerate(coeffs):
                     bridge = lambda_from_omega(point, n, r, k, otable) / kfact
                     if k & 1:
                         bridge = -bridge
-                    sweep.expect(
+                    yield (
                         {"point": str(point), "n": n, "k": k, "r": r, "path": "bridge"},
-                        c,
+                        lambda: c,
                         bridge,
                     )
-                    sweep.expect(
+                    yield (
                         {"point": str(point), "n": n, "k": k, "r": r, "path": "k!|lam"},
-                        divides_int(kfact, ltable.entry(r, k)) if kfact > 1 else True,
+                        lambda: kfact == 1 or divides_int(kfact, ltable.entry(r, k)),
                         True,
                     )
                 dval = deriv.evaluate(Fraction(scalar_a), Fraction(scalar_b)) / kfact
                 if k & 1:
                     dval = -dval
-                sweep.expect(
+                yield (
                     {"point": str(point), "n": n, "k": k, "path": "derivative"},
-                    value,
+                    lambda: value,
                     QuadExt(dval),
                 )
-    return sweep
 
 
-def _run_k00(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 40)
-    coord = bounds.get("coord", 2)
-    for point in _int_points(coord):
-        for n in range(2, nmax + 1):
-            sweep.record(
+def _run_k00(bounds, rng) -> Iterator[Case]:
+    for point in _int_points(bounds["coord"]):
+        for n in range(2, bounds["nmax"] + 1):
+            yield (
                 {"point": str(point), "n": n},
-                lambda point=point, n=n: second_fundamental(point, n) is not None,
+                lambda: second_fundamental(point, n) is not None,
+                True,
             )
-    return sweep
 
 
-def _run_space4(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 30)
+def _run_space4(bounds, rng) -> Iterator[Case]:
     for point in _int_points(2) + _QUAD_SAMPLE[:1]:
-        for n in range(1, nmax + 1):
+        for n in range(1, bounds["nmax"] + 1):
             if not psi_point(point, 2 * n):
                 continue  # kernel point at this level: ratio undefined
-            sweep.record(
+            yield (
                 {"point": str(point), "n": n},
-                lambda point=point, n=n: second_fundamental_v2(point, n)
-                is not None,
+                lambda: second_fundamental_v2(point, n) is not None,
+                True,
             )
-    return sweep
 
 
-def _run_fa2(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 24)
+def _run_fa2(bounds, rng) -> Iterator[Case]:
     for x, y in [(2, 1), (1, 1), (3, -1), (4, 3), (1, 0), (5, -2)]:
-        for n in range(1, nmax + 1):
+        for n in range(1, bounds["nmax"] + 1):
             if n & 1 and x + y == 0:
                 continue
-            sweep.record(
-                {"x": x, "y": y, "n": n},
-                lambda x=x, y=y, n=n: sums_of_powers_check(x, y, n),
-            )
-    return sweep
+            yield {"x": x, "y": y, "n": n}, lambda: sums_of_powers_check(x, y, n), True
 
 
-_S1_FAMILIES = [
-    ("(1,0)", QPoint(1, 0), 8, {1, 7}, lambda: QuadExt(1)),
-    ("(1,-1)", QPoint(1, -1), 12, {2, 10}, lambda: QuadExt(1)),
-    ("(1,sqrt2)", QPoint(QuadExt(1), SQRT2), 16, {3, 13}, lambda: -1 - SQRT2),
-    ("(1,phi-1)", QPoint(QuadExt(1), GOLDEN - 1), 20, {4, 16}, lambda: -GOLDEN),
-    ("(1,sqrt3)", QPoint(QuadExt(1), SQRT3), 24, {5, 19}, lambda: 2 + SQRT3),
-]
-
-_S11_FAMILIES = [
-    ("(1,0)", QPoint(1, 0), 8, {2, 6}),
-    ("(1,-1)", QPoint(1, -1), 12, {3, 9}),
-    ("(1,sqrt2)", QPoint(QuadExt(1), SQRT2), 16, {4, 12}),
-    ("(1,phi-1)", QPoint(QuadExt(1), GOLDEN - 1), 20, {5, 15}),
-    ("(1,sqrt3)", QPoint(QuadExt(1), SQRT3), 24, {6, 18}),
+# family label, SPECIAL_TABLES id, residues where psi takes its tabulated
+# nonzero value (S1), residues where psi vanishes (S11)
+_RESIDUE_FAMILIES = [
+    ("(1,0)", "PP00Q", {1, 7}, {2, 6}),
+    ("(1,-1)", "PP1A", {2, 10}, {3, 9}),
+    ("(1,sqrt2)", "root2", {3, 13}, {4, 12}),
+    ("(1,phi-1)", "phi", {4, 16}, {5, 15}),
+    ("(1,sqrt3)", "root3", {5, 19}, {6, 18}),
 ]
 
 
-def _run_s1(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 120)
-    for label, point, period, residues, expected in _S1_FAMILIES:
-        for n in range(1, nmax + 1):
-            if n % period in residues:
-                sweep.expect(
-                    {"family": label, "n": n}, psi_point(point, n), expected()
-                )
-                sweep.expect(
-                    {"family": label, "n": n, "probe": True},
-                    omega_space_probe(point, n),
-                    "member",
-                )
-    return sweep
+def _residue_runner(probe: str) -> Callable:
+    def run(bounds, rng) -> Iterator[Case]:
+        for label, table_id, member, kernel in _RESIDUE_FAMILIES:
+            point, period, expected = SPECIAL_TABLES[table_id]
+            residues = member if probe == "member" else kernel
+            for n in range(1, bounds["nmax"] + 1):
+                if n % period in residues:
+                    yield (
+                        {"family": label, "n": n},
+                        lambda: psi_point(point, n),
+                        expected(n),
+                    )
+                    yield (
+                        {"family": label, "n": n, "probe": True},
+                        lambda: omega_space_probe(point, n),
+                        probe,
+                    )
+
+    return run
 
 
-def _run_s11(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 120)
-    for label, point, period, residues in _S11_FAMILIES:
-        for n in range(1, nmax + 1):
-            if n % period in residues:
-                sweep.expect({"family": label, "n": n}, psi_point(point, n), QuadExt(0))
-                sweep.expect(
-                    {"family": label, "n": n, "probe": True},
-                    omega_space_probe(point, n),
-                    "kernel",
-                )
-    return sweep
-
-
-def _run_infinite_params(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    kmax = bounds.get("kmax", 5)
+def _run_infinite_params(bounds, rng) -> Iterator[Case]:
     base_points = [QPoint(1, 1), QPoint(1, -2), QPoint(0, -1), QPoint(2, 3)]
-    for k in range(2, kmax + 1):
+    for k in range(2, bounds["kmax"] + 1):
         combos = [
             (base_points[:1], [1]),
             (base_points[:2], [3, -2]),
@@ -693,88 +612,74 @@ def _run_infinite_params(bounds, rng) -> Sweep:
             (base_points, [rng.randint(-9, 9) for _ in base_points]),
         ]
         for i, (pts, coeffs) in enumerate(combos):
-            sweep.record(
+            yield (
                 {"k": k, "combo": i, "coeffs": list(coeffs)},
-                lambda k=k, pts=pts, coeffs=coeffs: emergence_combination_check(
-                    k, pts, coeffs
-                ),
+                lambda: emergence_combination_check(k, pts, coeffs),
+                True,
             )
-    return sweep
 
 
-def _run_gen1(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    kmax = bounds.get("kmax", 6)
+def _run_gen1(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, -2), QPoint(0, -1), QPoint(2, 3)]
-    for k in range(2, kmax + 1):
+    for k in range(2, bounds["kmax"] + 1):
         for point in points:
             try:
                 result = emergence_check(k, point)
             except (TheoremViolationError, KernelPointError) as exc:
-                sweep.cases_run += 1
-                sweep._fail(
-                    {"k": k, "point": str(point)}, "identity holds", str(exc)
-                )
+                yield {"k": k, "point": str(point)}, lambda: str(exc), "identity holds"
                 continue
             if not result.exact_path:
                 continue
-            sweep.expect(
+            yield (
                 {"k": k, "point": str(point), "claim": "integer"},
-                result.gen1_integer,
+                lambda: result.gen1_integer,
                 True,
             )
-            sweep.expect(
+            yield (
                 {"k": k, "point": str(point), "claim": "divisible"},
-                result.gen1_divisible,
+                lambda: result.gen1_divisible,
                 True,
             )
-    return sweep
 
 
-def _run_gen2(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    kmax = bounds.get("kmax", 10)
-    for k in range(2, kmax + 1):
+def _run_gen2(bounds, rng) -> Iterator[Case]:
+    for k in range(2, bounds["kmax"] + 1):
         for point in _EMERGENCE_POINTS:
-            sweep.record(
+            yield (
                 {"k": k, "point": str(point)},
-                lambda k=k, point=point: emergence_check(k, point).omega0_mod == 0,
+                lambda: emergence_check(k, point).omega0_mod == 0,
+                True,
             )
-    return sweep
 
 
-def _run_gen5(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    kmax = bounds.get("kmax", 5)
+def _run_gen5(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, -2), QPoint(0, -1), QPoint(2, 3)]
-    for k in range(2, kmax + 1):
+    for k in range(2, bounds["kmax"] + 1):
         for point in points:
-            sweep.record(
+            yield (
                 {"k": k, "point": str(point)},
-                lambda k=k, point=point: first_odd_primes_check(k, point),
+                lambda: first_odd_primes_check(k, point),
+                True,
             )
-    return sweep
 
 
 def _closed_form_runner(point_id: tuple[int, int]) -> Callable:
-    def run(bounds, rng) -> Sweep:
-        sweep = Sweep()
-        nmax = bounds.get("nmax", 30)
+    def run(bounds, rng) -> Iterator[Case]:
         point = QPoint(*point_id)
-        for n in range(2, nmax + 1):
+        for n in range(2, bounds["nmax"] + 1):
             table = omega_table(point, n)
             K = n // 2
             for k in range(K + 1):
                 for r in range(K - k + 1):
-                    sweep.expect(
+                    yield (
                         {"point": str(point), "n": n, "r": r, "k": k},
-                        table.entry(r, k),
+                        lambda: table.entry(r, k),
                         QuadExt(omega_closed(point_id, r, k, n)),
                     )
             if point_id == (0, -1):
-                sweep.expect(
+                yield (
                     {"point": str(point), "n": n, "claim": "top=ff"},
-                    table.top(),
+                    lambda: table.top(),
                     QuadExt(falling_factorial(n)),
                 )
             if point_id == (1, -2):
@@ -783,741 +688,655 @@ def _closed_form_runner(point_id: tuple[int, int]) -> Callable:
                 while term >= 1:
                     explicit *= term
                     term -= 2
-                sweep.expect(
+                yield (
                     {"point": str(point), "n": n, "claim": "descending-odds"},
-                    table.top(),
+                    lambda: table.top(),
                     QuadExt(explicit),
                 )
-        return sweep
 
     return run
 
 
 def _table_runner(table_id: str) -> Callable:
-    def run(bounds, rng) -> Sweep:
-        sweep = Sweep()
-        nmax = bounds.get("nmax", 60)
+    def run(bounds, rng) -> Iterator[Case]:
         point, _, expected = SPECIAL_TABLES[table_id]
-        for n in range(2, nmax + 1):
+        for n in range(2, bounds["nmax"] + 1):
             try:
                 value = second_fundamental(point, n)
             except TheoremViolationError as exc:
-                sweep.cases_run += 1
-                sweep._fail({"n": n}, "ratio == psi", str(exc))
+                yield {"n": n}, lambda: str(exc), "ratio == psi"
                 continue
-            sweep.expect({"n": n}, value, expected(n))
-        return sweep
+            yield {"n": n}, lambda: value, expected(n)
 
     return run
 
 
-def _run_au7(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 400)
-    from .primes import combinatorial_identity_check
-
-    for n in range(2, nmax + 1):
-        sweep.record({"n": n}, lambda n=n: combinatorial_identity_check(n))
-    return sweep
+def _run_au7(bounds, rng) -> Iterator[Case]:
+    for n in range(2, bounds["nmax"] + 1):
+        yield {"n": n}, lambda: primes.combinatorial_identity_check(n), True
 
 
 _KNOWN_MERSENNE_EXPONENTS = {5, 7, 13, 17, 19, 31}
 
 
-def _run_u14(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    pset = bounds.get("pset", [5, 7, 11, 13, 17, 19, 23, 29, 31])
-    for p in pset:
-        sweep.expect(
-            {"p": p, "path": "doubling"},
-            primes.mersenne_test(p),
-            p in _KNOWN_MERSENNE_EXPONENTS,
-        )
-        sweep.expect(
-            {"p": p, "path": "classical"},
-            primes.lucas_lehmer(p),
-            p in _KNOWN_MERSENNE_EXPONENTS,
-        )
-    return sweep
+def _run_u14(bounds, rng) -> Iterator[Case]:
+    for p in bounds["pset"]:
+        prime = p in _KNOWN_MERSENNE_EXPONENTS
+        yield {"p": p, "path": "doubling"}, lambda: primes.mersenne_test(p), prime
+        yield {"p": p, "path": "classical"}, lambda: primes.lucas_lehmer(p), prime
 
 
-def _run_u16(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    pset = bounds.get("pset", [5, 7])
-    for p in pset:
+def _run_u16(bounds, rng) -> Iterator[Case]:
+    for p in bounds["pset"]:
         n = 1 << (p - 1)
-        sweep.record(
+        yield (
             {"p": p},
-            lambda p=p, n=n: divides_int(2 * n - 1, second_fundamental(QPoint(1, 4), n))
+            lambda: divides_int(2 * n - 1, second_fundamental(QPoint(1, 4), n))
             == (p in _KNOWN_MERSENNE_EXPONENTS),
+            True,
         )
-    return sweep
 
 
-def _run_u18(bounds, rng) -> Sweep:
-    sweep = Sweep()
+def _run_u18(bounds, rng) -> Iterator[Case]:
     perfect = [6, 28, 496, 8128, 33550336]
     imperfect = [100, 12, 2046, 2096128, 33550334]
     for N in perfect:
-        sweep.expect({"N": N}, primes.perfect_number_check(N), True)
+        yield {"N": N}, lambda: primes.perfect_number_check(N), True
     for N in imperfect:
-        sweep.expect({"N": N}, primes.perfect_number_check(N), False)
-    return sweep
+        yield {"N": N}, lambda: primes.perfect_number_check(N), False
 
 
-def _run_g2f(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    pmax = bounds.get("pmax", 15)
-    for p in range(3, pmax + 1, 2):
-        sweep.record(
+def _run_g2f(bounds, rng) -> Iterator[Case]:
+    for p in range(3, bounds["pmax"] + 1, 2):
+        yield {"p": p}, lambda: primes.mersenne_representation(p) == (1 << p) - 1, True
+
+
+def _equiv_runner(bounds, rng) -> Iterator[Case]:
+    for p in bounds["pset"]:
+        yield (
             {"p": p},
-            lambda p=p: primes.mersenne_representation(p) == (1 << p) - 1,
-        )
-    return sweep
-
-
-def _equiv_runner(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    pset = bounds.get("pset", [5, 7, 11, 13])
-    for p in pset:
-        sweep.record(
-            {"p": p},
-            lambda p=p: primes.mersenne_divisibility_equiv(p)
+            lambda: primes.mersenne_divisibility_equiv(p)
             == (p in _KNOWN_MERSENNE_EXPONENTS),
+            True,
         )
-    return sweep
 
 
-def _run_g4(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 5)
+def _run_g4(bounds, rng) -> Iterator[Case]:
     expected = {1: 5, 2: 17, 3: 257, 4: 65537, 5: 4294967297}
-    for n in range(1, nmax + 1):
-        sweep.record(
+    for n in range(1, bounds["nmax"] + 1):
+        yield (
             {"n": n},
-            lambda n=n: primes.fermat_representation(n)
+            lambda: primes.fermat_representation(n)
             == expected.get(n, (1 << (1 << n)) + 1),
+            True,
         )
-    return sweep
 
 
-def _run_g6(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 60)
-    for n in range(2, nmax + 1):
-        sweep.record(
-            {"n": n}, lambda n=n: lucas_fib_representations(n)[0] == lucas(n)
-        )
-    return sweep
+def _run_g6(bounds, rng) -> Iterator[Case]:
+    for n in range(2, bounds["nmax"] + 1):
+        yield {"n": n}, lambda: lucas_fib_representations(n)[0] == lucas(n), True
 
 
-def _run_g7(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 60)
-    for n in range(2, nmax + 1):
+def _run_g7(bounds, rng) -> Iterator[Case]:
+    for n in range(2, bounds["nmax"] + 1):
         expected = fibonacci(n) if n & 1 else lucas(n)
-        sweep.record(
-            {"n": n},
-            lambda n=n, expected=expected: lucas_fib_representations(n)[1]
-            == expected,
-        )
-    return sweep
+        yield {"n": n}, lambda: lucas_fib_representations(n)[1] == expected, True
 
 
 _TEN_EVAL_XS = tuple(Fraction(i, 4) for i in (-7, -5, -3, -1, 1, 3, 5, 7, 9, 11))
 
 
-def _run_che(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 32)
-    for n in range(1, nmax + 1):
-        sweep.record(
-            {"n": n}, lambda n=n: chebyshev_check(n, eval_points=_TEN_EVAL_XS)
-        )
-    return sweep
+def _run_che(bounds, rng) -> Iterator[Case]:
+    for n in range(1, bounds["nmax"] + 1):
+        yield {"n": n}, lambda: chebyshev_check(n, eval_points=_TEN_EVAL_XS), True
 
 
-def _run_dic(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 32)
-    for alpha in bounds.get("alphas", [1, -1, 2, -2, 3]):
-        for n in range(1, nmax + 1):
-            sweep.record(
+_DIC_ALPHAS = (1, -1, 2, -2, 3)  # Dic's alpha grid unless the bounds give `alphas`
+
+
+def _run_dic(bounds, rng) -> Iterator[Case]:
+    for alpha in bounds.get("alphas", _DIC_ALPHAS):
+        for n in range(1, bounds["nmax"] + 1):
+            yield (
                 {"n": n, "alpha": alpha},
-                lambda n=n, alpha=alpha: dickson_check(
-                    n, alpha, eval_points=_TEN_EVAL_XS
-                ),
+                lambda: dickson_check(n, alpha, eval_points=_TEN_EVAL_XS),
+                True,
             )
-    return sweep
 
 
-def _run_g6x(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 60)
-    for n in range(2, nmax + 1):
-        sweep.record(
-            {"n": n}, lambda n=n: fib_lambda_table(n)[1] == fibonacci(n)
+def _run_g6x(bounds, rng) -> Iterator[Case]:
+    for n in range(2, bounds["nmax"] + 1):
+        yield {"n": n}, lambda: fib_lambda_table(n)[1] == fibonacci(n), True
+
+
+def _run_primefib(bounds, rng) -> Iterator[Case]:
+    for k in range(2, bounds["kmax"] + 1):
+        yield {"k": k}, lambda: lambda_emergence_check(k), True
+
+
+def _run_harmonic(bounds, rng) -> Iterator[Case]:
+    for n in range(9, bounds["nmax"] + 1, 8):
+        yield {"n": n}, lambda: primes.harmonic_congruence_check(n), True
+
+
+def _run_lagarias(bounds, rng) -> Iterator[Case]:
+    offenders = set(primes.lagarias_sweep(bounds["nmax"]))
+    for n in range(1, bounds["nmax"] + 1):
+        yield (
+            {"n": n},
+            lambda: "undecided or violated" if n in offenders else "holds",
+            "holds",
         )
-    return sweep
-
-
-def _run_primefib(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    kmax = bounds.get("kmax", 8)
-    for k in range(2, kmax + 1):
-        sweep.record({"k": k}, lambda k=k: lambda_emergence_check(k))
-    return sweep
-
-
-def _run_harmonic(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 201)
-    for n in range(9, nmax + 1, 8):
-        sweep.record({"n": n}, lambda n=n: primes.harmonic_congruence_check(n))
-    return sweep
-
-
-def _run_lagarias(bounds, rng) -> Sweep:
-    sweep = Sweep()
-    nmax = bounds.get("nmax", 2000)
-    offenders = primes.lagarias_sweep(nmax)
-    sweep.cases_run = nmax
-    for n in offenders:
-        sweep._fail({"n": n}, "holds", "undecided or violated")
-    return sweep
 
 
 # -- registry ---------------------------------------------------------------------
 
 
-def _check(
-    id: str,
-    anchor: str,
-    grid: str,
-    runner: Callable,
-    *,
-    omega: bool,
-    quick: Mapping | None,
-    full: Mapping,
-    tiny: Mapping | None = None,
-) -> TheoremCheck:
-    return TheoremCheck(
-        id=id,
-        anchor=anchor,
-        grid=grid,
-        runner=runner,
-        touches_omega=omega,
-        quick=quick,
-        full=full,
-        tiny=dict(tiny) if tiny is not None else dict(quick or full),
-    )
-
-
 REGISTRY: dict[str, TheoremCheck] = {
     c.id: c
     for c in [
-        _check(
+        TheoremCheck(
             "def0",
             "seed values and step of the psi recurrence",
             "random and fixed (a,b); n up to nmax",
             _run_def0,
-            omega=False,
+            touches_omega=False,
             quick={"nmax": 24},
             full={"nmax": 48},
             tiny={"nmax": 8},
         ),
-        _check(
+        TheoremCheck(
             "comp3",
             "half-length closed form equals the psi recurrence",
             "random integer and rational (a,b); n up to nmax",
             _run_comp3,
-            omega=False,
+            touches_omega=False,
             quick={"nmax": 32},
             full={"nmax": 64},
             tiny={"nmax": 10},
         ),
-        _check(
+        TheoremCheck(
             "00",
             "power-sum expansion of x^n + y^n in xy and x+y",
             "fixed (x,y) pairs; n up to nmax",
             _run_00,
-            omega=False,
+            touches_omega=False,
             quick={"nmax": 40},
             full={"nmax": 80},
             tiny={"nmax": 10},
         ),
-        _check(
+        TheoremCheck(
             "WW4",
             "psi(xy, -x^2-y^2, n) equals (x^n+y^n)/(x+y)^(n mod 2)",
             "fixed (x,y) pairs; n up to nmax",
             _run_ww4,
-            omega=False,
+            touches_omega=False,
             quick={"nmax": 40},
             full={"nmax": 80},
             tiny={"nmax": 10},
         ),
-        _check(
+        TheoremCheck(
             "WW8",
             "product-of-psi doubling identity",
             "random (a,b); all 0 <= m <= n <= nmax",
             _run_ww8,
-            omega=False,
+            touches_omega=False,
             quick={"nmax": 16},
             full={"nmax": 24},
             tiny={"nmax": 8},
         ),
-        _check(
+        TheoremCheck(
             "ex00",
             "two-form expansion of the scaled power sum",
             "integer points coord<=2; fixed scalars; n up to nmax",
             _run_ex00,
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 10},
             full={"nmax": 16},
             tiny={"nmax": 8},
         ),
-        _check(
+        TheoremCheck(
             "diff1",
             "directional derivative lowers the expansion index with factor -(r+1)",
             "rational points; n up to nmax; all r",
             _run_diff1,
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 12},
             full={"nmax": 20},
             tiny={"nmax": 8},
         ),
-        _check(
+        TheoremCheck(
             "diff3",
             "expansion polynomial equals the scaled k-fold directional derivative",
             "rational points; n up to nmax; all k",
             _run_diff3,
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 12},
             full={"nmax": 20},
             tiny={"nmax": 8},
         ),
-        _check(
+        TheoremCheck(
             "IAexp2",
             "K-fold derivative of psi collapses to psi at the point",
             "rational points; n up to nmax",
             _run_iaexp2,
-            omega=False,
+            touches_omega=False,
             quick={"nmax": 16},
             full={"nmax": 20},
             tiny={"nmax": 8},
         ),
-        _check(
+        TheoremCheck(
             "G0",
             "triangle builder satisfies its defining recurrence; modular tables match",
             "mixed points; n up to nmax; all entries",
             _run_g0,
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 12},
             full={"nmax": 18},
             tiny={"nmax": 8},
         ),
-        _check(
+        TheoremCheck(
             "FD3",
             "lambda triangle: seeds, recurrence, and k! divisibility",
             "integer points; n up to nmax; all entries",
             _run_fd3,
-            omega=False,
+            touches_omega=False,
             quick={"nmax": 16},
             full={"nmax": 24},
             tiny={"nmax": 8},
         ),
-        _check(
+        TheoremCheck(
             "H2",
             "factorial bridge from omega entries to lambda entries",
             "mixed points; n up to nmax; all entries",
             _run_h2,
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 14},
             full={"nmax": 20},
             tiny={"nmax": 8},
         ),
-        _check(
+        TheoremCheck(
             "F1100",
             "first fundamental expansion: coefficients integral, bridge and "
             "derivative paths agree",
             "integer points coord<=2; n up to nmax; all k",
             _run_f1100,
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 14, "coord": 2},
             full={"nmax": 40, "coord": 2},
             tiny={"nmax": 8, "coord": 1},
         ),
-        _check(
+        TheoremCheck(
             "k00",
             "second fundamental ratio: exact division recovering psi",
             "integer points coord<=C; n in [2, nmax]",
             _run_k00,
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 40, "coord": 2},
             full={"nmax": 200, "coord": 3},
             tiny={"nmax": 12, "coord": 1},
         ),
-        _check(
+        TheoremCheck(
             "space4",
             "psi-normalized top entry equals the rising product",
             "integer and quadratic points; n up to nmax",
             _run_space4,
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 24},
             full={"nmax": 100},
             tiny={"nmax": 10},
         ),
-        _check(
+        TheoremCheck(
             "FA2",
             "power-sum value of the fundamental ratio",
             "fixed (x,y); n up to nmax",
             _run_fa2,
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 20},
             full={"nmax": 40},
             tiny={"nmax": 8},
         ),
-        _check(
+        TheoremCheck(
             "S1",
             "membership residues: psi equals the tabulated nonzero values",
             "five point families; n up to nmax",
-            _run_s1,
-            omega=False,
+            _residue_runner("member"),
+            touches_omega=False,
             quick={"nmax": 120},
             full={"nmax": 240},
             tiny={"nmax": 48},
         ),
-        _check(
+        TheoremCheck(
             "S11",
             "kernel residues: psi vanishes on the tabulated classes",
             "five point families; n up to nmax",
-            _run_s11,
-            omega=False,
+            _residue_runner("kernel"),
+            touches_omega=False,
             quick={"nmax": 120},
             full={"nmax": 240},
             tiny={"nmax": 48},
         ),
-        _check(
+        TheoremCheck(
             "infinite_params",
             "next prime divides integer combinations of normalized ratios",
             "k in [2, kmax]; fixed and random combinations",
             _run_infinite_params,
-            omega=True,
+            touches_omega=True,
             quick={"kmax": 4},
             full={"kmax": 6},
             tiny={"kmax": 3},
         ),
-        _check(
+        TheoremCheck(
             "gen1",
             "thinned ratio integrality and divisibility by the next prime "
             "(divisibility genuinely fails at k=2 where p_{k+1} = 2 p_k - 1)",
             "k in [2, kmax]; integer points",
             _run_gen1,
-            omega=True,
+            touches_omega=True,
             quick={"kmax": 4},
             full={"kmax": 6},
             tiny={"kmax": 3},
         ),
-        _check(
+        TheoremCheck(
             "gen2",
             "next prime divides the top triangle entry at level 2 p_k",
             "k in [2, kmax]; five-point grid; modular with exact spot checks",
             _run_gen2,
-            omega=True,
+            touches_omega=True,
             quick={"kmax": 10},
             full={"kmax": 25},
             tiny={"kmax": 4},
         ),
-        _check(
+        TheoremCheck(
             "gen5",
             "product of the first odd primes divides the normalized ratio",
             "k in [2, kmax]; integer points",
             _run_gen5,
-            omega=True,
+            touches_omega=True,
             quick={"kmax": 5},
             full={"kmax": 6},
             tiny={"kmax": 3},
         ),
-        _check(
+        TheoremCheck(
             "AU5",
             "closed product form of the triangle at (1, -2)",
             "n up to nmax; all entries",
             _closed_form_runner((1, -2)),
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 24},
             full={"nmax": 40},
             tiny={"nmax": 10},
         ),
-        _check(
+        TheoremCheck(
             "AU9",
             "closed product form of the triangle at (1, 2)",
             "n up to nmax; all entries",
             _closed_form_runner((1, 2)),
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 24},
             full={"nmax": 40},
             tiny={"nmax": 10},
         ),
-        _check(
+        TheoremCheck(
             "AU11",
             "falling-factorial closed form of the triangle at (0, -1)",
             "n up to nmax; all entries",
             _closed_form_runner((0, -1)),
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 24},
             full={"nmax": 40},
             tiny={"nmax": 10},
         ),
-        _check(
+        TheoremCheck(
             "PP00",
             "period-6 value table at (1, 1)",
             "n in [2, nmax]",
             _table_runner("PP00"),
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 60},
             full={"nmax": 200},
             tiny={"nmax": 16},
         ),
-        _check(
+        TheoremCheck(
             "PP00Q",
             "period-8 value table at (1, 0)",
             "n in [2, nmax]",
             _table_runner("PP00Q"),
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 60},
             full={"nmax": 200},
             tiny={"nmax": 16},
         ),
-        _check(
+        TheoremCheck(
             "PP1A",
             "period-12 value table at (1, -1)",
             "n in [2, nmax]",
             _table_runner("PP1A"),
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 60},
             full={"nmax": 200},
             tiny={"nmax": 16},
         ),
-        _check(
+        TheoremCheck(
             "ABAB",
             "parity power table at (1, -2)",
             "n in [2, nmax]",
             _table_runner("ABAB"),
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 60},
             full={"nmax": 200},
             tiny={"nmax": 16},
         ),
-        _check(
+        TheoremCheck(
             "DA",
             "signed parity-power table at (1, 2)",
             "n in [2, nmax]",
             _table_runner("DA"),
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 60},
             full={"nmax": 200},
             tiny={"nmax": 16},
         ),
-        _check(
+        TheoremCheck(
             "root2",
             "period-16 value table at (1, sqrt 2)",
             "n in [2, nmax]",
             _table_runner("root2"),
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 60},
             full={"nmax": 200},
             tiny={"nmax": 16},
         ),
-        _check(
+        TheoremCheck(
             "phi",
             "period-20 value table at the golden-ratio point",
             "n in [2, nmax]",
             _table_runner("phi"),
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 60},
             full={"nmax": 200},
             tiny={"nmax": 16},
         ),
-        _check(
+        TheoremCheck(
             "root3",
             "period-24 value table at (1, sqrt 3)",
             "n in [2, nmax]",
             _table_runner("root3"),
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 60},
             full={"nmax": 200},
             tiny={"nmax": 16},
         ),
-        _check(
+        TheoremCheck(
             "FL",
             "Fibonacci/Lucas value table at (1, sqrt 5) mod 4",
             "n in [2, nmax]",
             _table_runner("FL"),
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 60},
             full={"nmax": 200},
             tiny={"nmax": 16},
         ),
-        _check(
+        TheoremCheck(
             "AU7",
             "falling factorial as a power of two times descending odds",
             "n in [2, nmax]",
             _run_au7,
-            omega=False,
+            touches_omega=False,
             quick={"nmax": 400},
             full={"nmax": 2000},
             tiny={"nmax": 40},
         ),
-        _check(
+        TheoremCheck(
             "U14",
             "Mersenne primality by modular doubling, against the classical chain",
             "p in pset",
             _run_u14,
-            omega=False,
+            touches_omega=False,
             quick={"pset": [5, 7, 11, 13, 17, 19, 23, 29, 31]},
             full={"pset": [5, 7, 11, 13, 17, 19, 23, 29, 31]},
             tiny={"pset": [5, 7, 11]},
         ),
-        _check(
+        TheoremCheck(
             "U16",
             "Mersenne criterion through the exact fundamental ratio",
             "p in pset (exact tables)",
             _run_u16,
-            omega=True,
+            touches_omega=True,
             quick={"pset": [5, 7]},
             full={"pset": [5, 7, 11]},
             tiny={"pset": [5]},
         ),
-        _check(
+        TheoremCheck(
             "U18",
             "even perfect numbers against the divisor sum",
             "fixed perfect and imperfect values",
             _run_u18,
-            omega=False,
+            touches_omega=False,
             quick={},
             full={},
             tiny={},
         ),
-        _check(
+        TheoremCheck(
             "G2f",
             "Mersenne numbers as fundamental ratios at (-2, -5)",
             "odd p in [3, pmax]",
             _run_g2f,
-            omega=True,
+            touches_omega=True,
             quick={"pmax": 15},
             full={"pmax": 25},
             tiny={"pmax": 9},
         ),
-        _check(
+        TheoremCheck(
             "ABCD12",
             "exact ratio-divides-ratio Mersenne criterion",
             "p in pset (exact tables; full profile)",
             _equiv_runner,
-            omega=True,
+            touches_omega=True,
             quick=None,
             full={"pset": [5, 7, 11, 13]},
             tiny={"pset": [5]},
         ),
-        _check(
+        TheoremCheck(
             "ABCD12G",
             "product form of the exact Mersenne criterion",
             "p in pset (exact tables; full profile)",
             _equiv_runner,
-            omega=True,
+            touches_omega=True,
             quick=None,
             full={"pset": [5, 7, 11, 13]},
             tiny={"pset": [5]},
         ),
-        _check(
+        TheoremCheck(
             "G4",
             "doubled-power numbers 2^(2^n) + 1 as fundamental ratios",
             "n in [1, nmax]",
             _run_g4,
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 5},
             full={"nmax": 5},
             tiny={"nmax": 3},
         ),
-        _check(
+        TheoremCheck(
             "G6",
             "Lucas numbers as fundamental ratios at (-1, -3)",
             "n in [2, nmax]",
             _run_g6,
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 60},
             full={"nmax": 100},
             tiny={"nmax": 12},
         ),
-        _check(
+        TheoremCheck(
             "G7",
             "Fibonacci/Lucas oscillation as fundamental ratios at (1, -3)",
             "n in [2, nmax]",
             _run_g7,
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 60},
             full={"nmax": 100},
             tiny={"nmax": 12},
         ),
-        _check(
+        TheoremCheck(
             "Che",
             "Chebyshev polynomials: coefficient match and ratio evaluations "
             "(recurrence coefficient 2x; scaling 2^(d(n-1)))",
             "n in [1, nmax]",
             _run_che,
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 32},
             full={"nmax": 64},
             tiny={"nmax": 10},
         ),
-        _check(
+        TheoremCheck(
             "Dic",
             "Dickson polynomials: coefficient match, functional identity, and "
             "ratio evaluations (recurrence x D - alpha D, consistent with the "
             "coefficient formula; the 2x variant is not)",
             "n in [1, nmax]; alpha in alphas",
             _run_dic,
-            omega=True,
+            touches_omega=True,
             quick={"nmax": 32},
             full={"nmax": 64},
             tiny={"nmax": 10},
         ),
-        _check(
+        TheoremCheck(
             "G6X",
             "companion triangle ratio equals the Fibonacci numbers",
             "n in [2, nmax]",
             _run_g6x,
-            omega=False,
+            touches_omega=False,
             quick={"nmax": 60},
             full={"nmax": 100},
             tiny={"nmax": 12},
         ),
-        _check(
+        TheoremCheck(
             "primeFib",
             "next prime divides the companion value over F(2 p_k)",
             "k in [2, kmax]",
             _run_primefib,
-            omega=False,
+            touches_omega=False,
             quick={"kmax": 8},
             full={"kmax": 12},
             tiny={"kmax": 4},
         ),
-        _check(
+        TheoremCheck(
             "harmonic",
             "mod n^2 congruence of the falling factorial with the harmonic "
             "combination (n = 1 mod 8)",
             "n in [9, nmax] with n = 1 mod 8",
             _run_harmonic,
-            omega=False,
+            touches_omega=False,
             quick={"nmax": 201},
             full={"nmax": 401},
             tiny={"nmax": 57},
         ),
-        _check(
+        TheoremCheck(
             "lagarias",
             "divisor-sum inequality sigma(n) <= H_n + log(H_n) e^(H_n)",
             "n in [1, nmax]",
             _run_lagarias,
-            omega=False,
+            touches_omega=False,
             quick={"nmax": 2000},
             full={"nmax": 100000},
             tiny={"nmax": 200},
@@ -1546,24 +1365,48 @@ def _execute(
             status="skipped",
         )
     rng = random.Random(f"{seed}:{check.id}")
+    cases_run, failures, status = 0, [], None
     start = time.perf_counter()
     try:
-        sweep = check.runner(bounds or {}, rng)
+        # `fn` runs before the generator resumes, so a closure over the
+        # runner's loop variables sees the values of its own case.
+        for params, fn, expected in check.runner(bounds, rng):
+            cases_run += 1
+            try:
+                actual = fn()
+            except (TheoremViolationError, KernelPointError) as exc:
+                expected, actual = "identity holds", _raised(exc)
+            else:
+                if actual == expected:
+                    continue
+                expected, actual = _show(expected), _show(actual)
+            if len(failures) < MAX_FAILURES_RECORDED:
+                failures.append(_failure(params, expected, actual))
     except (TheoremViolationError, KernelPointError) as exc:
-        sweep = Sweep()
-        sweep.cases_run = 1
-        sweep._fail({"stage": "sweep"}, "identity holds", f"{type(exc).__name__}: {exc}")
+        cases_run = 1
+        failures = [_failure({"stage": "sweep"}, "identity holds", _raised(exc))]
+    except Exception as exc:
+        # a defect of the check itself, not a verdict on the identity
+        status = "error"
+        failures = [_failure({"stage": "sweep"}, "no exception", _raised(exc))]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    status = "pass" if sweep.failed == 0 and sweep.cases_run > 0 else "fail"
     return TheoremReport(
         id=check.id,
         anchor=check.anchor,
         grid=grid_desc,
-        cases_run=sweep.cases_run,
-        failures=sweep.failures,
+        cases_run=cases_run,
+        failures=failures,
         elapsed_ms=elapsed_ms,
-        status=status,
+        status=status or ("pass" if cases_run and not failures else "fail"),
     )
+
+
+def _failure(params: Mapping, expected: str, actual: str) -> dict:
+    return {"params": dict(params), "expected": expected, "actual": actual}
+
+
+def _raised(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run_check(
@@ -1572,13 +1415,11 @@ def run_check(
     *,
     profile: str = "full",
     seed: int = 0,
-    registry: Mapping[str, TheoremCheck] | None = None,
 ) -> TheoremReport:
     """Run one registered check with profile bounds plus overrides."""
-    registry = REGISTRY if registry is None else registry
-    if id not in registry:
+    if id not in REGISTRY:
         raise KeyError(f"unknown check id {id!r}")
-    check = registry[id]
+    check = REGISTRY[id]
     base = check.quick if profile == "quick" else check.full
     bounds = dict(base or check.full)
     bounds.update(overrides or {})
@@ -1590,7 +1431,6 @@ def run_all(
     *,
     seed: int = 0,
     ids: Iterable[str] | None = None,
-    registry: Mapping[str, TheoremCheck] | None = None,
 ) -> list[TheoremReport]:
     """Run every registered check (ordered by id) under a profile.
 
@@ -1599,11 +1439,10 @@ def run_all(
     """
     if profile not in ("quick", "full"):
         raise ValueError("profile must be 'quick' or 'full'")
-    registry = REGISTRY if registry is None else registry
-    selected = sorted(ids) if ids is not None else sorted(registry)
+    selected = sorted(ids) if ids is not None else sorted(REGISTRY)
     reports = []
     for id in selected:
-        check = registry[id]
+        check = REGISTRY[id]
         bounds = check.quick if profile == "quick" else check.full
         reports.append(_execute(check, bounds, seed, bounds is None))
     return reports

@@ -1,5 +1,6 @@
 """CLI surface: parsing, output formats, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from quanta.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main, parse_point
 from quanta.scalars import QuadExt, SQRT2, ScalarParseError
 from quanta.sequences import QPoint
+from quanta.verify import REGISTRY
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +125,29 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "bogus")
         assert code == EXIT_USAGE
         assert "unknown" in err
+
+    @pytest.mark.parametrize(
+        "id, flag, valid", [("gen1", "--nmax", "kmax"), ("U18", "--pmax", "none")]
+    )
+    def test_bound_flag_must_name_a_bound_of_the_check(self, capsys, id, flag, valid):
+        code, out, err = run_cli(capsys, "verify", id, flag, "3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+        assert flag in err and valid in err
+
+    def test_crashing_check_exits_with_violation(self, capsys, monkeypatch):
+        def crashing(bounds, rng):
+            yield {"n": 1}, lambda: 1 // 0, 0
+
+        monkeypatch.setitem(
+            REGISTRY, "G4", dataclasses.replace(REGISTRY["G4"], runner=crashing)
+        )
+        code, out, _ = run_cli(capsys, "verify", "G4", "--format", "json")
+        assert code == EXIT_VIOLATION
+        (report,) = json.loads(out)
+        assert report["status"] == "error"
+        assert report["failures"][0]["actual"].startswith("ZeroDivisionError: ")
 
     def test_violation_exit_code(self, capsys):
         # gen1 carries a genuine counterexample at k=2

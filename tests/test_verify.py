@@ -1,5 +1,6 @@
 """Registry behavior: coverage, reproducibility, skipping, fault injection."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -46,6 +47,14 @@ class TestRegistryCoverage:
 
     def test_special_tables_have_checks(self):
         assert set(SPECIAL_TABLES) <= set(REGISTRY)
+
+    def test_profiles_share_bound_keys(self):
+        # runners index their bounds, so every profile must name every key
+        for id, check in REGISTRY.items():
+            profiles = [check.full, check.tiny]
+            if check.quick is not None:
+                profiles.append(check.quick)
+            assert all(set(bounds) == set(check.full) for bounds in profiles), id
 
 
 class TestRunCheck:
@@ -114,8 +123,26 @@ class TestRunAll:
         reports = run_all("quick", ids=ids)
         assert [r.id for r in reports] == sorted(ids)
 
-    def test_empty_registry(self):
-        assert run_all("quick", registry={}) == []
+    @pytest.mark.parametrize("stage", ["case", "runner"])
+    def test_crashing_check_keeps_other_reports(self, monkeypatch, stage):
+        def crashing(bounds, rng):
+            yield {"n": 1}, lambda: 1, 1
+            if stage == "runner":
+                raise ZeroDivisionError("doctored")
+            yield {"n": 2}, lambda: 1 // 0, 0
+
+        monkeypatch.setitem(
+            REGISTRY, "G4", dataclasses.replace(REGISTRY["G4"], runner=crashing)
+        )
+        reports = run_all("quick", ids=["AU7", "G4", "U18"])
+        by_id = {r.id: r for r in reports}
+        assert by_id["AU7"].status == "pass"
+        assert by_id["U18"].status == "pass"
+        assert by_id["G4"].status == "error"
+        assert by_id["G4"].cases_run == (1 if stage == "runner" else 2)
+        (failure,) = by_id["G4"].failures
+        assert failure["params"] == {"stage": "sweep"}
+        assert failure["actual"].startswith("ZeroDivisionError: ")
 
     def test_bad_profile(self):
         with pytest.raises(ValueError):
@@ -167,6 +194,8 @@ class TestFaultInjection:
         fraction, statuses = mutation_sensitivity()
         assert set(statuses) == OMEGA_TOUCHING_IDS
         assert fraction >= 0.9
+        # the coupling coefficient vanishes at (0, -1), so the flip is inert there
+        assert {id for id, status in statuses.items() if status != "fail"} == {"AU11"}
 
     def test_zero_coupling_point_is_insensitive(self):
         # at (0, -1) the coupling coefficient is zero, so the flip is inert
