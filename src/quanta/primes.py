@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt, prod
+from typing import Iterator
 
 import mpmath
 
@@ -100,14 +101,43 @@ class PrimeCache:
         return out
 
     def is_prime(self, n: int) -> bool:
-        if n < 2:
-            return False
+        """Sieve lookup up to the limit, deterministic Miller-Rabin above it;
+        a query never grows the sieve."""
         if n <= self._limit:
             return n in self._index
-        for p in self.upto(isqrt(n)):
-            if n % p == 0:
-                return False
-        return True
+        return _miller_rabin(n)
+
+
+# The first 13 primes as Miller-Rabin bases decide primality for every
+# n < MILLER_RABIN_BOUND (Sorenson and Webster 2015); the bound itself is
+# a strong pseudoprime to all 13.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _miller_rabin(n: int) -> bool:
+    if n >= MILLER_RABIN_BOUND:
+        raise FeasibilityError(
+            f"primality is decided only below {MILLER_RABIN_BOUND}; got n={n}"
+        )
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 _CACHE = PrimeCache()
@@ -558,26 +588,52 @@ def lagarias_check(n: int, precision_bits: int = 128) -> str:
     return "undecided"
 
 
+def _harmonic_brackets(nmax: int, bits: int) -> Iterator[tuple[int, int, int]]:
+    """(n, lo, hi) for n = 1..nmax with lo / 2^bits <= H_n <= hi / 2^bits.
+
+    Each term 2^bits / n is rounded down into lo and up into hi, so the
+    enclosure is exact integer outward rounding and widens by at most one
+    unit per term: hi - lo <= n.
+    """
+    one = 1 << bits
+    lo = hi = 0
+    for n in range(1, nmax + 1):
+        lo += one // n
+        hi -= -one // n
+        yield n, lo, hi
+
+
+def _harmonic_interval(lo: int, hi: int, bits: int):
+    """The iv interval [lo, hi] / 2^bits at the current iv precision.  The
+    endpoints may have more than `iv.prec` bits; their conversion rounds
+    outward and the division by a power of two is exact."""
+    return mpmath.iv.mpf([lo, hi]) / (1 << bits)
+
+
 def lagarias_sweep(nmax: int, precision_bits: int = 192) -> list[int]:
     """All n in [1, nmax] failing to resolve as holds/holds_strict.
 
-    A running interval enclosure of H_n and the monotone growth of the right
-    side let most n be dismissed by an integer threshold; the rest escalate
-    to the exact per-n check.
+    H_n is carried as the integer enclosure of `_harmonic_brackets` with
+    ``precision_bits`` fractional bits; sigma(n) is computed once per n.
+    The right side grows with n, so once it is known to exceed an integer
+    threshold every later n with sigma(n) at or below that threshold holds.
+    Only an n above the threshold gets the iv interval of its bracket and
+    the transcendental right side; an n that does not then hold strictly
+    escalates to the exact per-n `lagarias_check`.
     """
     iv = mpmath.iv
     failures: list[int] = []
     saved = iv.prec
     try:
         iv.prec = precision_bits
-        h = iv.mpf(0)
         threshold = -1
-        for n in range(1, nmax + 1):
-            h = h + iv.mpf(1) / n
-            if sigma(n) <= threshold:
+        for n, lo, hi in _harmonic_brackets(nmax, precision_bits):
+            s = sigma(n)
+            if s <= threshold:
                 continue
+            h = _harmonic_interval(lo, hi, precision_bits)
             rhs = h + iv.log(h) * iv.exp(h)
-            if sigma(n) < rhs.a:
+            if s < rhs.a:
                 threshold = int(mpmath.floor(rhs.a)) - 1
                 continue
             if lagarias_check(n, precision_bits) == "undecided":

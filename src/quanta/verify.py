@@ -6,10 +6,12 @@ and names a runner.  A runner is a generator `runner(bounds, rng)` that
 yields cases `(params, fn, expected)`: the case passes when `fn()` equals
 `expected`, and a predicate case yields `expected=True`.  `_execute` is the
 one loop over cases.  It counts them, calls each `fn` under the
-TheoremViolationError/KernelPointError guard (a raise fails that case), and
-keeps the first MAX_FAILURES_RECORDED counterexamples.  A runner that raises
-mid-sweep leaves one sweep-level failure instead: status `fail` for a
-violation, `error` for any other exception, and the other checks still run.
+TheoremViolationError/KernelPointError guard (a raise fails that case),
+counts every failing case and keeps the first MAX_FAILURES_RECORDED
+counterexamples; a report whose list was cut short also carries
+`failures_total`.  A runner that raises mid-sweep leaves one sweep-level
+failure instead: status `fail` for a violation, `error` for any other
+exception, and the other checks still run.
 
 Reports serialize to a fixed JSON schema and a CSV summary; identical bounds
 and seed reproduce identical payloads (timing is zeroed in the canonical
@@ -101,9 +103,10 @@ class TheoremReport:
     failures: list[dict]
     elapsed_ms: int
     status: str
+    failures_total: int  # every failing case; `failures` keeps the first few
 
     def to_dict(self, volatile: bool = True) -> dict:
-        return {
+        out = {
             "id": self.id,
             "anchor": self.anchor,
             "grid": self.grid,
@@ -112,6 +115,9 @@ class TheoremReport:
             "elapsed_ms": self.elapsed_ms if volatile else 0,
             "status": self.status,
         }
+        if self.failures_total > len(self.failures):
+            out["failures_total"] = self.failures_total
+        return out
 
     def to_json(self, volatile: bool = True) -> str:
         return json.dumps(self.to_dict(volatile), separators=(",", ":"))
@@ -793,6 +799,9 @@ def _run_che(bounds, rng) -> Iterator[Case]:
 
 _DIC_ALPHAS = (1, -1, 2, -2, 3)  # Dic's alpha grid unless the bounds give `alphas`
 
+# Override keys a runner reads with a default, so no profile names them.
+_OPTIONAL_BOUNDS = {"Dic": {"alphas"}}
+
 
 def _run_dic(bounds, rng) -> Iterator[Case]:
     for alpha in bounds.get("alphas", _DIC_ALPHAS):
@@ -1363,9 +1372,10 @@ def _execute(
             failures=[],
             elapsed_ms=0,
             status="skipped",
+            failures_total=0,
         )
     rng = random.Random(f"{seed}:{check.id}")
-    cases_run, failures, status = 0, [], None
+    cases_run, failures, failures_total, status = 0, [], 0, None
     start = time.perf_counter()
     try:
         # `fn` runs before the generator resumes, so a closure over the
@@ -1380,14 +1390,15 @@ def _execute(
                 if actual == expected:
                     continue
                 expected, actual = _show(expected), _show(actual)
+            failures_total += 1
             if len(failures) < MAX_FAILURES_RECORDED:
                 failures.append(_failure(params, expected, actual))
     except (TheoremViolationError, KernelPointError) as exc:
-        cases_run = 1
+        cases_run, failures_total = 1, 1
         failures = [_failure({"stage": "sweep"}, "identity holds", _raised(exc))]
     except Exception as exc:
         # a defect of the check itself, not a verdict on the identity
-        status = "error"
+        status, failures_total = "error", 1
         failures = [_failure({"stage": "sweep"}, "no exception", _raised(exc))]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return TheoremReport(
@@ -1398,6 +1409,7 @@ def _execute(
         failures=failures,
         elapsed_ms=elapsed_ms,
         status=status or ("pass" if cases_run and not failures else "fail"),
+        failures_total=failures_total,
     )
 
 
@@ -1416,10 +1428,21 @@ def run_check(
     profile: str = "full",
     seed: int = 0,
 ) -> TheoremReport:
-    """Run one registered check with profile bounds plus overrides."""
+    """Run one registered check with profile bounds plus overrides.
+
+    An override key must be a bound of the check's profiles (or one of the
+    optional keys in `_OPTIONAL_BOUNDS`); any other key raises ValueError.
+    """
     if id not in REGISTRY:
         raise KeyError(f"unknown check id {id!r}")
     check = REGISTRY[id]
+    allowed = set(check.full) | _OPTIONAL_BOUNDS.get(id, set())
+    foreign = sorted(set(overrides or {}) - allowed)
+    if foreign:
+        raise ValueError(
+            f"{', '.join(foreign)} is not a bound of {id} "
+            f"(its bounds: {', '.join(sorted(allowed)) or 'none'})"
+        )
     base = check.quick if profile == "quick" else check.full
     bounds = dict(base or check.full)
     bounds.update(overrides or {})
@@ -1458,7 +1481,7 @@ def reports_to_csv(reports: Iterable[TheoremReport], volatile: bool = True) -> s
                 report.id,
                 report.status,
                 report.cases_run,
-                len(report.failures),
+                report.failures_total,
                 report.elapsed_ms if volatile else 0,
             ]
         )

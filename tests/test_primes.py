@@ -2,12 +2,16 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
+from mpmath.libmp import to_rational
 
 from quanta.scalars import QuadExt, SQRT2
 from quanta.sequences import KernelPointError, QPoint, TheoremViolationError
+from quanta import primes
 from quanta.primes import (
     EXACT_EMERGENCE_MAX_P,
+    MILLER_RABIN_BOUND,
     FeasibilityError,
     PrimeCache,
     combinatorial_identity_check,
@@ -54,6 +58,40 @@ class TestPrimeCache:
         assert cache.index_of(13) == 6
         with pytest.raises(ValueError):
             cache.index_of(9)
+
+    def test_above_limit_agrees_with_sieve(self):
+        # every n above 16 goes through Miller-Rabin, and the sieve stays put
+        cache = PrimeCache(limit=16)
+        sieved = set(PrimeCache(limit=1 << 17).upto(1 << 17))
+        wrong = [n for n in range(1 << 17) if cache.is_prime(n) != (n in sieved)]
+        assert wrong == []
+        assert cache.limit == 16
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+            3825123056546413051,  # ... to the first 9 prime bases
+            318665857834031151167461,  # ... to the first 12 prime bases
+            (10**6 + 3) ** 2,
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_large_query_keeps_sieve(self):
+        limit = primes._CACHE.limit
+        assert is_prime(2**61 - 1)
+        assert not is_prime((2**61 - 1) * (2**13 - 1))
+        assert not is_prime((10**6 + 3) ** 2)
+        assert primes._CACHE.limit == limit
+
+    def test_beyond_proven_bound_raises(self):
+        assert not is_prime(MILLER_RABIN_BOUND - 1)  # even, and below the bound
+        with pytest.raises(FeasibilityError):
+            is_prime(MILLER_RABIN_BOUND)
+        with pytest.raises(FeasibilityError):
+            is_prime(2**89 - 1)
 
 
 class TestSigma:
@@ -279,6 +317,35 @@ class TestLagarias:
 
     def test_sweep(self):
         assert lagarias_sweep(500) == []
+
+    def test_brackets_enclose_harmonic_numbers(self):
+        bits = 192
+        one = 1 << bits
+        h = Fraction(0)
+        for n, lo, hi in primes._harmonic_brackets(2000, bits):
+            h += Fraction(1, n)
+            assert Fraction(lo, one) <= h <= Fraction(hi, one), n
+            assert hi - lo <= n, n
+        assert n == 2000
+        assert h == harmonic_number(2000)
+
+    def test_interval_contains_harmonic_number(self):
+        # the endpoints have more bits than the precision, so a conversion
+        # that rounds to nearest instead of outward would show here
+        bits = 192
+        h = Fraction(0)
+        saved, mpmath.iv.prec = mpmath.iv.prec, bits
+        try:
+            for n, lo, hi in primes._harmonic_brackets(2000, bits):
+                h += Fraction(1, n)
+                a, b = primes._harmonic_interval(lo, hi, bits)._mpi_
+                assert Fraction(*to_rational(a)) <= h <= Fraction(*to_rational(b)), n
+        finally:
+            mpmath.iv.prec = saved
+
+    def test_sweep_matches_per_n_check(self):
+        undecided = [n for n in range(1, 2001) if lagarias_check(n) == "undecided"]
+        assert lagarias_sweep(2000) == undecided
 
 
 class TestLambdaEmergence:

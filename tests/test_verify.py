@@ -10,6 +10,7 @@ import pytest
 
 from quanta.scalars import SQRT2, SQRT3
 from quanta.verify import (
+    MAX_FAILURES_RECORDED,
     OMEGA_TOUCHING_IDS,
     REGISTRY,
     SPECIAL_TABLES,
@@ -74,6 +75,19 @@ class TestRunCheck:
     def test_override_applies(self):
         report = run_check("harmonic", {"nmax": 57})
         assert report.cases_run == 7  # n in {9, 17, ..., 57}
+
+    @pytest.mark.parametrize(
+        "id, overrides, key",
+        [("U18", {"pmax": 3}, "pmax"), ("gen1", {"kmax": 3, "nmax": 5}, "nmax")],
+    )
+    def test_override_must_name_a_bound(self, id, overrides, key):
+        with pytest.raises(ValueError, match=f"{key} is not a bound of {id}"):
+            run_check(id, overrides)
+
+    def test_dic_takes_optional_alphas(self):
+        report = run_check("Dic", {"nmax": 3, "alphas": [1, 2]})
+        assert report.status == "pass"
+        assert report.cases_run == 6
 
     def test_schema_keys(self):
         report = run_check("G4", {"nmax": 2})
@@ -156,6 +170,38 @@ class TestCsv:
         lines = text.strip().splitlines()
         assert lines[0] == "id,status,cases_run,failures,elapsed_ms"
         assert lines[1].startswith("G4,pass,")
+
+
+class TestFailureCount:
+    def test_truncated_list_keeps_true_count(self, monkeypatch):
+        def failing(bounds, rng):
+            for n in range(25):
+                yield {"n": n}, lambda: n, -1
+
+        monkeypatch.setitem(
+            REGISTRY, "G4", dataclasses.replace(REGISTRY["G4"], runner=failing)
+        )
+        report = run_check("G4")
+        assert len(report.failures) == MAX_FAILURES_RECORDED
+        assert [f["params"] for f in report.failures] == [{"n": n} for n in range(10)]
+        assert report.failures_total == 25
+        assert report.to_dict(volatile=False)["failures_total"] == 25
+        row = reports_to_csv([report], volatile=False).splitlines()[1]
+        assert row == "G4,fail,25,25,0"
+
+    def test_total_omitted_when_list_is_complete(self):
+        report = run_check("gen1", {"kmax": 6})
+        assert report.failures_total == len(report.failures) == 4
+        assert "failures_total" not in report.to_dict()
+        assert reports_to_csv([report], volatile=False).splitlines()[1] == "gen1,fail,40,4,0"
+
+    def test_flipped_coupling_counts_every_failure(self):
+        with flipped_omega_coupling():
+            report = run_check("k00", REGISTRY["k00"].tiny)
+        assert len(report.failures) == MAX_FAILURES_RECORDED
+        assert report.failures_total > MAX_FAILURES_RECORDED
+        row = reports_to_csv([report], volatile=False).splitlines()[1]
+        assert row.split(",")[3] == str(report.failures_total)
 
 
 class TestFaultInjection:
