@@ -40,6 +40,10 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
+# `quanta omega` builds the whole triangle even for one entry, and its JSON
+# grows as about n^3 (58 MB at n = 1000); larger n is refused.
+OMEGA_MAX_N = 1024
+
 
 def parse_point(text: str) -> QPoint:
     """Parse 'a,b' where each side uses the scalar text form, optionally
@@ -86,6 +90,8 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_omega(args) -> int:
+    if args.n > OMEGA_MAX_N:
+        raise primes.FeasibilityError(f"--n is capped at {OMEGA_MAX_N}; got {args.n}")
     point = parse_point(args.point)
     if args.k is not None and args.r is None:
         args.r = 0  # stable column by default

@@ -40,12 +40,19 @@ class FeasibilityError(ValueError):
     """The requested exact computation exceeds the configured size bound."""
 
 
+# The sieve never grows past this limit (a 16 MiB flag array); a full
+# sweep stays at the default 4096.
+SIEVE_MAX_LIMIT = 1 << 24
+
+
 class PrimeCache:
     """Sieve-backed ordered prime list with an auto-extending limit.
 
-    Every rebuild checks p_k < p_{k+1} < 2 p_k for all k with 2 p_k within
-    the limit; the emergence checks lean on that gap bound, so a violation
-    raises DataIntegrityError instead of continuing.
+    The limit doubles on demand up to SIEVE_MAX_LIMIT; a request beyond it
+    raises FeasibilityError instead of allocating.  Every rebuild checks
+    p_k < p_{k+1} < 2 p_k for all k with 2 p_k within the limit; the
+    emergence checks lean on that gap bound, so a violation raises
+    DataIntegrityError instead of continuing.
     """
 
     def __init__(self, limit: int = 1 << 12) -> None:
@@ -75,24 +82,29 @@ class PrimeCache:
     def limit(self) -> int:
         return self._limit
 
+    def _cover(self, x: int) -> None:
+        """Double the limit, up to SIEVE_MAX_LIMIT, until the sieve covers x."""
+        if x > max(self._limit, SIEVE_MAX_LIMIT):
+            raise FeasibilityError(f"{x} is beyond the sieve cap {SIEVE_MAX_LIMIT}")
+        while x > self._limit:
+            self._rebuild(min(self._limit * 2, SIEVE_MAX_LIMIT))
+
     def nth(self, k: int) -> int:
         """The k-th prime, 1-indexed (p_1 = 2)."""
         if k < 1:
             raise ValueError("prime index starts at 1")
         while k > len(self._primes):
-            self._rebuild(self._limit * 2)
+            self._cover(self._limit + 1)
         return self._primes[k - 1]
 
     def index_of(self, p: int) -> int:
-        while p > self._limit:
-            self._rebuild(self._limit * 2)
+        self._cover(p)
         if p not in self._index:
             raise ValueError(f"{p} is not prime")
         return self._index[p]
 
     def upto(self, x: int) -> list[int]:
-        while x > self._limit:
-            self._rebuild(self._limit * 2)
+        self._cover(x)
         out = []
         for p in self._primes:
             if p > x:

@@ -329,9 +329,6 @@ class OmegaTable:
             raise IndexError("table was built top-only; rebuild with omega_table()")
         return self._materialize(self._levels[k], r, k)
 
-    def __getitem__(self, rk: tuple[int, int]):
-        return self.entry(*rk)
-
     def top(self):
         """omega_0(floor(n/2)), the numerator of the fundamental ratio."""
         return self._materialize(self._levels[-1], 0, self.K)
@@ -454,9 +451,6 @@ class LambdaTable:
             raise IndexError(f"(r={r}, k={k}) outside triangle for n={self.n}")
         raw = self._levels[k][r]
         return raw if isinstance(raw, QuadExt) else QuadExt(raw)
-
-    def __getitem__(self, rk: tuple[int, int]) -> QuadExt:
-        return self.entry(*rk)
 
     def to_dict(self) -> dict:
         return {

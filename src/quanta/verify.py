@@ -1,11 +1,12 @@
 """Registry of executable theorem checks with machine-readable reports.
 
-Each check id names one verified identity, binds its parameter grid per
-profile (quick / full, plus the reduced `tiny` grid of fault-injection runs)
-and names a runner.  A runner is a generator `runner(bounds, rng)` that
-yields cases `(params, fn, expected)`: the case passes when `fn()` equals
-`expected`, and a predicate case yields `expected=True`.  `_execute` is the
-one loop over cases.  It counts them, calls each `fn` under the
+Each check id names one verified identity and binds its parameter grid per
+profile (quick / full, plus the reduced `tiny` grid of fault-injection
+runs).  One `_register(...)` next to the check's runner enters it in
+REGISTRY.  A runner is a generator `runner(bounds, rng)` that yields cases
+`(params, fn, expected)`: the case passes when `fn()` equals `expected`, and
+a predicate case yields `expected=True`.  `_execute` is the one loop over
+cases.  It counts them, calls each `fn` under the
 TheoremViolationError/KernelPointError guard (a raise fails that case),
 counts every failing case and keeps the first MAX_FAILURES_RECORDED
 counterexamples; a report whose list was cut short also carries
@@ -146,6 +147,25 @@ class TheoremCheck:
     quick: Mapping | None  # None: skipped under the quick profile
     full: Mapping
     tiny: Mapping  # bounds for fault-injection runs
+
+
+REGISTRY: dict[str, TheoremCheck] = {}
+
+
+def _register(
+    id: str, anchor: str, grid: str, *, touches_omega: bool,
+    quick: Mapping | None, full: Mapping, tiny: Mapping,
+) -> Callable:
+    """Register the decorated runner as check `id`; the runner is returned
+    unchanged, so one runner can back several checks."""
+
+    def register(runner):
+        REGISTRY[id] = TheoremCheck(
+            id, anchor, grid, runner, touches_omega, quick, full, tiny
+        )
+        return runner
+
+    return register
 
 
 # -- special-point expectation tables -------------------------------------------
@@ -291,6 +311,11 @@ def _pairs(rng: random.Random, count: int, span: int = 6) -> list[tuple[int, int
 # -- runners ----------------------------------------------------------------------
 
 
+@_register(
+    "def0", "seed values and step of the psi recurrence",
+    "random and fixed (a,b); n up to nmax", touches_omega=False,
+    quick={"nmax": 24}, full={"nmax": 48}, tiny={"nmax": 8},
+)
 def _run_def0(bounds, rng) -> Iterator[Case]:
     for a, b in _pairs(rng, 12) + [(1, 4), (-2, -5), (0, -1)]:
         yield {"a": a, "b": b, "n": 0}, lambda: psi_rec(a, b, 0), 2
@@ -302,6 +327,11 @@ def _run_def0(bounds, rng) -> Iterator[Case]:
             yield {"a": a, "b": b, "n": n}, lambda: psi_rec(a, b, n), step
 
 
+@_register(
+    "comp3", "half-length closed form equals the psi recurrence",
+    "random integer and rational (a,b); n up to nmax", touches_omega=False,
+    quick={"nmax": 32}, full={"nmax": 64}, tiny={"nmax": 10},
+)
 def _run_comp3(bounds, rng) -> Iterator[Case]:
     cases = _pairs(rng, 10)
     cases += [(Fraction(1, 2), Fraction(-3, 5)), (Fraction(-2, 3), Fraction(7, 4))]
@@ -314,6 +344,11 @@ def _run_comp3(bounds, rng) -> Iterator[Case]:
             )
 
 
+@_register(
+    "00", "power-sum expansion of x^n + y^n in xy and x+y",
+    "fixed (x,y) pairs; n up to nmax", touches_omega=False,
+    quick={"nmax": 40}, full={"nmax": 80}, tiny={"nmax": 10},
+)
 def _run_00(bounds, rng) -> Iterator[Case]:
     for x, y in [(2, 1), (1, 1), (3, -1), (5, 2), (-2, 7), (1, 0)]:
         for n in range(1, bounds["nmax"] + 1):
@@ -330,6 +365,11 @@ def _run_00(bounds, rng) -> Iterator[Case]:
             )
 
 
+@_register(
+    "WW4", "psi(xy, -x^2-y^2, n) equals (x^n+y^n)/(x+y)^(n mod 2)",
+    "fixed (x,y) pairs; n up to nmax", touches_omega=False,
+    quick={"nmax": 40}, full={"nmax": 80}, tiny={"nmax": 10},
+)
 def _run_ww4(bounds, rng) -> Iterator[Case]:
     for x, y in [(2, 1), (1, 1), (3, -1), (4, 3), (1, 0), (-3, 5)]:
         for n in range(1, bounds["nmax"] + 1):
@@ -343,6 +383,11 @@ def _run_ww4(bounds, rng) -> Iterator[Case]:
             )
 
 
+@_register(
+    "WW8", "product-of-psi doubling identity",
+    "random (a,b); all 0 <= m <= n <= nmax", touches_omega=False,
+    quick={"nmax": 16}, full={"nmax": 24}, tiny={"nmax": 8},
+)
 def _run_ww8(bounds, rng) -> Iterator[Case]:
     for a, b in _pairs(rng, 8) + [(1, 4), (-1, -3)]:
         for n in range(0, bounds["nmax"] + 1):
@@ -354,6 +399,11 @@ def _run_ww8(bounds, rng) -> Iterator[Case]:
                 )
 
 
+@_register(
+    "ex00", "two-form expansion of the scaled power sum",
+    "integer points coord<=2; fixed scalars; n up to nmax", touches_omega=True,
+    quick={"nmax": 10}, full={"nmax": 16}, tiny={"nmax": 8},
+)
 def _run_ex00(bounds, rng) -> Iterator[Case]:
     scalars = [(1, 4), (2, -1), (1, 0)]
     xys = [(2, 1), (1, 1), (3, -1)]
@@ -370,6 +420,11 @@ def _run_ex00(bounds, rng) -> Iterator[Case]:
                     )
 
 
+@_register(
+    "diff1", "directional derivative lowers the expansion index with factor -(r+1)",
+    "rational points; n up to nmax; all r", touches_omega=True,
+    quick={"nmax": 12}, full={"nmax": 20}, tiny={"nmax": 8},
+)
 def _run_diff1(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, 0), QPoint(-1, 2), QPoint(2, -1)]
     for point in points:
@@ -382,6 +437,11 @@ def _run_diff1(bounds, rng) -> Iterator[Case]:
                 )
 
 
+@_register(
+    "diff3", "expansion polynomial equals the scaled k-fold directional derivative",
+    "rational points; n up to nmax; all k", touches_omega=True,
+    quick={"nmax": 12}, full={"nmax": 20}, tiny={"nmax": 8},
+)
 def _run_diff3(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, -2), QPoint(-2, 1), QPoint(1, 2)]
     for point in points:
@@ -396,6 +456,11 @@ def _run_diff3(bounds, rng) -> Iterator[Case]:
                 )
 
 
+@_register(
+    "IAexp2", "K-fold derivative of psi collapses to psi at the point",
+    "rational points; n up to nmax", touches_omega=False,
+    quick={"nmax": 16}, full={"nmax": 20}, tiny={"nmax": 8},
+)
 def _run_iaexp2(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(0, -1), QPoint(1, -2), QPoint(2, 3), QPoint(-1, -3)]
     for point in points:
@@ -407,6 +472,11 @@ def _run_iaexp2(bounds, rng) -> Iterator[Case]:
             )
 
 
+@_register(
+    "G0", "triangle builder satisfies its defining recurrence; modular tables match",
+    "mixed points; n up to nmax; all entries", touches_omega=True,
+    quick={"nmax": 12}, full={"nmax": 18}, tiny={"nmax": 8},
+)
 def _run_g0(bounds, rng) -> Iterator[Case]:
     # The triangle builder against its own definition: unit seed row, a direct
     # recomputation of every level from the recurrence, and modular tables
@@ -452,6 +522,11 @@ def _run_g0(bounds, rng) -> Iterator[Case]:
                     )
 
 
+@_register(
+    "FD3", "lambda triangle: seeds, recurrence, and k! divisibility",
+    "integer points; n up to nmax; all entries", touches_omega=False,
+    quick={"nmax": 16}, full={"nmax": 24}, tiny={"nmax": 8},
+)
 def _run_fd3(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, -2), QPoint(-2, 3), QPoint(2, -1)]
     for point in points:
@@ -483,6 +558,11 @@ def _run_fd3(bounds, rng) -> Iterator[Case]:
                         )
 
 
+@_register(
+    "H2", "factorial bridge from omega entries to lambda entries",
+    "mixed points; n up to nmax; all entries", touches_omega=True,
+    quick={"nmax": 14}, full={"nmax": 20}, tiny={"nmax": 8},
+)
 def _run_h2(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, -2), QPoint(-1, 2)] + _QUAD_SAMPLE[:2]
     for point in points:
@@ -499,6 +579,14 @@ def _run_h2(bounds, rng) -> Iterator[Case]:
                     )
 
 
+@_register(
+    "F1100",
+    "first fundamental expansion: coefficients integral, bridge and "
+    "derivative paths agree",
+    "integer points coord<=2; n up to nmax; all k", touches_omega=True,
+    quick={"nmax": 14, "coord": 2}, full={"nmax": 40, "coord": 2},
+    tiny={"nmax": 8, "coord": 1},
+)
 def _run_f1100(bounds, rng) -> Iterator[Case]:
     scalar_a, scalar_b = 1, 4
     for point in _int_points(bounds["coord"]):
@@ -546,6 +634,12 @@ def _run_f1100(bounds, rng) -> Iterator[Case]:
                 )
 
 
+@_register(
+    "k00", "second fundamental ratio: exact division recovering psi",
+    "integer points coord<=C; n in [2, nmax]", touches_omega=True,
+    quick={"nmax": 40, "coord": 2}, full={"nmax": 200, "coord": 3},
+    tiny={"nmax": 12, "coord": 1},
+)
 def _run_k00(bounds, rng) -> Iterator[Case]:
     for point in _int_points(bounds["coord"]):
         for n in range(2, bounds["nmax"] + 1):
@@ -556,6 +650,11 @@ def _run_k00(bounds, rng) -> Iterator[Case]:
             )
 
 
+@_register(
+    "space4", "psi-normalized top entry equals the rising product",
+    "integer and quadratic points; n up to nmax", touches_omega=True,
+    quick={"nmax": 24}, full={"nmax": 100}, tiny={"nmax": 10},
+)
 def _run_space4(bounds, rng) -> Iterator[Case]:
     for point in _int_points(2) + _QUAD_SAMPLE[:1]:
         for n in range(1, bounds["nmax"] + 1):
@@ -568,6 +667,11 @@ def _run_space4(bounds, rng) -> Iterator[Case]:
             )
 
 
+@_register(
+    "FA2", "power-sum value of the fundamental ratio",
+    "fixed (x,y); n up to nmax", touches_omega=True,
+    quick={"nmax": 20}, full={"nmax": 40}, tiny={"nmax": 8},
+)
 def _run_fa2(bounds, rng) -> Iterator[Case]:
     for x, y in [(2, 1), (1, 1), (3, -1), (4, 3), (1, 0), (5, -2)]:
         for n in range(1, bounds["nmax"] + 1):
@@ -608,6 +712,23 @@ def _residue_runner(probe: str) -> Callable:
     return run
 
 
+_register(
+    "S1", "membership residues: psi equals the tabulated nonzero values",
+    "five point families; n up to nmax", touches_omega=False,
+    quick={"nmax": 120}, full={"nmax": 240}, tiny={"nmax": 48},
+)(_residue_runner("member"))
+_register(
+    "S11", "kernel residues: psi vanishes on the tabulated classes",
+    "five point families; n up to nmax", touches_omega=False,
+    quick={"nmax": 120}, full={"nmax": 240}, tiny={"nmax": 48},
+)(_residue_runner("kernel"))
+
+
+@_register(
+    "infinite_params", "next prime divides integer combinations of normalized ratios",
+    "k in [2, kmax]; fixed and random combinations", touches_omega=True,
+    quick={"kmax": 4}, full={"kmax": 6}, tiny={"kmax": 3},
+)
 def _run_infinite_params(bounds, rng) -> Iterator[Case]:
     base_points = [QPoint(1, 1), QPoint(1, -2), QPoint(0, -1), QPoint(2, 3)]
     for k in range(2, bounds["kmax"] + 1):
@@ -625,6 +746,13 @@ def _run_infinite_params(bounds, rng) -> Iterator[Case]:
             )
 
 
+@_register(
+    "gen1",
+    "thinned ratio integrality and divisibility by the next prime "
+    "(divisibility genuinely fails at k=2 where p_{k+1} = 2 p_k - 1)",
+    "k in [2, kmax]; integer points", touches_omega=True,
+    quick={"kmax": 4}, full={"kmax": 6}, tiny={"kmax": 3},
+)
 def _run_gen1(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, -2), QPoint(0, -1), QPoint(2, 3)]
     for k in range(2, bounds["kmax"] + 1):
@@ -648,6 +776,12 @@ def _run_gen1(bounds, rng) -> Iterator[Case]:
             )
 
 
+@_register(
+    "gen2", "next prime divides the top triangle entry at level 2 p_k",
+    "k in [2, kmax]; five-point grid; modular with exact spot checks",
+    touches_omega=True,
+    quick={"kmax": 10}, full={"kmax": 25}, tiny={"kmax": 4},
+)
 def _run_gen2(bounds, rng) -> Iterator[Case]:
     for k in range(2, bounds["kmax"] + 1):
         for point in _EMERGENCE_POINTS:
@@ -658,6 +792,11 @@ def _run_gen2(bounds, rng) -> Iterator[Case]:
             )
 
 
+@_register(
+    "gen5", "product of the first odd primes divides the normalized ratio",
+    "k in [2, kmax]; integer points", touches_omega=True,
+    quick={"kmax": 5}, full={"kmax": 6}, tiny={"kmax": 3},
+)
 def _run_gen5(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, -2), QPoint(0, -1), QPoint(2, 3)]
     for k in range(2, bounds["kmax"] + 1):
@@ -703,6 +842,23 @@ def _closed_form_runner(point_id: tuple[int, int]) -> Callable:
     return run
 
 
+_register(
+    "AU5", "closed product form of the triangle at (1, -2)",
+    "n up to nmax; all entries", touches_omega=True,
+    quick={"nmax": 24}, full={"nmax": 40}, tiny={"nmax": 10},
+)(_closed_form_runner((1, -2)))
+_register(
+    "AU9", "closed product form of the triangle at (1, 2)",
+    "n up to nmax; all entries", touches_omega=True,
+    quick={"nmax": 24}, full={"nmax": 40}, tiny={"nmax": 10},
+)(_closed_form_runner((1, 2)))
+_register(
+    "AU11", "falling-factorial closed form of the triangle at (0, -1)",
+    "n up to nmax; all entries", touches_omega=True,
+    quick={"nmax": 24}, full={"nmax": 40}, tiny={"nmax": 10},
+)(_closed_form_runner((0, -1)))
+
+
 def _table_runner(table_id: str) -> Callable:
     def run(bounds, rng) -> Iterator[Case]:
         point, _, expected = SPECIAL_TABLES[table_id]
@@ -717,6 +873,29 @@ def _table_runner(table_id: str) -> Callable:
     return run
 
 
+# The nine SPECIAL_TABLES checks share one grid and one set of profiles.
+for _id, _anchor in {
+    "PP00": "period-6 value table at (1, 1)",
+    "PP00Q": "period-8 value table at (1, 0)",
+    "PP1A": "period-12 value table at (1, -1)",
+    "ABAB": "parity power table at (1, -2)",
+    "DA": "signed parity-power table at (1, 2)",
+    "root2": "period-16 value table at (1, sqrt 2)",
+    "phi": "period-20 value table at the golden-ratio point",
+    "root3": "period-24 value table at (1, sqrt 3)",
+    "FL": "Fibonacci/Lucas value table at (1, sqrt 5) mod 4",
+}.items():
+    _register(
+        _id, _anchor, "n in [2, nmax]", touches_omega=True,
+        quick={"nmax": 60}, full={"nmax": 200}, tiny={"nmax": 16},
+    )(_table_runner(_id))
+
+
+@_register(
+    "AU7", "falling factorial as a power of two times descending odds",
+    "n in [2, nmax]", touches_omega=False,
+    quick={"nmax": 400}, full={"nmax": 2000}, tiny={"nmax": 40},
+)
 def _run_au7(bounds, rng) -> Iterator[Case]:
     for n in range(2, bounds["nmax"] + 1):
         yield {"n": n}, lambda: primes.combinatorial_identity_check(n), True
@@ -725,6 +904,13 @@ def _run_au7(bounds, rng) -> Iterator[Case]:
 _KNOWN_MERSENNE_EXPONENTS = {5, 7, 13, 17, 19, 31}
 
 
+@_register(
+    "U14", "Mersenne primality by modular doubling, against the classical chain",
+    "p in pset", touches_omega=False,
+    quick={"pset": [5, 7, 11, 13, 17, 19, 23, 29, 31]},
+    full={"pset": [5, 7, 11, 13, 17, 19, 23, 29, 31]},
+    tiny={"pset": [5, 7, 11]},
+)
 def _run_u14(bounds, rng) -> Iterator[Case]:
     for p in bounds["pset"]:
         prime = p in _KNOWN_MERSENNE_EXPONENTS
@@ -732,6 +918,11 @@ def _run_u14(bounds, rng) -> Iterator[Case]:
         yield {"p": p, "path": "classical"}, lambda: primes.lucas_lehmer(p), prime
 
 
+@_register(
+    "U16", "Mersenne criterion through the exact fundamental ratio",
+    "p in pset (exact tables)", touches_omega=True,
+    quick={"pset": [5, 7]}, full={"pset": [5, 7, 11]}, tiny={"pset": [5]},
+)
 def _run_u16(bounds, rng) -> Iterator[Case]:
     for p in bounds["pset"]:
         n = 1 << (p - 1)
@@ -743,6 +934,11 @@ def _run_u16(bounds, rng) -> Iterator[Case]:
         )
 
 
+@_register(
+    "U18", "even perfect numbers against the divisor sum",
+    "fixed perfect and imperfect values", touches_omega=False,
+    quick={}, full={}, tiny={},
+)
 def _run_u18(bounds, rng) -> Iterator[Case]:
     perfect = [6, 28, 496, 8128, 33550336]
     imperfect = [100, 12, 2046, 2096128, 33550334]
@@ -752,11 +948,26 @@ def _run_u18(bounds, rng) -> Iterator[Case]:
         yield {"N": N}, lambda: primes.perfect_number_check(N), False
 
 
+@_register(
+    "G2f", "Mersenne numbers as fundamental ratios at (-2, -5)",
+    "odd p in [3, pmax]", touches_omega=True,
+    quick={"pmax": 15}, full={"pmax": 25}, tiny={"pmax": 9},
+)
 def _run_g2f(bounds, rng) -> Iterator[Case]:
     for p in range(3, bounds["pmax"] + 1, 2):
         yield {"p": p}, lambda: primes.mersenne_representation(p) == (1 << p) - 1, True
 
 
+@_register(
+    "ABCD12", "exact ratio-divides-ratio Mersenne criterion",
+    "p in pset (exact tables; full profile)", touches_omega=True,
+    quick=None, full={"pset": [5, 7, 11, 13]}, tiny={"pset": [5]},
+)
+@_register(
+    "ABCD12G", "product form of the exact Mersenne criterion",
+    "p in pset (exact tables; full profile)", touches_omega=True,
+    quick=None, full={"pset": [5, 7, 11, 13]}, tiny={"pset": [5]},
+)
 def _equiv_runner(bounds, rng) -> Iterator[Case]:
     for p in bounds["pset"]:
         yield (
@@ -767,6 +978,11 @@ def _equiv_runner(bounds, rng) -> Iterator[Case]:
         )
 
 
+@_register(
+    "G4", "doubled-power numbers 2^(2^n) + 1 as fundamental ratios",
+    "n in [1, nmax]", touches_omega=True,
+    quick={"nmax": 5}, full={"nmax": 5}, tiny={"nmax": 3},
+)
 def _run_g4(bounds, rng) -> Iterator[Case]:
     expected = {1: 5, 2: 17, 3: 257, 4: 65537, 5: 4294967297}
     for n in range(1, bounds["nmax"] + 1):
@@ -778,11 +994,21 @@ def _run_g4(bounds, rng) -> Iterator[Case]:
         )
 
 
+@_register(
+    "G6", "Lucas numbers as fundamental ratios at (-1, -3)",
+    "n in [2, nmax]", touches_omega=True,
+    quick={"nmax": 60}, full={"nmax": 100}, tiny={"nmax": 12},
+)
 def _run_g6(bounds, rng) -> Iterator[Case]:
     for n in range(2, bounds["nmax"] + 1):
         yield {"n": n}, lambda: lucas_fib_representations(n)[0] == lucas(n), True
 
 
+@_register(
+    "G7", "Fibonacci/Lucas oscillation as fundamental ratios at (1, -3)",
+    "n in [2, nmax]", touches_omega=True,
+    quick={"nmax": 60}, full={"nmax": 100}, tiny={"nmax": 12},
+)
 def _run_g7(bounds, rng) -> Iterator[Case]:
     for n in range(2, bounds["nmax"] + 1):
         expected = fibonacci(n) if n & 1 else lucas(n)
@@ -792,6 +1018,13 @@ def _run_g7(bounds, rng) -> Iterator[Case]:
 _TEN_EVAL_XS = tuple(Fraction(i, 4) for i in (-7, -5, -3, -1, 1, 3, 5, 7, 9, 11))
 
 
+@_register(
+    "Che",
+    "Chebyshev polynomials: coefficient match and ratio evaluations "
+    "(recurrence coefficient 2x; scaling 2^(d(n-1)))",
+    "n in [1, nmax]", touches_omega=True,
+    quick={"nmax": 32}, full={"nmax": 64}, tiny={"nmax": 10},
+)
 def _run_che(bounds, rng) -> Iterator[Case]:
     for n in range(1, bounds["nmax"] + 1):
         yield {"n": n}, lambda: chebyshev_check(n, eval_points=_TEN_EVAL_XS), True
@@ -803,6 +1036,14 @@ _DIC_ALPHAS = (1, -1, 2, -2, 3)  # Dic's alpha grid unless the bounds give `alph
 _OPTIONAL_BOUNDS = {"Dic": {"alphas"}}
 
 
+@_register(
+    "Dic",
+    "Dickson polynomials: coefficient match, functional identity, and "
+    "ratio evaluations (recurrence x D - alpha D, consistent with the "
+    "coefficient formula; the 2x variant is not)",
+    "n in [1, nmax]; alpha in alphas", touches_omega=True,
+    quick={"nmax": 32}, full={"nmax": 64}, tiny={"nmax": 10},
+)
 def _run_dic(bounds, rng) -> Iterator[Case]:
     for alpha in bounds.get("alphas", _DIC_ALPHAS):
         for n in range(1, bounds["nmax"] + 1):
@@ -813,21 +1054,43 @@ def _run_dic(bounds, rng) -> Iterator[Case]:
             )
 
 
+@_register(
+    "G6X", "companion triangle ratio equals the Fibonacci numbers",
+    "n in [2, nmax]", touches_omega=False,
+    quick={"nmax": 60}, full={"nmax": 100}, tiny={"nmax": 12},
+)
 def _run_g6x(bounds, rng) -> Iterator[Case]:
     for n in range(2, bounds["nmax"] + 1):
         yield {"n": n}, lambda: fib_lambda_table(n)[1] == fibonacci(n), True
 
 
+@_register(
+    "primeFib", "next prime divides the companion value over F(2 p_k)",
+    "k in [2, kmax]", touches_omega=False,
+    quick={"kmax": 8}, full={"kmax": 12}, tiny={"kmax": 4},
+)
 def _run_primefib(bounds, rng) -> Iterator[Case]:
     for k in range(2, bounds["kmax"] + 1):
         yield {"k": k}, lambda: lambda_emergence_check(k), True
 
 
+@_register(
+    "harmonic",
+    "mod n^2 congruence of the falling factorial with the harmonic "
+    "combination (n = 1 mod 8)",
+    "n in [9, nmax] with n = 1 mod 8", touches_omega=False,
+    quick={"nmax": 201}, full={"nmax": 401}, tiny={"nmax": 57},
+)
 def _run_harmonic(bounds, rng) -> Iterator[Case]:
     for n in range(9, bounds["nmax"] + 1, 8):
         yield {"n": n}, lambda: primes.harmonic_congruence_check(n), True
 
 
+@_register(
+    "lagarias", "divisor-sum inequality sigma(n) <= H_n + log(H_n) e^(H_n)",
+    "n in [1, nmax]", touches_omega=False,
+    quick={"nmax": 2000}, full={"nmax": 100000}, tiny={"nmax": 200},
+)
 def _run_lagarias(bounds, rng) -> Iterator[Case]:
     offenders = set(primes.lagarias_sweep(bounds["nmax"]))
     for n in range(1, bounds["nmax"] + 1):
@@ -837,521 +1100,6 @@ def _run_lagarias(bounds, rng) -> Iterator[Case]:
             "holds",
         )
 
-
-# -- registry ---------------------------------------------------------------------
-
-
-REGISTRY: dict[str, TheoremCheck] = {
-    c.id: c
-    for c in [
-        TheoremCheck(
-            "def0",
-            "seed values and step of the psi recurrence",
-            "random and fixed (a,b); n up to nmax",
-            _run_def0,
-            touches_omega=False,
-            quick={"nmax": 24},
-            full={"nmax": 48},
-            tiny={"nmax": 8},
-        ),
-        TheoremCheck(
-            "comp3",
-            "half-length closed form equals the psi recurrence",
-            "random integer and rational (a,b); n up to nmax",
-            _run_comp3,
-            touches_omega=False,
-            quick={"nmax": 32},
-            full={"nmax": 64},
-            tiny={"nmax": 10},
-        ),
-        TheoremCheck(
-            "00",
-            "power-sum expansion of x^n + y^n in xy and x+y",
-            "fixed (x,y) pairs; n up to nmax",
-            _run_00,
-            touches_omega=False,
-            quick={"nmax": 40},
-            full={"nmax": 80},
-            tiny={"nmax": 10},
-        ),
-        TheoremCheck(
-            "WW4",
-            "psi(xy, -x^2-y^2, n) equals (x^n+y^n)/(x+y)^(n mod 2)",
-            "fixed (x,y) pairs; n up to nmax",
-            _run_ww4,
-            touches_omega=False,
-            quick={"nmax": 40},
-            full={"nmax": 80},
-            tiny={"nmax": 10},
-        ),
-        TheoremCheck(
-            "WW8",
-            "product-of-psi doubling identity",
-            "random (a,b); all 0 <= m <= n <= nmax",
-            _run_ww8,
-            touches_omega=False,
-            quick={"nmax": 16},
-            full={"nmax": 24},
-            tiny={"nmax": 8},
-        ),
-        TheoremCheck(
-            "ex00",
-            "two-form expansion of the scaled power sum",
-            "integer points coord<=2; fixed scalars; n up to nmax",
-            _run_ex00,
-            touches_omega=True,
-            quick={"nmax": 10},
-            full={"nmax": 16},
-            tiny={"nmax": 8},
-        ),
-        TheoremCheck(
-            "diff1",
-            "directional derivative lowers the expansion index with factor -(r+1)",
-            "rational points; n up to nmax; all r",
-            _run_diff1,
-            touches_omega=True,
-            quick={"nmax": 12},
-            full={"nmax": 20},
-            tiny={"nmax": 8},
-        ),
-        TheoremCheck(
-            "diff3",
-            "expansion polynomial equals the scaled k-fold directional derivative",
-            "rational points; n up to nmax; all k",
-            _run_diff3,
-            touches_omega=True,
-            quick={"nmax": 12},
-            full={"nmax": 20},
-            tiny={"nmax": 8},
-        ),
-        TheoremCheck(
-            "IAexp2",
-            "K-fold derivative of psi collapses to psi at the point",
-            "rational points; n up to nmax",
-            _run_iaexp2,
-            touches_omega=False,
-            quick={"nmax": 16},
-            full={"nmax": 20},
-            tiny={"nmax": 8},
-        ),
-        TheoremCheck(
-            "G0",
-            "triangle builder satisfies its defining recurrence; modular tables match",
-            "mixed points; n up to nmax; all entries",
-            _run_g0,
-            touches_omega=True,
-            quick={"nmax": 12},
-            full={"nmax": 18},
-            tiny={"nmax": 8},
-        ),
-        TheoremCheck(
-            "FD3",
-            "lambda triangle: seeds, recurrence, and k! divisibility",
-            "integer points; n up to nmax; all entries",
-            _run_fd3,
-            touches_omega=False,
-            quick={"nmax": 16},
-            full={"nmax": 24},
-            tiny={"nmax": 8},
-        ),
-        TheoremCheck(
-            "H2",
-            "factorial bridge from omega entries to lambda entries",
-            "mixed points; n up to nmax; all entries",
-            _run_h2,
-            touches_omega=True,
-            quick={"nmax": 14},
-            full={"nmax": 20},
-            tiny={"nmax": 8},
-        ),
-        TheoremCheck(
-            "F1100",
-            "first fundamental expansion: coefficients integral, bridge and "
-            "derivative paths agree",
-            "integer points coord<=2; n up to nmax; all k",
-            _run_f1100,
-            touches_omega=True,
-            quick={"nmax": 14, "coord": 2},
-            full={"nmax": 40, "coord": 2},
-            tiny={"nmax": 8, "coord": 1},
-        ),
-        TheoremCheck(
-            "k00",
-            "second fundamental ratio: exact division recovering psi",
-            "integer points coord<=C; n in [2, nmax]",
-            _run_k00,
-            touches_omega=True,
-            quick={"nmax": 40, "coord": 2},
-            full={"nmax": 200, "coord": 3},
-            tiny={"nmax": 12, "coord": 1},
-        ),
-        TheoremCheck(
-            "space4",
-            "psi-normalized top entry equals the rising product",
-            "integer and quadratic points; n up to nmax",
-            _run_space4,
-            touches_omega=True,
-            quick={"nmax": 24},
-            full={"nmax": 100},
-            tiny={"nmax": 10},
-        ),
-        TheoremCheck(
-            "FA2",
-            "power-sum value of the fundamental ratio",
-            "fixed (x,y); n up to nmax",
-            _run_fa2,
-            touches_omega=True,
-            quick={"nmax": 20},
-            full={"nmax": 40},
-            tiny={"nmax": 8},
-        ),
-        TheoremCheck(
-            "S1",
-            "membership residues: psi equals the tabulated nonzero values",
-            "five point families; n up to nmax",
-            _residue_runner("member"),
-            touches_omega=False,
-            quick={"nmax": 120},
-            full={"nmax": 240},
-            tiny={"nmax": 48},
-        ),
-        TheoremCheck(
-            "S11",
-            "kernel residues: psi vanishes on the tabulated classes",
-            "five point families; n up to nmax",
-            _residue_runner("kernel"),
-            touches_omega=False,
-            quick={"nmax": 120},
-            full={"nmax": 240},
-            tiny={"nmax": 48},
-        ),
-        TheoremCheck(
-            "infinite_params",
-            "next prime divides integer combinations of normalized ratios",
-            "k in [2, kmax]; fixed and random combinations",
-            _run_infinite_params,
-            touches_omega=True,
-            quick={"kmax": 4},
-            full={"kmax": 6},
-            tiny={"kmax": 3},
-        ),
-        TheoremCheck(
-            "gen1",
-            "thinned ratio integrality and divisibility by the next prime "
-            "(divisibility genuinely fails at k=2 where p_{k+1} = 2 p_k - 1)",
-            "k in [2, kmax]; integer points",
-            _run_gen1,
-            touches_omega=True,
-            quick={"kmax": 4},
-            full={"kmax": 6},
-            tiny={"kmax": 3},
-        ),
-        TheoremCheck(
-            "gen2",
-            "next prime divides the top triangle entry at level 2 p_k",
-            "k in [2, kmax]; five-point grid; modular with exact spot checks",
-            _run_gen2,
-            touches_omega=True,
-            quick={"kmax": 10},
-            full={"kmax": 25},
-            tiny={"kmax": 4},
-        ),
-        TheoremCheck(
-            "gen5",
-            "product of the first odd primes divides the normalized ratio",
-            "k in [2, kmax]; integer points",
-            _run_gen5,
-            touches_omega=True,
-            quick={"kmax": 5},
-            full={"kmax": 6},
-            tiny={"kmax": 3},
-        ),
-        TheoremCheck(
-            "AU5",
-            "closed product form of the triangle at (1, -2)",
-            "n up to nmax; all entries",
-            _closed_form_runner((1, -2)),
-            touches_omega=True,
-            quick={"nmax": 24},
-            full={"nmax": 40},
-            tiny={"nmax": 10},
-        ),
-        TheoremCheck(
-            "AU9",
-            "closed product form of the triangle at (1, 2)",
-            "n up to nmax; all entries",
-            _closed_form_runner((1, 2)),
-            touches_omega=True,
-            quick={"nmax": 24},
-            full={"nmax": 40},
-            tiny={"nmax": 10},
-        ),
-        TheoremCheck(
-            "AU11",
-            "falling-factorial closed form of the triangle at (0, -1)",
-            "n up to nmax; all entries",
-            _closed_form_runner((0, -1)),
-            touches_omega=True,
-            quick={"nmax": 24},
-            full={"nmax": 40},
-            tiny={"nmax": 10},
-        ),
-        TheoremCheck(
-            "PP00",
-            "period-6 value table at (1, 1)",
-            "n in [2, nmax]",
-            _table_runner("PP00"),
-            touches_omega=True,
-            quick={"nmax": 60},
-            full={"nmax": 200},
-            tiny={"nmax": 16},
-        ),
-        TheoremCheck(
-            "PP00Q",
-            "period-8 value table at (1, 0)",
-            "n in [2, nmax]",
-            _table_runner("PP00Q"),
-            touches_omega=True,
-            quick={"nmax": 60},
-            full={"nmax": 200},
-            tiny={"nmax": 16},
-        ),
-        TheoremCheck(
-            "PP1A",
-            "period-12 value table at (1, -1)",
-            "n in [2, nmax]",
-            _table_runner("PP1A"),
-            touches_omega=True,
-            quick={"nmax": 60},
-            full={"nmax": 200},
-            tiny={"nmax": 16},
-        ),
-        TheoremCheck(
-            "ABAB",
-            "parity power table at (1, -2)",
-            "n in [2, nmax]",
-            _table_runner("ABAB"),
-            touches_omega=True,
-            quick={"nmax": 60},
-            full={"nmax": 200},
-            tiny={"nmax": 16},
-        ),
-        TheoremCheck(
-            "DA",
-            "signed parity-power table at (1, 2)",
-            "n in [2, nmax]",
-            _table_runner("DA"),
-            touches_omega=True,
-            quick={"nmax": 60},
-            full={"nmax": 200},
-            tiny={"nmax": 16},
-        ),
-        TheoremCheck(
-            "root2",
-            "period-16 value table at (1, sqrt 2)",
-            "n in [2, nmax]",
-            _table_runner("root2"),
-            touches_omega=True,
-            quick={"nmax": 60},
-            full={"nmax": 200},
-            tiny={"nmax": 16},
-        ),
-        TheoremCheck(
-            "phi",
-            "period-20 value table at the golden-ratio point",
-            "n in [2, nmax]",
-            _table_runner("phi"),
-            touches_omega=True,
-            quick={"nmax": 60},
-            full={"nmax": 200},
-            tiny={"nmax": 16},
-        ),
-        TheoremCheck(
-            "root3",
-            "period-24 value table at (1, sqrt 3)",
-            "n in [2, nmax]",
-            _table_runner("root3"),
-            touches_omega=True,
-            quick={"nmax": 60},
-            full={"nmax": 200},
-            tiny={"nmax": 16},
-        ),
-        TheoremCheck(
-            "FL",
-            "Fibonacci/Lucas value table at (1, sqrt 5) mod 4",
-            "n in [2, nmax]",
-            _table_runner("FL"),
-            touches_omega=True,
-            quick={"nmax": 60},
-            full={"nmax": 200},
-            tiny={"nmax": 16},
-        ),
-        TheoremCheck(
-            "AU7",
-            "falling factorial as a power of two times descending odds",
-            "n in [2, nmax]",
-            _run_au7,
-            touches_omega=False,
-            quick={"nmax": 400},
-            full={"nmax": 2000},
-            tiny={"nmax": 40},
-        ),
-        TheoremCheck(
-            "U14",
-            "Mersenne primality by modular doubling, against the classical chain",
-            "p in pset",
-            _run_u14,
-            touches_omega=False,
-            quick={"pset": [5, 7, 11, 13, 17, 19, 23, 29, 31]},
-            full={"pset": [5, 7, 11, 13, 17, 19, 23, 29, 31]},
-            tiny={"pset": [5, 7, 11]},
-        ),
-        TheoremCheck(
-            "U16",
-            "Mersenne criterion through the exact fundamental ratio",
-            "p in pset (exact tables)",
-            _run_u16,
-            touches_omega=True,
-            quick={"pset": [5, 7]},
-            full={"pset": [5, 7, 11]},
-            tiny={"pset": [5]},
-        ),
-        TheoremCheck(
-            "U18",
-            "even perfect numbers against the divisor sum",
-            "fixed perfect and imperfect values",
-            _run_u18,
-            touches_omega=False,
-            quick={},
-            full={},
-            tiny={},
-        ),
-        TheoremCheck(
-            "G2f",
-            "Mersenne numbers as fundamental ratios at (-2, -5)",
-            "odd p in [3, pmax]",
-            _run_g2f,
-            touches_omega=True,
-            quick={"pmax": 15},
-            full={"pmax": 25},
-            tiny={"pmax": 9},
-        ),
-        TheoremCheck(
-            "ABCD12",
-            "exact ratio-divides-ratio Mersenne criterion",
-            "p in pset (exact tables; full profile)",
-            _equiv_runner,
-            touches_omega=True,
-            quick=None,
-            full={"pset": [5, 7, 11, 13]},
-            tiny={"pset": [5]},
-        ),
-        TheoremCheck(
-            "ABCD12G",
-            "product form of the exact Mersenne criterion",
-            "p in pset (exact tables; full profile)",
-            _equiv_runner,
-            touches_omega=True,
-            quick=None,
-            full={"pset": [5, 7, 11, 13]},
-            tiny={"pset": [5]},
-        ),
-        TheoremCheck(
-            "G4",
-            "doubled-power numbers 2^(2^n) + 1 as fundamental ratios",
-            "n in [1, nmax]",
-            _run_g4,
-            touches_omega=True,
-            quick={"nmax": 5},
-            full={"nmax": 5},
-            tiny={"nmax": 3},
-        ),
-        TheoremCheck(
-            "G6",
-            "Lucas numbers as fundamental ratios at (-1, -3)",
-            "n in [2, nmax]",
-            _run_g6,
-            touches_omega=True,
-            quick={"nmax": 60},
-            full={"nmax": 100},
-            tiny={"nmax": 12},
-        ),
-        TheoremCheck(
-            "G7",
-            "Fibonacci/Lucas oscillation as fundamental ratios at (1, -3)",
-            "n in [2, nmax]",
-            _run_g7,
-            touches_omega=True,
-            quick={"nmax": 60},
-            full={"nmax": 100},
-            tiny={"nmax": 12},
-        ),
-        TheoremCheck(
-            "Che",
-            "Chebyshev polynomials: coefficient match and ratio evaluations "
-            "(recurrence coefficient 2x; scaling 2^(d(n-1)))",
-            "n in [1, nmax]",
-            _run_che,
-            touches_omega=True,
-            quick={"nmax": 32},
-            full={"nmax": 64},
-            tiny={"nmax": 10},
-        ),
-        TheoremCheck(
-            "Dic",
-            "Dickson polynomials: coefficient match, functional identity, and "
-            "ratio evaluations (recurrence x D - alpha D, consistent with the "
-            "coefficient formula; the 2x variant is not)",
-            "n in [1, nmax]; alpha in alphas",
-            _run_dic,
-            touches_omega=True,
-            quick={"nmax": 32},
-            full={"nmax": 64},
-            tiny={"nmax": 10},
-        ),
-        TheoremCheck(
-            "G6X",
-            "companion triangle ratio equals the Fibonacci numbers",
-            "n in [2, nmax]",
-            _run_g6x,
-            touches_omega=False,
-            quick={"nmax": 60},
-            full={"nmax": 100},
-            tiny={"nmax": 12},
-        ),
-        TheoremCheck(
-            "primeFib",
-            "next prime divides the companion value over F(2 p_k)",
-            "k in [2, kmax]",
-            _run_primefib,
-            touches_omega=False,
-            quick={"kmax": 8},
-            full={"kmax": 12},
-            tiny={"kmax": 4},
-        ),
-        TheoremCheck(
-            "harmonic",
-            "mod n^2 congruence of the falling factorial with the harmonic "
-            "combination (n = 1 mod 8)",
-            "n in [9, nmax] with n = 1 mod 8",
-            _run_harmonic,
-            touches_omega=False,
-            quick={"nmax": 201},
-            full={"nmax": 401},
-            tiny={"nmax": 57},
-        ),
-        TheoremCheck(
-            "lagarias",
-            "divisor-sum inequality sigma(n) <= H_n + log(H_n) e^(H_n)",
-            "n in [1, nmax]",
-            _run_lagarias,
-            touches_omega=False,
-            quick={"nmax": 2000},
-            full={"nmax": 100000},
-            tiny={"nmax": 200},
-        ),
-    ]
-}
 
 OMEGA_TOUCHING_IDS = frozenset(c.id for c in REGISTRY.values() if c.touches_omega)
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from quanta import cli
 from quanta.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main, parse_point
 from quanta.scalars import QuadExt, SQRT2, ScalarParseError
 from quanta.sequences import QPoint
@@ -105,6 +106,22 @@ class TestOmegaCommand:
             capsys, "omega", "--point", "1,1", "--n", "7", "--r", "4", "--k", "4"
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("extra", [(), ("--r", "0", "--k", "3")])
+    def test_n_above_cap_is_refused(self, capsys, extra):
+        argv = ["omega", "--point", "1,1", "--n", "1025", *extra]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: --n is capped at 1024")
+
+    def test_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "OMEGA_MAX_N", 7)
+        argv = ["omega", "--point", "1,1", "--k", "3", "--n"]
+        assert run_cli(capsys, *argv, "7")[:2] == (EXIT_OK, "120\n")
+        code, _, err = run_cli(capsys, *argv, "8")
+        assert code == EXIT_USAGE
+        assert "capped at 7" in err
 
 
 class TestVerifyCommand:

@@ -86,6 +86,22 @@ class TestPrimeCache:
         assert not is_prime((10**6 + 3) ** 2)
         assert primes._CACHE.limit == limit
 
+    def test_sieve_growth_is_capped(self):
+        limit = primes._CACHE.limit
+        with pytest.raises(FeasibilityError, match="sieve cap"):
+            primes_upto(10**12)
+        with pytest.raises(FeasibilityError, match="sieve cap"):
+            primes._CACHE.index_of(10**12 + 39)
+        assert primes._CACHE.limit == limit
+
+    def test_nth_stops_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(primes, "SIEVE_MAX_LIMIT", 1 << 10)
+        cache = PrimeCache(limit=16)
+        assert cache.nth(172) == 1021  # the last prime below 2^10
+        with pytest.raises(FeasibilityError, match="sieve cap"):
+            cache.nth(173)
+        assert cache.limit == 1 << 10
+
     def test_beyond_proven_bound_raises(self):
         assert not is_prime(MILLER_RABIN_BOUND - 1)  # even, and below the bound
         with pytest.raises(FeasibilityError):

@@ -49,6 +49,19 @@ class TestRegistryCoverage:
     def test_special_tables_have_checks(self):
         assert set(SPECIAL_TABLES) <= set(REGISTRY)
 
+    def test_entries_match_recorded_profiles(self):
+        # anchor, grid, omega flag and the quick/full/tiny bounds of every check
+        path = Path(__file__).with_name("registry_profiles.json")
+        expected = json.loads(path.read_text())
+        assert set(expected) == set(REGISTRY)
+        fields = ("anchor", "grid", "touches_omega", "quick", "full", "tiny")
+        changed = sorted(
+            id
+            for id, check in REGISTRY.items()
+            if {f: getattr(check, f) for f in fields} != expected[id]
+        )
+        assert not changed, f"registry entries differ from the record: {changed}"
+
     def test_profiles_share_bound_keys(self):
         # runners index their bounds, so every profile must name every key
         for id, check in REGISTRY.items():
