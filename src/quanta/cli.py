@@ -41,7 +41,8 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 # `quanta omega` builds the whole triangle even for one entry, and its JSON
-# grows as about n^3 (58 MB at n = 1000); larger n is refused.
+# grows as about n^3 (58 MB at n = 1000); `quanta table` computes one top per
+# n up to nmax.  Larger n is refused by both.
 OMEGA_MAX_N = 1024
 
 
@@ -146,21 +147,16 @@ def _special_period(point: QPoint) -> int | None:
 
 
 def _cmd_table(args) -> int:
+    if args.nmax > OMEGA_MAX_N:
+        raise primes.FeasibilityError(f"--nmax is capped at {OMEGA_MAX_N}; got {args.nmax}")
     point = parse_point(args.point)
     period = _special_period(point)
     rows = []
     for n in range(2, args.nmax + 1):
-        psi = psi_point(point, n)
-        ratio = omega_top(point, n) / falling_factorial(n)
-        rows.append(
-            {
-                "n": n,
-                "psi": format_scalar(psi),
-                "ratio": format_scalar(ratio),
-                "class": n % period if period else n,
-            }
-        )
-        if format_scalar(psi) != format_scalar(ratio):
+        psi = format_scalar(psi_point(point, n))
+        ratio = format_scalar(omega_top(point, n) / falling_factorial(n))
+        rows.append({"n": n, "psi": psi, "ratio": ratio, "class": n % period if period else n})
+        if psi != ratio:
             _print_progress(f"warning: ratio != psi at n={n}")
     if args.format == "json":
         print(json.dumps(rows, separators=(",", ":")))

@@ -56,6 +56,8 @@ class PrimeCache:
     """
 
     def __init__(self, limit: int = 1 << 12) -> None:
+        if limit > SIEVE_MAX_LIMIT:
+            raise FeasibilityError(f"limit {limit} is beyond the sieve cap {SIEVE_MAX_LIMIT}")
         self._limit = 0
         self._primes: list[int] = []
         self._index: dict[int, int] = {}
@@ -84,7 +86,7 @@ class PrimeCache:
 
     def _cover(self, x: int) -> None:
         """Double the limit, up to SIEVE_MAX_LIMIT, until the sieve covers x."""
-        if x > max(self._limit, SIEVE_MAX_LIMIT):
+        if x > SIEVE_MAX_LIMIT:
             raise FeasibilityError(f"{x} is beyond the sieve cap {SIEVE_MAX_LIMIT}")
         while x > self._limit:
             self._rebuild(min(self._limit * 2, SIEVE_MAX_LIMIT))

@@ -184,6 +184,9 @@ class QuadExt:
         return _result(Fraction(self.a, n), Fraction(-self.b, n), self.d)
 
     def __truediv__(self, other: object) -> QuadExt:
+        if type(other) is int:
+            # Fraction(x, 0) raises ZeroDivisionError
+            return _result(Fraction(self.a, other), Fraction(self.b, other), self.d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

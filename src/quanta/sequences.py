@@ -18,9 +18,12 @@ The recurrence runners are generic over any ring whose elements support
 arithmetic with ints (exact scalars, residues, polynomials).  The omega,
 lambda and Fibonacci-companion triangles share one kernel, ``_triangle``,
 which fills X_r(k) = f(k+r) X_r(k-1) + g(r) X_{r+1}(k-1) from a seed row and
-the two multiplier vectors f and g that each caller builds.  The omega caller
-keeps the large sweeps in native bigint arithmetic: rational points are scaled
-to integer multipliers and quadratic points run on integer component pairs.
+the two multiplier vectors f and g that each caller builds.  ``omega_top``
+needs only the top entry of the unit-seed triangle, and ``_unit_seed_top``
+gets it from the same f and g as a sum over the triangle's paths in
+floor(n/2) steps instead of filling the triangle's cells.  Both keep the
+omega work in native bigint arithmetic: rational points are scaled to
+integer multipliers and quadratic points run on integer component pairs.
 """
 
 from __future__ import annotations
@@ -248,24 +251,23 @@ def _point_multipliers(point: QPoint) -> tuple[int, tuple[int, int], tuple[int, 
     return s, (2 * zu - xu, 2 * zv - xv), (2 * zu, 2 * zv), point.d
 
 
-def _triangle(seed, diag, coupling, d=None, modulus=None, keep=True):
+def _triangle(seed, diag, coupling, d=None, modulus=None):
     """Fill X_r(k) = diag[k+r] X_r(k-1) + coupling[r] X_{r+1}(k-1) by levels.
 
     The seed row X_r(0) has K+1 entries and fixes the triangle 0 <= r+k <= K.
     Entries are ints or any ring elements that multiply with those of
     ``diag`` and ``coupling``.  With a radicand ``d``, each row, ``diag`` and
     ``coupling`` is instead a pair (u, v) of int lists for u + v sqrt(d).
-    With a ``modulus`` every entry is reduced.  Returns every level when
-    ``keep``, else only the last.
+    With a ``modulus`` every entry is reduced.  Returns every level.
     """
     m = modulus
     if d is not None:
         (a1, a2), (c1, c2) = diag, coupling
         a2d = [x * d for x in a2]
         c2d = [x * d for x in c2]
-    prev = seed
-    levels = [prev]
+    levels = [seed]
     for k in range(1, len(seed[0] if d is not None else seed)):
+        prev = levels[-1]
         if d is None:
             # indexing beats zip here on small rows and ties on large ones
             w = range(len(prev) - 1)
@@ -290,10 +292,56 @@ def _triangle(seed, diag, coupling, d=None, modulus=None, keep=True):
                     [(p * x + q * y + s * x2 + t * y2) % m for p, q, s, t, x, y, x2, y2 in cu],
                     [(p * y + q * x + s * y2 + t * x2) % m for p, q, s, t, x, y, x2, y2 in cv],
                 )
-        if keep:
-            levels.append(cur)
-        prev = cur
-    return levels if keep else [prev]
+        levels.append(cur)
+    return levels
+
+
+def _unit_seed_top(diag, coupling, d=None, modulus=None):
+    """X_0(K) of ``_triangle`` from the all-ones seed row, in K steps.
+
+    A path from seed cell (j, 0) to (0, K) picks up diag[j+1..K] on its
+    diagonal steps and coupling[0..j-1] on its coupling steps in any order,
+    and C(K, j) orders stay inside the triangle, so
+    X_0(K) = sum_j C(K, j) coupling[0]...coupling[j-1] diag[j+1]...diag[K].
+    The sum runs in Horner form; h = C(K, j) coupling[0]...coupling[j-1] is
+    kept exact, since C(K, j) = C(K, j-1)(K-j+1)/j divides exactly.
+    Arguments are those of ``_triangle``.
+    """
+    m = modulus
+    if d is None:
+        K = len(diag) - 1
+        top = h = 1
+        for j in range(1, K + 1):
+            h = h * (coupling[j - 1] * (K - j + 1)) // j
+            top = diag[j] * top + h
+            if m is not None:
+                top %= m
+        return top
+    (a1, a2), (c1, c2) = diag, coupling
+    K = len(a1) - 1
+    u, v, hu, hv = 1, 0, 1, 0
+    for j in range(1, K + 1):
+        s, t = c1[j - 1] * (K - j + 1), c2[j - 1] * (K - j + 1)
+        hu, hv = (s * hu + t * d * hv) // j, (t * hu + s * hv) // j
+        p, q = a1[j], a2[j]
+        u, v = p * u + q * d * v + hu, p * v + q * u + hv
+        if m is not None:
+            u, v = u % m, v % m
+    return u, v
+
+
+def _omega_scalar(raw, d: int, modulus: int | None, scale_k: int):
+    """A kernel entry as the table's scalar; ``raw`` is an int or a (u, v)
+    pair over sqrt(d), and ``scale_k`` the power of the point's scale it
+    carries."""
+    if type(raw) is tuple:
+        u, v = raw
+        if scale_k != 1:
+            u, v = Fraction(u, scale_k), Fraction(v, scale_k)
+        return QuadExt(u, v, d)
+    if modulus is not None:
+        return ModInt(raw, modulus)
+    return QuadExt(raw if scale_k == 1 else Fraction(raw, scale_k))
 
 
 class OmegaTable:
@@ -305,13 +353,7 @@ class OmegaTable:
     """
 
     def __init__(
-        self,
-        point: QPoint,
-        n: int,
-        modulus: int | None,
-        levels: list,
-        scale: int,
-        paired: bool,
+        self, point: QPoint, n: int, modulus: int | None, levels: list, scale: int
     ) -> None:
         self.point = point
         self.n = n
@@ -319,56 +361,32 @@ class OmegaTable:
         self.K = n // 2
         self._levels = levels
         self._scale = scale
-        self._paired = paired
-        self._top_only = len(levels) == 1 and self.K > 0
 
     def entry(self, r: int, k: int):
         if k < 0 or r < 0 or r + k > self.K:
             raise IndexError(f"(r={r}, k={k}) outside triangle for n={self.n}")
-        if self._top_only:
-            raise IndexError("table was built top-only; rebuild with omega_table()")
-        return self._materialize(self._levels[k], r, k)
+        level = self._levels[k]
+        raw = (level[0][r], level[1][r]) if self.point.d else level[r]
+        return _omega_scalar(raw, self.point.d, self.modulus, self._scale**k)
 
     def top(self):
         """omega_0(floor(n/2)), the numerator of the fundamental ratio."""
-        return self._materialize(self._levels[-1], 0, self.K)
+        return self.entry(0, self.K)
 
     def stable_column(self) -> list:
         """The r = 0 column across all levels."""
         return [self.entry(0, k) for k in range(self.K + 1)]
 
-    def _materialize(self, level, r: int, k: int):
-        if self._paired:
-            u, v = level[0][r], level[1][r]
-        else:
-            raw = level[r]
-        if self.modulus is not None:
-            if self._paired:
-                return QuadExt(u, v, self.point.d)
-            return ModInt(raw, self.modulus)
-        if self._paired:
-            if self._scale == 1:
-                return QuadExt(u, v, self.point.d)
-            sk = self._scale**k
-            return QuadExt(Fraction(u, sk), Fraction(v, sk), self.point.d)
-        if self._scale == 1:
-            return QuadExt(raw)
-        return QuadExt(Fraction(raw, self._scale**k))
-
     def to_dict(self) -> dict:
-        if self._top_only:
-            entries = [[0, self.K, format_scalar_entry(self.top())]]
-        else:
-            entries = [
-                [r, k, format_scalar_entry(self.entry(r, k))]
-                for k in range(self.K + 1)
-                for r in range(self.K - k + 1)
-            ]
         return {
             "n": self.n,
             "point": [format_scalar(self.point.alpha), format_scalar(self.point.beta)],
             "modulus": self.modulus,
-            "entries": entries,
+            "entries": [
+                [r, k, format_scalar_entry(self.entry(r, k))]
+                for k in range(self.K + 1)
+                for r in range(self.K - k + 1)
+            ],
         }
 
     def to_json(self) -> str:
@@ -381,7 +399,9 @@ def format_scalar_entry(value) -> str:
     return format_scalar(value)
 
 
-def _build_omega(point: QPoint, n: int, modulus: int | None, keep: bool) -> OmegaTable:
+def _omega_vectors(point: QPoint, n: int, modulus: int | None):
+    """Scale s, kernel radicand (None at rational points), diag and coupling
+    of the omega triangle at ``point``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     K = n // 2
@@ -394,26 +414,30 @@ def _build_omega(point: QPoint, n: int, modulus: int | None, keep: bool) -> Omeg
         a_pair, b_pair = (2 * au - bu, 2 * av - bv), (2 * au, 2 * av)
     # omega_r(k) = A(n-r-k) omega_r(k-1) + sign B(n-2r-d(n-1)) omega_{r+1}(k-1);
     # the fault-injection sign lives in the coupling vector, not the kernel
-    paired = point.d != 0
-    parts = 2 if paired else 1
     dlt = (n - 1) & 1
-    diag = [[a * (n - j) for j in range(K + 1)] for a in a_pair[:parts]]
-    coupling = [[_coupling_sign * b * (n - 2 * r - dlt) for r in range(K)] for b in b_pair[:parts]]
-    if paired:
-        levels = _triangle(([1] * (K + 1), [0] * (K + 1)), diag, coupling, d, modulus, keep)
-    else:
-        levels = _triangle([1] * (K + 1), diag[0], coupling[0], None, modulus, keep)
-    return OmegaTable(point, n, modulus, levels, scale, paired)
+    diag = [[a * (n - j) for j in range(K + 1)] for a in a_pair]
+    coupling = [[_coupling_sign * b * (n - 2 * r - dlt) for r in range(K)] for b in b_pair]
+    if point.d == 0:
+        return scale, None, diag[0], coupling[0]
+    return scale, d, diag, coupling
 
 
 def omega_table(point: QPoint | tuple, n: int, modulus: int | None = None) -> OmegaTable:
     """Full triangle, all entries retained."""
-    return _build_omega(as_point(point), n, modulus, keep=True)
+    point = as_point(point)
+    scale, d, diag, coupling = _omega_vectors(point, n, modulus)
+    seed = [1] * (n // 2 + 1)
+    levels = _triangle(seed if d is None else (seed, [0] * len(seed)), diag, coupling, d, modulus)
+    return OmegaTable(point, n, modulus, levels, scale)
 
 
 def omega_top(point: QPoint | tuple, n: int, modulus: int | None = None):
-    """omega_0(floor(n/2)) with two rolling levels of memory."""
-    return _build_omega(as_point(point), n, modulus, keep=False).top()
+    """omega_0(floor(n/2)) as the path sum of ``_unit_seed_top``; builds no
+    table and equals ``omega_table(point, n, modulus).top()``."""
+    point = as_point(point)
+    scale, d, diag, coupling = _omega_vectors(point, n, modulus)
+    top = _unit_seed_top(diag, coupling, d, modulus)
+    return _omega_scalar(top, point.d, modulus, scale ** (n // 2))
 
 
 _CLOSED_FORMS = {(1, -2), (1, 2), (0, -1)}

@@ -249,3 +249,13 @@ class TestTableCommand:
         )
         assert out.splitlines()[0] == "n,psi,ratio,class"
         assert all(line.split(",")[1] == "1" for line in out.splitlines()[1:])
+
+    def test_nmax_above_cap_is_refused(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, "table", "--point", "1,4", "--nmax", "1025")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: --nmax is capped at 1024")
+        monkeypatch.setattr(cli, "OMEGA_MAX_N", 7)
+        argv = ["table", "--point", "1,1", "--format", "csv", "--nmax"]
+        code, out, _ = run_cli(capsys, *argv, "7")
+        assert code == EXIT_OK and len(out.splitlines()) == 7  # header + n in [2, 7]
+        assert run_cli(capsys, *argv, "8")[0] == EXIT_USAGE

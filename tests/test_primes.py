@@ -94,6 +94,10 @@ class TestPrimeCache:
             primes._CACHE.index_of(10**12 + 39)
         assert primes._CACHE.limit == limit
 
+    def test_constructor_is_capped(self):
+        with pytest.raises(FeasibilityError, match="sieve cap"):
+            PrimeCache(primes.SIEVE_MAX_LIMIT + 1)
+
     def test_nth_stops_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(primes, "SIEVE_MAX_LIMIT", 1 << 10)
         cache = PrimeCache(limit=16)

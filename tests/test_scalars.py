@@ -116,6 +116,16 @@ class TestExactTypeContract:
         with pytest.raises(ZeroDivisionError):
             QuadExt(3) / 0
 
+    def test_division_by_int_divides_both_components(self):
+        x = QuadExt(Fraction(3, 4), -6, 5)
+        for q in (1, -1, 2, -9, 12, 10**30):
+            got, want = x / q, x * QuadExt(Fraction(1, q))
+            assert got == want and (type(got.a), type(got.b)) == (type(want.a), type(want.b))
+        assert (QuadExt(4, 6, 2) / 2) == QuadExt(2, 3, 2)
+        assert type((QuadExt(4, 6, 2) / 2).b) is int
+        with pytest.raises(ZeroDivisionError):
+            QuadExt(0, 1, 2) / 0
+
     def test_integral_components_are_ints(self):
         x = QuadExt(Fraction(6, 2), Fraction(4, 2), 2)
         assert (type(x.a), type(x.b)) == (int, int)

@@ -1,12 +1,13 @@
 """Sequence engines: recurrences, triangles, fundamental identities."""
 
 import json
+from contextlib import nullcontext
 from fractions import Fraction
 from math import factorial, prod
 
 import pytest
 
-from quanta.scalars import GOLDEN, ModInt, QuadExt, SQRT2, SQRT5, divides_int
+from quanta.scalars import GOLDEN, LocalizationError, ModInt, QuadExt, SQRT2, SQRT5, divides_int
 from quanta.sequences import (
     DegeneratePointError,
     KernelPointError,
@@ -35,6 +36,7 @@ from quanta.sequences import (
     sums_of_powers_check,
 )
 from quanta.polynomials import dir_derivative, psi_bipoly
+from quanta.verify import _QUAD_SAMPLE
 
 
 class TestPsiRecurrence:
@@ -115,6 +117,16 @@ class TestProductIdentity:
             product_identity_check(1, 1, 2, 3)
 
 
+# Integer points with 2z - x = 0 among them, e.g. (1, 2), where every diagonal
+# multiplier vanishes; a rational point; the quadratic sample points.
+_EQUIV_POINTS = [
+    *(QPoint(z, x) for z in range(-3, 4) for x in range(-3, 4) if (z, x) != (0, 0)),
+    QPoint(Fraction(1, 2), Fraction(-2, 3)),
+    *_QUAD_SAMPLE,
+    QPoint(QuadExt(1), SQRT5),
+]
+
+
 class TestOmegaTable:
     def test_hand_levels_n7(self):
         table = omega_table(QPoint(1, 1), 7)
@@ -133,9 +145,26 @@ class TestOmegaTable:
         table = omega_table(QPoint(-2, -5), 9)
         assert all(table.entry(r, 0) == 1 for r in range(5))
 
-    def test_rolling_matches_full(self):
-        for n in (5, 8, 13):
-            assert omega_top(QPoint(2, 3), n) == omega_table(QPoint(2, 3), n).top()
+    @pytest.mark.parametrize("modulus", [None, 7, 13, 12])
+    @pytest.mark.parametrize("point", _EQUIV_POINTS, ids=repr)
+    def test_top_matches_table(self, point, modulus):
+        # omega_top sums the triangle's paths; the full table is the reference
+        for flipped in (False, True):
+            with flipped_omega_coupling() if flipped else nullcontext():
+                for n in range(1, 41):
+                    try:
+                        want = omega_table(point, n, modulus).top()
+                    except LocalizationError:
+                        with pytest.raises(LocalizationError):
+                            omega_top(point, n, modulus)
+                        continue
+                    got = omega_top(point, n, modulus)
+                    assert got == want and type(got) is type(want), (flipped, n)
+                    if isinstance(want, QuadExt):
+                        assert (type(got.a), type(got.b)) == (type(want.a), type(want.b))
+
+    def test_top_matches_table_at_large_n(self):
+        assert omega_top(QPoint(1, 4), 1024) == omega_table(QPoint(1, 4), 1024).top()
 
     def test_modular_consistency(self):
         point = QPoint(2, -3)
@@ -160,13 +189,6 @@ class TestOmegaTable:
         table = omega_table(QPoint(1, 1), 7)
         with pytest.raises(IndexError):
             table.entry(2, 2)
-
-    def test_top_only_blocks_entry_access(self):
-        from quanta.sequences import _build_omega, as_point
-
-        rolled = _build_omega(as_point((1, 1)), 7, None, keep=False)
-        with pytest.raises(IndexError):
-            rolled.entry(0, 1)
 
     def test_json_round_trip(self):
         table = omega_table(QPoint(1, 1), 5)
