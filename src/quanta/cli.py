@@ -149,6 +149,8 @@ def _special_period(point: QPoint) -> int | None:
 def _cmd_table(args) -> int:
     if args.nmax > OMEGA_MAX_N:
         raise primes.FeasibilityError(f"--nmax is capped at {OMEGA_MAX_N}; got {args.nmax}")
+    if args.nmax < 2:
+        raise ValueError(f"--nmax must be >= 2; got {args.nmax}")
     point = parse_point(args.point)
     period = _special_period(point)
     rows = []

@@ -16,9 +16,10 @@ from math import factorial
 
 from .scalars import QuadExt, _canon
 from .sequences import (
-    OmegaTable,
     QPoint,
+    Triangle,
     _expansion_coeff,
+    _psi_sum,
     as_point,
     delta,
     falling_factorial,
@@ -32,7 +33,58 @@ from .sequences import (
 _SCALARS = (int, Fraction)
 
 
-class BiPoly:
+class _Poly:
+    """Ring plumbing shared by BiPoly and UniPoly: immutability, the
+    operators derived from ``const``, ``__add__``, ``__neg__`` and
+    ``__mul__``, and equality on the canonical ``coeffs``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __radd__(self, other):
+        return self + other
+
+    def __sub__(self, other):
+        if isinstance(other, _SCALARS):
+            other = self.const(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, other):
+        if isinstance(other, _SCALARS):
+            return self * (1 / Fraction(other))
+        return NotImplemented
+
+    def __pow__(self, e: int):
+        if not isinstance(e, int) or e < 0:
+            return NotImplemented
+        result = self.const(1)
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _SCALARS):
+            other = self.const(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+
+class BiPoly(_Poly):
     """Polynomial in two variables with exact rational coefficients.
 
     Sparse map (i, j) -> coefficient of a^i b^j; zero coefficients are never
@@ -49,9 +101,6 @@ class BiPoly:
                 if value:
                     clean[key] = value
         object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("BiPoly is immutable")
 
     @classmethod
     def const(cls, c) -> BiPoly:
@@ -75,20 +124,8 @@ class BiPoly:
             merged[key] = merged.get(key, 0) + value
         return BiPoly(merged)
 
-    __radd__ = __add__
-
     def __neg__(self) -> BiPoly:
         return BiPoly({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other) -> BiPoly:
-        if isinstance(other, _SCALARS):
-            other = BiPoly.const(other)
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> BiPoly:
-        return (-self) + other
 
     def __mul__(self, other) -> BiPoly:
         if isinstance(other, _SCALARS):
@@ -104,23 +141,6 @@ class BiPoly:
         return BiPoly(out)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> BiPoly:
-        if isinstance(other, _SCALARS):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
-    def __pow__(self, e: int) -> BiPoly:
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        result = BiPoly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def deriv_a(self) -> BiPoly:
         return BiPoly(
@@ -146,18 +166,8 @@ class BiPoly:
             raise ValueError("polynomial is not constant")
         return Fraction(self.coeffs.get((0, 0), 0))
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _SCALARS):
-            other = BiPoly.const(other)
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -169,7 +179,7 @@ class BiPoly:
         return "BiPoly(" + " + ".join(terms) + ")"
 
 
-class UniPoly:
+class UniPoly(_Poly):
     """Dense univariate polynomial over exact rationals; index = degree."""
 
     __slots__ = ("coeffs",)
@@ -179,9 +189,6 @@ class UniPoly:
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("UniPoly is immutable")
 
     @classmethod
     def const(cls, c) -> UniPoly:
@@ -208,20 +215,8 @@ class UniPoly:
             out[i] += c
         return UniPoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> UniPoly:
         return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> UniPoly:
-        if isinstance(other, _SCALARS):
-            other = UniPoly.const(other)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> UniPoly:
-        return (-self) + other
 
     def __mul__(self, other) -> UniPoly:
         if isinstance(other, _SCALARS):
@@ -241,24 +236,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> UniPoly:
-        if isinstance(other, _SCALARS):
-            c = Fraction(other)
-            return UniPoly([v / c for v in self.coeffs])
-        return NotImplemented
-
-    def __pow__(self, e: int) -> UniPoly:
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        result = UniPoly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def shifted(self, k: int) -> UniPoly:
         """Multiply by x^k."""
         if not self.coeffs:
@@ -274,18 +251,8 @@ class UniPoly:
             total = total * x + c
         return total
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _SCALARS):
-            other = UniPoly.const(other)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def to_text(self) -> str:
         if not self.coeffs:
@@ -315,7 +282,7 @@ def psi_bipoly(n: int) -> BiPoly:
 
 
 def psi_k_poly(
-    n: int, k: int, point: QPoint | tuple, table: OmegaTable | None = None
+    n: int, k: int, point: QPoint | tuple, table: Triangle | None = None
 ) -> BiPoly:
     """The k-th expansion of psi(a, b, n) along a rational point, built from
     the omega entries, as a polynomial in (a, b)."""
@@ -327,18 +294,11 @@ def psi_k_poly(
         raise ValueError(f"k={k} outside [0, {K}] for n={n}")
     if table is None:
         table = omega_table(point, n)
+    coeffs = [
+        _expansion_coeff(n, r, k, table.entry(r, k)).as_fraction() for r in range(K - k + 1)
+    ]
     a = BiPoly.var_a()
-    t = 2 * a - BiPoly.var_b()
-    tpowers = [BiPoly.const(1)]
-    for _ in range(K - k):
-        tpowers.append(tpowers[-1] * t)
-    total = BiPoly()
-    apow = BiPoly.const(1)
-    for r in range(K - k + 1):
-        c = _expansion_coeff(n, r, k, table.entry(r, k)).as_fraction()
-        total = total + c * apow * tpowers[K - k - r]
-        apow = apow * a
-    return total
+    return _psi_sum(coeffs, a, 2 * a - BiPoly.var_b())
 
 
 def dir_derivative(poly: BiPoly, point: QPoint | tuple, times: int = 1) -> BiPoly:
@@ -371,7 +331,7 @@ def verify_derivative_expansion(
     n: int,
     k: int,
     point: QPoint | tuple,
-    table: OmegaTable | None = None,
+    table: Triangle | None = None,
     base: BiPoly | None = None,
 ) -> bool:
     """Omega-built expansion polynomial == (-1)^k/k! times the k-fold

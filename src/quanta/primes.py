@@ -26,7 +26,7 @@ from .sequences import (
     omega_top,
     psi_point,
     psi_pow2,
-    psi_rec,
+    second_fundamental,
     second_fundamental_v2,
 )
 
@@ -217,17 +217,11 @@ def harmonic_number(k: int) -> Fraction:
     return span(1, k + 1)
 
 
-def _as_int(x) -> int:
-    if isinstance(x, QuadExt):
-        f = x.as_fraction()
-        if f.denominator != 1:
-            raise ValueError(f"{x} is not an integer")
-        return f.numerator
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            raise ValueError(f"{x} is not an integer")
-        return x.numerator
-    return int(x)
+def _as_int(x: QuadExt) -> int:
+    f = x.as_fraction()
+    if f.denominator != 1:
+        raise ValueError(f"{x} is not an integer")
+    return f.numerator
 
 
 # -- prime emergence -----------------------------------------------------------
@@ -363,8 +357,8 @@ def lambda_emergence_check(k: int) -> bool:
     if k < 2:
         raise ValueError("k must be >= 2")
     p, q = nth_prime(k), nth_prime(k + 1)
-    table, _ = fib_lambda_table(2 * p)
-    quotient, rem = divmod(table.top(), fibonacci(2 * p))
+    top, _ = fib_lambda_table(2 * p)
+    quotient, rem = divmod(top, fibonacci(2 * p))
     if rem:
         raise TheoremViolationError(f"companion top not divisible by F({2 * p})")
     return quotient % q == 0
@@ -417,15 +411,9 @@ def mersenne_representation(p: int) -> int:
     """2^p - 1 recovered as the fundamental ratio at the point (-2, -5)."""
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be odd and >= 3")
-    top = _as_int(omega_top(MERSENNE_POINT, p))
-    value, rem = divmod(top, falling_factorial(p))
-    expected = (1 << p) - 1
-    if rem:
-        raise TheoremViolationError(f"top entry not divisible at p={p}")
-    if value != expected:
+    value = _as_int(second_fundamental(MERSENNE_POINT, p))
+    if value != (1 << p) - 1:
         raise TheoremViolationError(f"ratio != 2^{p} - 1")
-    if psi_rec(-2, -5, p) != expected:
-        raise TheoremViolationError(f"psi(-2, -5, {p}) != 2^{p} - 1")
     return value
 
 
@@ -498,17 +486,11 @@ def fermat_representation(n: int) -> int:
             (N - r - k) * prev[r] + 4 * (N - 2 * r - 1) * prev[r + 1]
             for r in range(K - k + 1)
         ]
-    top = prev[0]
-    if top != _as_int(omega_top(MERSENNE_POINT, N)):
+    value = _as_int(second_fundamental(MERSENNE_POINT, N))
+    if prev[0] != value * falling_factorial(N):
         raise TheoremViolationError(f"transcribed recurrence disagrees with engine at n={n}")
-    value, rem = divmod(top, falling_factorial(N))
-    expected = (1 << N) + 1
-    if rem:
-        raise TheoremViolationError(f"top entry not divisible at n={n}")
-    if value != expected:
+    if value != (1 << N) + 1:
         raise TheoremViolationError(f"ratio != 2^(2^{n}) + 1")
-    if psi_rec(-2, -5, N) != expected:
-        raise TheoremViolationError(f"psi(-2, -5, {N}) != 2^(2^{n}) + 1")
     return value
 
 
@@ -517,15 +499,10 @@ def lucas_fib_representations(n: int) -> tuple[int, int]:
     and the sequence oscillating between F(n) (odd n) and L(n) (even n)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    ff = falling_factorial(n)
-    lucas_val, rem = divmod(_as_int(omega_top(QPoint(-1, -3), n)), ff)
-    if rem:
-        raise TheoremViolationError(f"(-1,-3) top entry not divisible at n={n}")
+    lucas_val = _as_int(second_fundamental(QPoint(-1, -3), n))
     if lucas_val != lucas(n):
         raise TheoremViolationError(f"(-1,-3) ratio != L({n})")
-    osc, rem = divmod(_as_int(omega_top(QPoint(1, -3), n)), ff)
-    if rem:
-        raise TheoremViolationError(f"(1,-3) top entry not divisible at n={n}")
+    osc = _as_int(second_fundamental(QPoint(1, -3), n))
     expected = fibonacci(n) if n & 1 else lucas(n)
     if osc != expected:
         raise TheoremViolationError(f"(1,-3) ratio mismatch at n={n}")

@@ -474,11 +474,7 @@ def parse_scalar(text: str) -> QuadExt:
                 )
             radicand = rad
             coeff += sign * value
-        elif rad == 0:
-            pass  # c*sqrt(0) contributes nothing
-        elif rad == 1:
-            rational += sign * value
-        else:
+        elif rad != 0:  # c*sqrt(0) contributes nothing; c*sqrt(1) is rational
             rational += sign * value
         pos = m.end()
         first = False

@@ -15,22 +15,23 @@ entry omega_0(floor(n/2)) divided by the falling-factorial product
 single most exercised identity in the verification suite.
 
 The recurrence runners are generic over any ring whose elements support
-arithmetic with ints (exact scalars, residues, polynomials).  The omega,
-lambda and Fibonacci-companion triangles share one kernel, ``_triangle``,
-which fills X_r(k) = f(k+r) X_r(k-1) + g(r) X_{r+1}(k-1) from a seed row and
-the two multiplier vectors f and g that each caller builds.  ``omega_top``
-needs only the top entry of the unit-seed triangle, and ``_unit_seed_top``
-gets it from the same f and g as a sum over the triangle's paths in
-floor(n/2) steps instead of filling the triangle's cells.  Both keep the
-omega work in native bigint arithmetic: rational points are scaled to
-integer multipliers and quadratic points run on integer component pairs.
+arithmetic with ints (exact scalars, residues, polynomials).  One kernel,
+``_triangle``, fills X_r(k) = f(k+r) X_r(k-1) + g(r) X_{r+1}(k-1) from a seed
+row and the multiplier vectors f and g that each caller builds.  The omega
+and lambda tables are both a ``Triangle``; they differ only in how a raw
+kernel entry becomes a scalar.  ``omega_top`` and the Fibonacci companion
+need only the top entry of a unit-seed triangle, which ``_unit_seed_top``
+sums over the triangle's paths in floor(n/2) steps from the same f and g;
+the two kernels are each other's reference.  Both keep the omega work in
+native bigint arithmetic: rational points are scaled to integer multipliers
+and quadratic points run on integer component pairs.
 """
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, lcm, prod
 from typing import Iterator, Union
 
@@ -166,18 +167,19 @@ def psi_closed(a, b, n: int):
     """psi(a, b, n) by the floor(n/2)-term closed form; must match psi_rec."""
     if n < 1:
         raise ValueError("closed form needs n >= 1")
-    half = n // 2
-    t = 2 * a - b
-    tpow = t * 0 + 1
-    tpowers = [tpow]
-    for _ in range(half):
-        tpow = tpow * t
-        tpowers.append(tpow)
-    apow = a * 0 + 1
-    total = a * 0
-    for i in range(half + 1):
-        sign = -1 if i & 1 else 1
-        total = total + (sign * _lucas_coeff(n, i)) * apow * tpowers[half - i]
+    return _psi_sum([lambda_seed(n, i) for i in range(n // 2 + 1)], a, 2 * a - b)
+
+
+def _psi_sum(coeffs: list, a, t):
+    """sum_r coeffs[r] a^r t^(m-r), m = len(coeffs) - 1, in Horner form.
+
+    The closed form of psi, its k-th expansions and their polynomial form
+    (``polynomials.psi_k_poly``) all evaluate this sum, each with its own
+    coefficients, over the ring of a and t = 2a - b.
+    """
+    total, apow = coeffs[0] * t**0, a
+    for c in coeffs[1:]:
+        total = total * t + c * apow
         apow = apow * a
     return total
 
@@ -330,52 +332,34 @@ def _unit_seed_top(diag, coupling, d=None, modulus=None):
     return u, v
 
 
-def _omega_scalar(raw, d: int, modulus: int | None, scale_k: int):
-    """A kernel entry as the table's scalar; ``raw`` is an int or a (u, v)
-    pair over sqrt(d), and ``scale_k`` the power of the point's scale it
-    carries."""
-    if type(raw) is tuple:
-        u, v = raw
-        if scale_k != 1:
-            u, v = Fraction(u, scale_k), Fraction(v, scale_k)
-        return QuadExt(u, v, d)
-    if modulus is not None:
-        return ModInt(raw, modulus)
-    return QuadExt(raw if scale_k == 1 else Fraction(raw, scale_k))
+class Triangle:
+    """The triangle X_r(k), 0 <= r+k <= floor(n/2), that ``_triangle`` filled.
 
-
-class OmegaTable:
-    """The triangular array omega_r(k) for 0 <= r+k <= floor(n/2).
-
-    Entries materialize as QuadExt for exact tables; modular tables yield
-    ModInt at rational points and componentwise-residue QuadExt at quadratic
-    points (the table-level ``modulus`` qualifies those components).
+    ``scalar(raw, k)`` turns a raw entry of level k (an int, a ring element,
+    or a (u, v) pair over sqrt(d) when the level is a pair of lists) into the
+    value ``entry`` returns.  Exact omega and lambda tables yield QuadExt;
+    modular omega tables yield ModInt at rational points and
+    componentwise-residue QuadExt at quadratic points (``modulus`` qualifies
+    those components).
     """
 
-    def __init__(
-        self, point: QPoint, n: int, modulus: int | None, levels: list, scale: int
-    ) -> None:
+    def __init__(self, point: QPoint, n: int, levels: list, scalar, modulus: int | None = None):
         self.point = point
         self.n = n
         self.modulus = modulus
         self.K = n // 2
         self._levels = levels
-        self._scale = scale
+        self._scalar = scalar
 
     def entry(self, r: int, k: int):
         if k < 0 or r < 0 or r + k > self.K:
             raise IndexError(f"(r={r}, k={k}) outside triangle for n={self.n}")
         level = self._levels[k]
-        raw = (level[0][r], level[1][r]) if self.point.d else level[r]
-        return _omega_scalar(raw, self.point.d, self.modulus, self._scale**k)
+        return self._scalar((level[0][r], level[1][r]) if type(level) is tuple else level[r], k)
 
     def top(self):
-        """omega_0(floor(n/2)), the numerator of the fundamental ratio."""
+        """X_0(floor(n/2)); for omega, the numerator of the fundamental ratio."""
         return self.entry(0, self.K)
-
-    def stable_column(self) -> list:
-        """The r = 0 column across all levels."""
-        return [self.entry(0, k) for k in range(self.K + 1)]
 
     def to_dict(self) -> dict:
         return {
@@ -389,14 +373,26 @@ class OmegaTable:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
-
 
 def format_scalar_entry(value) -> str:
     if isinstance(value, ModInt):
         return str(value.residue)
     return format_scalar(value)
+
+
+def _omega_scalar(d: int, modulus: int | None, scale: int, raw, k: int):
+    """A kernel entry of level k as the omega table's scalar; ``raw`` is an
+    int or a (u, v) pair over sqrt(d) and carries the point's scale to the
+    power k."""
+    scale_k = scale**k
+    if type(raw) is tuple:
+        u, v = raw
+        if scale_k != 1:
+            u, v = Fraction(u, scale_k), Fraction(v, scale_k)
+        return QuadExt(u, v, d)
+    if modulus is not None:
+        return ModInt(raw, modulus)
+    return QuadExt(raw if scale_k == 1 else Fraction(raw, scale_k))
 
 
 def _omega_vectors(point: QPoint, n: int, modulus: int | None):
@@ -422,13 +418,13 @@ def _omega_vectors(point: QPoint, n: int, modulus: int | None):
     return scale, d, diag, coupling
 
 
-def omega_table(point: QPoint | tuple, n: int, modulus: int | None = None) -> OmegaTable:
+def omega_table(point: QPoint | tuple, n: int, modulus: int | None = None) -> Triangle:
     """Full triangle, all entries retained."""
     point = as_point(point)
     scale, d, diag, coupling = _omega_vectors(point, n, modulus)
     seed = [1] * (n // 2 + 1)
     levels = _triangle(seed if d is None else (seed, [0] * len(seed)), diag, coupling, d, modulus)
-    return OmegaTable(point, n, modulus, levels, scale)
+    return Triangle(point, n, levels, partial(_omega_scalar, point.d, modulus, scale), modulus)
 
 
 def omega_top(point: QPoint | tuple, n: int, modulus: int | None = None):
@@ -437,7 +433,7 @@ def omega_top(point: QPoint | tuple, n: int, modulus: int | None = None):
     point = as_point(point)
     scale, d, diag, coupling = _omega_vectors(point, n, modulus)
     top = _unit_seed_top(diag, coupling, d, modulus)
-    return _omega_scalar(top, point.d, modulus, scale ** (n // 2))
+    return _omega_scalar(point.d, modulus, scale, top, n // 2)
 
 
 _CLOSED_FORMS = {(1, -2), (1, 2), (0, -1)}
@@ -461,43 +457,12 @@ def omega_closed(point_id: tuple[int, int], r: int, k: int, n: int) -> int:
 # -- lambda triangle ----------------------------------------------------------
 
 
-class LambdaTable:
-    """Triangle of derivative-expansion coefficients lambda_r(k)."""
-
-    def __init__(self, point: QPoint, n: int, levels: list) -> None:
-        self.point = point
-        self.n = n
-        self.K = n // 2
-        self._levels = levels
-
-    def entry(self, r: int, k: int) -> QuadExt:
-        if k < 0 or r < 0 or r + k > self.K:
-            raise IndexError(f"(r={r}, k={k}) outside triangle for n={self.n}")
-        raw = self._levels[k][r]
-        return raw if isinstance(raw, QuadExt) else QuadExt(raw)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "point": [format_scalar(self.point.alpha), format_scalar(self.point.beta)],
-            "modulus": None,
-            "entries": [
-                [r, k, format_scalar(self.entry(r, k))]
-                for k in range(self.K + 1)
-                for r in range(self.K - k + 1)
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
-
-
 def lambda_seed(n: int, r: int) -> int:
     """(-1)^r n/(n-r) C(n-r, r), checked integral rather than assumed."""
     return (-1) ** r * _lucas_coeff(n, r)
 
 
-def lambda_table(point: QPoint | tuple, n: int) -> LambdaTable:
+def lambda_table(point: QPoint | tuple, n: int) -> Triangle:
     """lambda_r(k) = m1(K-r-k+1) lambda_r(k-1) + m2(r+1) lambda_{r+1}(k-1)
     with m1 = 2z-x, m2 = z and the signed closed-form seeds."""
     if n < 1:
@@ -513,7 +478,8 @@ def lambda_table(point: QPoint | tuple, n: int) -> LambdaTable:
     diag = [m1 * (K - j + 1) for j in range(K + 1)]
     coupling = [m2 * (r + 1) for r in range(K)]
     seed = [lambda_seed(n, r) for r in range(K + 1)]
-    return LambdaTable(point, n, _triangle(seed, diag, coupling))
+    levels = _triangle(seed, diag, coupling)
+    return Triangle(point, n, levels, lambda raw, k: raw if type(raw) is QuadExt else QuadExt(raw))
 
 
 def lambda_from_omega(
@@ -521,7 +487,7 @@ def lambda_from_omega(
     n: int,
     r: int,
     k: int,
-    table: OmegaTable | None = None,
+    table: Triangle | None = None,
 ) -> QuadExt:
     """lambda_r(k) recovered from the omega entry by the factorial bridge."""
     point = as_point(point)
@@ -558,7 +524,7 @@ def psi_k_expand(
     point: QPoint | tuple,
     n: int,
     k: int,
-    table: OmegaTable | None = None,
+    table: Triangle | None = None,
 ) -> tuple[QuadExt, list[QuadExt]]:
     """Value and coefficient list of the k-th expansion of psi(a, b, n)
     along the point.
@@ -587,16 +553,7 @@ def psi_k_expand(
                 raise TheoremViolationError(
                     f"non-integral expansion coefficient at n={n}, k={k}, r={r}"
                 )
-    t = 2 * aq - bq
-    value = QuadExt(0)
-    apow = QuadExt(1)
-    tpowers = [QuadExt(1)]
-    for _ in range(K - k):
-        tpowers.append(tpowers[-1] * t)
-    for r, c in enumerate(coeffs):
-        value = value + c * apow * tpowers[K - k - r]
-        apow = apow * aq
-    return value, coeffs
+    return _psi_sum(coeffs, aq, 2 * aq - bq), coeffs
 
 
 def second_fundamental(point: QPoint | tuple, n: int) -> QuadExt:
@@ -637,20 +594,25 @@ def second_fundamental_v2(point: QPoint | tuple, n: int) -> QuadExt:
     return ratio
 
 
+def _power_sum_quotient(x: int, y: int, n: int) -> int | None:
+    """(x^n + y^n)/(x+y)^(n mod 2), or None when the division is inexact."""
+    num = x**n + y**n
+    if not n & 1:
+        return num
+    if x + y == 0:
+        raise ValueError("x + y must be nonzero for odd n")
+    val, rem = divmod(num, x + y)
+    return None if rem else val
+
+
 def sums_of_powers_check(x: int, y: int, n: int) -> bool:
     """(x^n + y^n)/(x+y)^(n mod 2) against psi, the omega ratio, and the
     explicit power-sum expansion."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    num = x**n + y**n
-    if n & 1:
-        if x + y == 0:
-            raise ValueError("x + y must be nonzero for odd n")
-        val, rem = divmod(num, x + y)
-        if rem:
-            return False
-    else:
-        val = num
+    val = _power_sum_quotient(x, y, n)
+    if val is None:
+        return False
     point = QPoint(x * y, -x * x - y * y)
     if psi_point(point, n) != val:
         return False
@@ -660,7 +622,7 @@ def sums_of_powers_check(x: int, y: int, n: int) -> bool:
         (-1) ** i * _lucas_coeff(n, i) * (x * y) ** i * (x + y) ** (n - 2 * i)
         for i in range(n // 2 + 1)
     )
-    return expansion == num
+    return expansion == x**n + y**n
 
 
 def psi_expansion_identity_check(
@@ -675,15 +637,9 @@ def psi_expansion_identity_check(
     if not pivot:
         raise DegeneratePointError(f"beta*a == alpha*b for point {point}")
     K = n // 2
-    num = x**n + y**n
-    if n & 1:
-        if x + y == 0:
-            raise ValueError("x + y must be nonzero for odd n")
-        val, rem = divmod(num, x + y)
-        if rem:
-            return False
-    else:
-        val = num
+    val = _power_sum_quotient(x, y, n)
+    if val is None:
+        return False
     lhs = pivot**K * val
     table = omega_table(point, n)
     p_form = point.alpha * (x * x) + point.beta * (x * y) + point.alpha * (y * y)
@@ -698,38 +654,19 @@ def psi_expansion_identity_check(
 # -- the companion triangle feeding Fibonacci ---------------------------------
 
 
-class FibTable:
-    """Triangle for the Fibonacci-producing companion recurrence."""
-
-    def __init__(self, n: int, levels: list[list[int]]) -> None:
-        self.n = n
-        self.K = (n - 1) // 2
-        self._levels = levels
-
-    def entry(self, r: int, k: int) -> int:
-        if k < 0 or r < 0 or r + k > self.K:
-            raise IndexError(f"(r={r}, k={k}) outside triangle for n={self.n}")
-        return self._levels[k][r]
-
-    def top(self) -> int:
-        return self._levels[self.K][0]
-
-
-def fib_lambda_table(n: int) -> tuple[FibTable, int]:
-    """Companion triangle L_r(k) = (n-r-k) L_r(k-1) + 2(n-1-2r-d(n)) L_{r+1}(k-1)
-    with unit seeds; the normalized top entry is checked equal to F(n)."""
+def fib_lambda_table(n: int) -> tuple[int, int]:
+    """Top entry L_0(K), K = floor((n-1)/2), of the companion triangle
+    L_r(k) = (n-r-k) L_r(k-1) + 2(n-1-2r-d(n)) L_{r+1}(k-1) with unit seeds,
+    and its normalized value, checked equal to F(n)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     K = (n - 1) // 2
-    dn = delta(n)
     diag = [n - j for j in range(K + 1)]
-    coupling = [2 * (n - 1 - 2 * r - dn) for r in range(K)]
-    levels = _triangle([1] * (K + 1), diag, coupling)
-    table = FibTable(n, levels)
-    denom = prod(n - j for j in range(1, K + 1))
-    value, rem = divmod(table.top(), denom)
+    coupling = [2 * (n - 1 - 2 * r - delta(n)) for r in range(K)]
+    top = _unit_seed_top(diag, coupling)
+    value, rem = divmod(top, prod(range(n - K, n)))
     if rem:
         raise TheoremViolationError(f"companion top entry not divisible at n={n}")
     if value != fibonacci(n):
         raise TheoremViolationError(f"companion ratio != F({n})")
-    return table, value
+    return top, value

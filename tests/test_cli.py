@@ -259,3 +259,11 @@ class TestTableCommand:
         code, out, _ = run_cli(capsys, *argv, "7")
         assert code == EXIT_OK and len(out.splitlines()) == 7  # header + n in [2, 7]
         assert run_cli(capsys, *argv, "8")[0] == EXIT_USAGE
+
+    def test_nmax_below_two_is_refused_in_every_format(self, capsys):
+        for fmt in ("pretty", "json", "csv"):
+            for nmax in ("1", "0", "-3"):
+                argv = ["table", "--point", "1,1", "--format", fmt, "--nmax", nmax]
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, out) == (EXIT_USAGE, "")
+                assert err == f"error: --nmax must be >= 2; got {nmax}\n"

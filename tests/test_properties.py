@@ -147,10 +147,16 @@ class TestIntegerBackedRationals:
             (up * uq, _ref_poly_mul(p, q)),
             (up + uq, sums),
             (up * 4, [Fraction(u) * 4 for u in p]),
+            (up - uq, [Fraction(u) - v for u, v in zip(*padded)]),
+            (4 - up, [4 - Fraction(u) if i == 0 else -u for i, u in enumerate(p or [0])]),
+            (up / 3, [Fraction(u) / 3 for u in p]),
+            (up**2, _ref_poly_mul(p, p)),
         ]
         for got, ref in cases:
             assert got.coeffs == _trimmed(ref)
             assert all(_canonical(c) for c in got.coeffs)
+        assert (up == 3) == (_trimmed(p) == (3,))
+        assert UniPoly([3]) == 3 and UniPoly() == 0
 
 
 class TestDivisibilityAgainstBruteForce:
@@ -197,11 +203,13 @@ nonzero_pairs = st.tuples(
 
 
 class TestSequenceInvariants:
-    @given(ab=nonzero_pairs, n=st.integers(1, 24))
+    @given(ab=nonzero_pairs, n=st.integers(1, 24), d=radicands, data=st.data())
     @settings(max_examples=120)
-    def test_closed_form_matches_recurrence(self, ab, n):
+    def test_closed_form_matches_recurrence(self, ab, n, d, data):
         a, b = ab
         assert psi_closed(a, b, n) == psi_rec(a, b, n)
+        qa, qb = data.draw(quad_elements(d)), data.draw(quad_elements(d))
+        assert psi_closed(qa, qb, n) == psi_rec(qa, qb, n)
 
     @given(ab=nonzero_pairs, n=st.integers(0, 14), m=st.integers(0, 14))
     @settings(max_examples=120)

@@ -10,6 +10,8 @@ import pytest
 from quanta.scalars import GOLDEN, LocalizationError, ModInt, QuadExt, SQRT2, SQRT5, divides_int
 from quanta.sequences import (
     DegeneratePointError,
+    _triangle,
+    _unit_seed_top,
     KernelPointError,
     QPoint,
     TheoremViolationError,
@@ -192,7 +194,7 @@ class TestOmegaTable:
 
     def test_json_round_trip(self):
         table = omega_table(QPoint(1, 1), 5)
-        payload = json.loads(table.to_json())
+        payload = json.loads(json.dumps(table.to_dict()))
         assert payload["n"] == 5
         assert payload["point"] == ["1", "1"]
         assert payload["modulus"] is None
@@ -200,7 +202,7 @@ class TestOmegaTable:
 
     def test_stable_column(self):
         table = omega_table(QPoint(1, -2), 8)
-        assert table.stable_column() == [
+        assert [table.entry(0, k) for k in range(5)] == [
             QuadExt(omega_closed((1, -2), 0, k, 8)) for k in range(5)
         ]
 
@@ -363,11 +365,17 @@ class TestExpansionIdentity:
 
 class TestFibTable:
     def test_hand_dp_n5(self):
-        table, value = fib_lambda_table(5)
-        assert table.entry(0, 1) == 10
-        assert table.entry(1, 1) == 5
-        assert table.top() == 60
-        assert value == 5
+        assert fib_lambda_table(5) == (60, 5)
+
+    def test_top_matches_filled_triangle(self):
+        # the filled triangle stays the reference for the path-sum top
+        for n in range(2, 81):
+            K = (n - 1) // 2
+            diag = [n - j for j in range(K + 1)]
+            coupling = [2 * (n - 1 - 2 * r - n % 2) for r in range(K)]
+            want = _triangle([1] * (K + 1), diag, coupling)[K][0]
+            assert _unit_seed_top(diag, coupling) == want
+            assert fib_lambda_table(n)[0] == want
 
     def test_smallest_case(self):
         _, value = fib_lambda_table(2)

@@ -234,18 +234,14 @@ class TestFaultInjection:
     def test_flipped_coupling_changes_tables(self, point, n, modulus):
         from quanta.sequences import QPoint, fib_lambda_table, lambda_table, omega_top
 
-        def fib_entries():
-            t, _ = fib_lambda_table(n)
-            return [t.entry(r, k) for k in range(t.K + 1) for r in range(t.K - k + 1)]
-
         point = QPoint(*point)
         clean = omega_top(point, n, modulus)
-        lam, fib = lambda_table(point, n).to_dict(), fib_entries()
+        lam, fib = lambda_table(point, n).to_dict(), fib_lambda_table(n)
         with flipped_omega_coupling():
             perturbed = omega_top(point, n, modulus)
             # the flip perturbs the omega coupling only, never the other triangles
             assert lambda_table(point, n).to_dict() == lam
-            assert fib_entries() == fib
+            assert fib_lambda_table(n) == fib
         assert clean != perturbed
         assert omega_top(point, n, modulus) == clean  # flag restored
 
