@@ -104,11 +104,7 @@ def _cmd_omega(args) -> int:
             _print_progress(f"error: (r, k) outside triangle for n={args.n}")
             return EXIT_USAGE
         table = omega_table(point, args.n, modulus=args.mod)
-        entry = table.entry(args.r, args.k)
-        if isinstance(entry, ModInt):
-            print(entry.residue)
-        else:
-            print(format_scalar(entry))
+        print(table.entry(args.r, args.k))
         return EXIT_OK
     table = omega_table(point, args.n, modulus=args.mod)
     print(json.dumps(table.to_dict(), separators=(",", ":")))
@@ -286,6 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # psi and omega values outgrow the default 4300-digit str() limit; argv
+    # strings, the only text parsed, are capped by the OS (128 KiB on Linux)
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -242,9 +242,6 @@ class UniPoly(_Poly):
             return self
         return UniPoly([0] * k + list(self.coeffs))
 
-    def deriv(self) -> UniPoly:
-        return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
-
     def evaluate(self, x):
         total = x * 0
         for c in reversed(self.coeffs):
@@ -294,9 +291,7 @@ def psi_k_poly(
         raise ValueError(f"k={k} outside [0, {K}] for n={n}")
     if table is None:
         table = omega_table(point, n)
-    coeffs = [
-        _expansion_coeff(n, r, k, table.entry(r, k)).as_fraction() for r in range(K - k + 1)
-    ]
+    coeffs = [_expansion_coeff(table, r, k).as_fraction() for r in range(K - k + 1)]
     a = BiPoly.var_a()
     return _psi_sum(coeffs, a, 2 * a - BiPoly.var_b())
 

@@ -286,19 +286,12 @@ def _cleared_components(x: QuadExt) -> tuple[int, int, int]:
 def divides_int(m: int, x: RationalLike) -> bool:
     """Whether the integer m >= 2 divides x componentwise.
 
-    x is cleared to (u + v*sqrt(d)) / q; q must be coprime to m (otherwise
-    the question has no answer in the localization and LocalizationError is
-    raised), and the result is m | u and m | v.
+    x = (u + v*sqrt(d)) / q has residues (u/q mod m, v/q mod m); q must be
+    coprime to m (otherwise the question has no answer in the localization
+    and LocalizationError is raised), and since q is then invertible mod m,
+    m divides x exactly when both residues are 0.
     """
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    xq = QuadExt._coerce(x)
-    if xq is None:
-        raise TypeError(f"cannot test divisibility of {type(x).__name__}")
-    u, v, q = _cleared_components(xq)
-    if gcd(q, m) != 1:
-        raise LocalizationError(f"denominator {q} shares a factor with {m}")
-    return u % m == 0 and v % m == 0
+    return reduce_mod(x, m) == (0, 0)
 
 
 def reduce_mod(x: RationalLike, m: int) -> tuple[int, int]:

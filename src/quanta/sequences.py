@@ -367,17 +367,11 @@ class Triangle:
             "point": [format_scalar(self.point.alpha), format_scalar(self.point.beta)],
             "modulus": self.modulus,
             "entries": [
-                [r, k, format_scalar_entry(self.entry(r, k))]
+                [r, k, str(self.entry(r, k))]
                 for k in range(self.K + 1)
                 for r in range(self.K - k + 1)
             ],
         }
-
-
-def format_scalar_entry(value) -> str:
-    if isinstance(value, ModInt):
-        return str(value.residue)
-    return format_scalar(value)
 
 
 def _omega_scalar(d: int, modulus: int | None, scale: int, raw, k: int):
@@ -489,33 +483,27 @@ def lambda_from_omega(
     k: int,
     table: Triangle | None = None,
 ) -> QuadExt:
-    """lambda_r(k) recovered from the omega entry by the factorial bridge."""
-    point = as_point(point)
-    K = n // 2
-    if k < 0 or r < 0 or r + k > K:
+    """lambda_r(k) recovered from the omega entry by the factorial bridge:
+    (-1)^k k! times the expansion coefficient of ``_expansion_coeff``."""
+    if k < 0 or r < 0 or r + k > n // 2:
         raise ValueError(f"(r={r}, k={k}) outside triangle for n={n}")
     if table is None:
         table = omega_table(point, n)
-    factor = Fraction(
-        n * factorial(n - r - k - 1) * factorial(K - r),
-        factorial(n - 2 * r) * factorial(r) * factorial(K - r - k),
-    )
-    if r & 1:
-        factor = -factor
-    return factor * table.entry(r, k)
+    value = _expansion_coeff(table, r, k) * factorial(k)
+    return -value if k & 1 else value
 
 
 # -- fundamental expansions ---------------------------------------------------
 
 
-def _expansion_coeff(n: int, r: int, k: int, omega_entry: QuadExt) -> QuadExt:
-    K = n // 2
-    frac = Fraction(
-        n * factorial(n - r - k - 1), factorial(n - 2 * r) * factorial(r)
-    ) * comb(K - r, k)
+def _expansion_coeff(table: Triangle, r: int, k: int) -> QuadExt:
+    """(-1)^(r+k) n (n-r-k-1)! C(K-r, k) / ((n-2r)! r!) times omega_r(k), the
+    r-th coefficient of the k-th expansion of psi; one exact int division."""
+    n = table.n
+    num = n * factorial(n - r - k - 1) * comb(table.K - r, k)
     if (r + k) & 1:
-        frac = -frac
-    return frac * omega_entry
+        num = -num
+    return table.entry(r, k) * num / (factorial(n - 2 * r) * factorial(r))
 
 
 def psi_k_expand(
@@ -544,9 +532,7 @@ def psi_k_expand(
         raise ValueError(f"k={k} outside [0, {K}] for n={n}")
     if table is None:
         table = omega_table(point, n)
-    coeffs = [
-        _expansion_coeff(n, r, k, table.entry(r, k)) for r in range(K - k + 1)
-    ]
+    coeffs = [_expansion_coeff(table, r, k) for r in range(K - k + 1)]
     if point.is_integral:
         for r, c in enumerate(coeffs):
             if not c.is_integral:

@@ -62,6 +62,12 @@ class TestPsiCommand:
         assert code == EXIT_OK
         assert out.strip() == "0"
 
+    def test_value_over_4300_digits_prints(self, capsys):
+        # str() of an int this long raises under Python's default digit limit
+        code, out, err = run_cli(capsys, "psi", "--point", "1000000000,1", "--n", "1000")
+        assert code == EXIT_OK, err
+        assert len(out.strip().lstrip("-")) > 4300
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "psi", "--point", "1,,2", "--n", "3")
         assert code == EXIT_USAGE

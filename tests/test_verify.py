@@ -85,6 +85,10 @@ class TestRunCheck:
         with pytest.raises(KeyError):
             run_check("nonexistent")
 
+    def test_bad_profile(self):
+        with pytest.raises(ValueError, match="profile must be 'quick' or 'full'"):
+            run_check("k00", profile="quik")
+
     def test_override_applies(self):
         report = run_check("harmonic", {"nmax": 57})
         assert report.cases_run == 7  # n in {9, 17, ..., 57}
@@ -251,6 +255,14 @@ class TestFaultInjection:
         assert fraction >= 0.9
         # the coupling coefficient vanishes at (0, -1), so the flip is inert there
         assert {id for id, status in statuses.items() if status != "fail"} == {"AU11"}
+
+    def test_f1100_bridge_path_sees_a_wrong_omega_table(self):
+        # the bridge compares omega-built coefficients with the lambda
+        # triangle, which the flip leaves intact
+        with flipped_omega_coupling():
+            report = run_check("F1100", REGISTRY["F1100"].tiny)
+        assert report.status == "fail"
+        assert any(f["params"].get("path") == "bridge" for f in report.failures)
 
     def test_zero_coupling_point_is_insensitive(self):
         # at (0, -1) the coupling coefficient is zero, so the flip is inert
