@@ -44,6 +44,7 @@ EXIT_USAGE = 2
 # grows as about n^3 (58 MB at n = 1000); `quanta table` computes one top per
 # n up to nmax.  Larger n is refused by both.
 OMEGA_MAX_N = 1024
+PSI_MAX_N = 131072  # `quanta psi`: n steps on n-digit numbers; about 1 s at (1, 4)
 
 
 def parse_point(text: str) -> QPoint:
@@ -74,6 +75,8 @@ def _print_progress(message: str) -> None:
 
 
 def _cmd_psi(args) -> int:
+    if args.n > PSI_MAX_N:
+        raise primes.FeasibilityError(f"--n is capped at {PSI_MAX_N}; got {args.n}")
     point = parse_point(args.point)
     if args.mod is not None:
         if point.is_rational:

@@ -22,9 +22,9 @@ and lambda tables are both a ``Triangle``; they differ only in how a raw
 kernel entry becomes a scalar.  ``omega_top`` and the Fibonacci companion
 need only the top entry of a unit-seed triangle, which ``_unit_seed_top``
 sums over the triangle's paths in floor(n/2) steps from the same f and g;
-the two kernels are each other's reference.  Both keep the omega work in
-native bigint arithmetic: rational points are scaled to integer multipliers
-and quadratic points run on integer component pairs.
+the two kernels are each other's reference.  They and ``psi_point`` run in
+native bigint arithmetic on the point's integer lift (``_lift``): rational
+points are scaled to integers, quadratic points to integer component pairs.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import partial
 from math import comb, factorial, lcm, prod
 from typing import Iterator, Union
 
-from .scalars import ModInt, QuadExt, format_scalar, reduce_mod
+from .scalars import ModInt, QuadExt, _result, format_scalar, reduce_mod
 
 Scalar = Union[int, Fraction, QuadExt]
 
@@ -136,6 +136,17 @@ def as_point(point: QPoint | tuple) -> QPoint:
     return QPoint(*point)
 
 
+def _lift(point: QPoint) -> tuple[int, tuple[int, int], tuple[int, int], int]:
+    """The point's integer lift: the scale s = lcm of the four component
+    denominators, the pairs (u, v) of s*alpha and s*beta as u + v sqrt(d),
+    and d.  psi and the omega kernel both run on it."""
+    zu, zv, xu, xv = parts = (point.alpha.a, point.alpha.b, point.beta.a, point.beta.b)
+    s = lcm(zu.denominator, zv.denominator, xu.denominator, xv.denominator)
+    if s != 1:
+        zu, zv, xu, xv = (c.numerator * (s // c.denominator) for c in parts)
+    return s, (zu, zv), (xu, xv), point.d
+
+
 # -- psi --------------------------------------------------------------------
 
 
@@ -155,12 +166,24 @@ def psi_rec(a, b, n: int):
 
 
 def psi_point(point: QPoint | tuple, n: int) -> QuadExt:
-    """psi at a parameter point, returned as an exact scalar."""
-    point = as_point(point)
-    al, be = point.alpha, point.beta
-    if point.is_rational:
-        return QuadExt(psi_rec(al.a, be.a, n))
-    return psi_rec(al, be, n)
+    """psi at a parameter point, exactly.  psi_n(s a, s b) = s^floor(n/2)
+    psi_n(a, b), so it runs on the integer lift and divides once at the end."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    s, (zu, zv), (xu, xv), d = _lift(as_point(point))
+    q = s ** (n // 2)
+    if not d:
+        value = psi_rec(zu, xu, n)
+        return _result(value if q == 1 else Fraction(value, q), 0, 0)
+    # psi_rec fused on pairs u + v sqrt(d), t = 2z - x; ends on (pu, pv) = psi(n)
+    tu, tv, tvd, zvd = 2 * zu - xu, 2 * zv - xv, (2 * zv - xv) * d, zv * d
+    pu, pv, cu, cv = 2, 0, 1, 0
+    for m in range(1, n + 1):
+        nu, nv = (tu * cu + tvd * cv, tu * cv + tv * cu) if m & 1 else (cu, cv)
+        pu, pv, cu, cv = cu, cv, nu - zu * pu - zvd * pv, nv - zu * pv - zv * pu
+    if q != 1:
+        pu, pv = Fraction(pu, q), Fraction(pv, q)
+    return _result(pu, pv, d)
 
 
 def psi_closed(a, b, n: int):
@@ -194,20 +217,13 @@ def psi_pow2(a, b, s: int, modulus: int | None = None):
     if s < 1:
         raise ValueError("s must be >= 1")
     if modulus is None:
-        cur = -(a * 0 + b)
-        apow = a * a
-        for _ in range(s - 1):
-            cur = cur * cur - 2 * apow
-            apow = apow * apow
-        return cur
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    ua, va = reduce_mod(a, modulus)
-    ub, vb = reduce_mod(b, modulus)
-    if va or vb:
-        raise ValueError("modular doubling requires rational parameters")
-    cur = ModInt(-ub, modulus)
-    apow = ModInt(ua * ua, modulus)
+        cur, apow = -(a * 0 + b), a * a
+    else:
+        ua, va = reduce_mod(a, modulus)  # raises for a modulus below 2
+        ub, vb = reduce_mod(b, modulus)
+        if va or vb:
+            raise ValueError("modular doubling requires rational parameters")
+        cur, apow = ModInt(-ub, modulus), ModInt(ua * ua, modulus)
     for _ in range(s - 1):
         cur = cur * cur - 2 * apow
         apow = apow * apow
@@ -242,15 +258,6 @@ def flipped_omega_coupling() -> Iterator[None]:
         yield
     finally:
         _coupling_sign = -1
-
-
-def _point_multipliers(point: QPoint) -> tuple[int, tuple[int, int], tuple[int, int], int]:
-    """Scale s and integer component pairs for A = s(2z-x), B = s(2z)."""
-    al, be = point.alpha, point.beta
-    parts = (al.a, al.b, be.a, be.b)
-    s = lcm(*(c.denominator for c in parts))
-    zu, zv, xu, xv = (c.numerator * (s // c.denominator) for c in parts)
-    return s, (2 * zu - xu, 2 * zv - xv), (2 * zu, 2 * zv), point.d
 
 
 def _triangle(seed, diag, coupling, d=None, modulus=None):
@@ -396,12 +403,12 @@ def _omega_vectors(point: QPoint, n: int, modulus: int | None):
         raise ValueError("n must be >= 1")
     K = n // 2
     if modulus is None:
-        scale, a_pair, b_pair, d = _point_multipliers(point)
+        scale, (zu, zv), (xu, xv), d = _lift(point)
     else:
-        au, av = reduce_mod(point.alpha, modulus)
-        bu, bv = reduce_mod(point.beta, modulus)
+        zu, zv = reduce_mod(point.alpha, modulus)
+        xu, xv = reduce_mod(point.beta, modulus)
         scale, d = 1, point.d % modulus
-        a_pair, b_pair = (2 * au - bu, 2 * av - bv), (2 * au, 2 * av)
+    a_pair, b_pair = (2 * zu - xu, 2 * zv - xv), (2 * zu, 2 * zv)
     # omega_r(k) = A(n-r-k) omega_r(k-1) + sign B(n-2r-d(n-1)) omega_{r+1}(k-1);
     # the fault-injection sign lives in the coupling vector, not the kernel
     dlt = (n - 1) & 1

@@ -402,13 +402,14 @@ def _run_ex00(bounds, rng) -> Iterator[Case]:
     scalars = [(1, 4), (2, -1), (1, 0)]
     xys = [(2, 1), (1, 1), (3, -1)]
     for point in _int_points(2):
+        label = str(point)
         for a, b in scalars:
             if not (point.beta * a - point.alpha * b):
                 continue
             for x, y in xys:
                 for n in range(2, bounds["nmax"] + 1):
                     yield (
-                        {"point": str(point), "a": a, "b": b, "x": x, "y": y, "n": n},
+                        {"point": label, "a": a, "b": b, "x": x, "y": y, "n": n},
                         lambda: psi_expansion_identity_check(a, b, point, x, y, n),
                         True,
                     )
@@ -422,10 +423,11 @@ def _run_ex00(bounds, rng) -> Iterator[Case]:
 def _run_diff1(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, 0), QPoint(-1, 2), QPoint(2, -1)]
     for point in points:
+        label = str(point)
         for n in range(2, bounds["nmax"] + 1):
             for r in range(n // 2):
                 yield (
-                    {"point": str(point), "n": n, "r": r},
+                    {"point": label, "n": n, "r": r},
                     lambda: verify_diff_ladder(n, r, point),
                     True,
                 )
@@ -439,12 +441,13 @@ def _run_diff1(bounds, rng) -> Iterator[Case]:
 def _run_diff3(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, -2), QPoint(-2, 1), QPoint(1, 2)]
     for point in points:
+        label = str(point)
         for n in range(2, bounds["nmax"] + 1):
             base = psi_bipoly(n)
             table = omega_table(point, n)
             for k in range(n // 2 + 1):
                 yield (
-                    {"point": str(point), "n": n, "k": k},
+                    {"point": label, "n": n, "k": k},
                     lambda: verify_derivative_expansion(n, k, point, table, base),
                     True,
                 )
@@ -458,9 +461,10 @@ def _run_diff3(bounds, rng) -> Iterator[Case]:
 def _run_iaexp2(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(0, -1), QPoint(1, -2), QPoint(2, 3), QPoint(-1, -3)]
     for point in points:
+        label = str(point)
         for n in range(2, bounds["nmax"] + 1):
             yield (
-                {"point": str(point), "n": n},
+                {"point": label, "n": n},
                 lambda: verify_fundamental_psi(n, point),
                 True,
             )
@@ -477,6 +481,7 @@ def _run_g0(bounds, rng) -> Iterator[Case]:
     # agreeing with the exact table reduced.
     points = [QPoint(1, 1), QPoint(-2, -5), QPoint(2, 3)] + _QUAD_SAMPLE[:2]
     for point in points:
+        label = str(point)
         al, be = point.alpha, point.beta
         big_a, big_b = 2 * al - be, 2 * al
         for n in range(2, bounds["nmax"] + 1):
@@ -485,7 +490,7 @@ def _run_g0(bounds, rng) -> Iterator[Case]:
             dlt = delta(n - 1)
             for r in range(K + 1):
                 yield (
-                    {"point": str(point), "n": n, "r": r, "k": 0},
+                    {"point": label, "n": n, "r": r, "k": 0},
                     lambda: table.entry(r, 0),
                     QuadExt(1),
                 )
@@ -495,7 +500,7 @@ def _run_g0(bounds, rng) -> Iterator[Case]:
                         n - 2 * r - dlt
                     ) * table.entry(r + 1, k - 1)
                     yield (
-                        {"point": str(point), "n": n, "r": r, "k": k},
+                        {"point": label, "n": n, "r": r, "k": k},
                         lambda: table.entry(r, k),
                         direct,
                     )
@@ -510,7 +515,7 @@ def _run_g0(bounds, rng) -> Iterator[Case]:
                         else (got.residue, 0)
                     )
                     yield (
-                        {"point": str(point), "n": n, "r": r, "k": k, "mod": m},
+                        {"point": label, "n": n, "r": r, "k": k, "mod": m},
                         lambda: actual_pair,
                         reduce_mod(table.entry(r, k), m),
                     )
@@ -524,13 +529,14 @@ def _run_g0(bounds, rng) -> Iterator[Case]:
 def _run_fd3(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, -2), QPoint(-2, 3), QPoint(2, -1)]
     for point in points:
+        label = str(point)
         al, be = point.alpha, point.beta
         for n in range(2, bounds["nmax"] + 1):
             table = lambda_table(point, n)
             K = n // 2
             for r in range(K + 1):
                 yield (
-                    {"point": str(point), "n": n, "r": r, "k": 0},
+                    {"point": label, "n": n, "r": r, "k": 0},
                     lambda: table.entry(r, 0),
                     QuadExt(lambda_seed(n, r)),
                 )
@@ -540,13 +546,13 @@ def _run_fd3(bounds, rng) -> Iterator[Case]:
                         al * (r + 1) * table.entry(r + 1, k - 1)
                     )
                     yield (
-                        {"point": str(point), "n": n, "r": r, "k": k},
+                        {"point": label, "n": n, "r": r, "k": k},
                         lambda: table.entry(r, k),
                         direct,
                     )
                     if k >= 2:
                         yield (
-                            {"point": str(point), "n": n, "r": r, "k": k, "claim": "k!"},
+                            {"point": label, "n": n, "r": r, "k": k, "claim": "k!"},
                             lambda: divides_int(factorial(k), table.entry(r, k)),
                             True,
                         )
@@ -560,6 +566,7 @@ def _run_fd3(bounds, rng) -> Iterator[Case]:
 def _run_h2(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, -2), QPoint(-1, 2)] + _QUAD_SAMPLE[:2]
     for point in points:
+        label = str(point)
         for n in range(2, bounds["nmax"] + 1):
             otable = omega_table(point, n)
             ltable = lambda_table(point, n)
@@ -567,7 +574,7 @@ def _run_h2(bounds, rng) -> Iterator[Case]:
             for k in range(K + 1):
                 for r in range(K - k + 1):
                     yield (
-                        {"point": str(point), "n": n, "r": r, "k": k},
+                        {"point": label, "n": n, "r": r, "k": k},
                         lambda: lambda_from_omega(point, n, r, k, otable),
                         ltable.entry(r, k),
                     )
@@ -586,6 +593,7 @@ def _run_f1100(bounds, rng) -> Iterator[Case]:
     for point in _int_points(bounds["coord"]):
         if not (point.beta * scalar_a - point.alpha * scalar_b):
             continue
+        label = str(point)
         for n in range(2, bounds["nmax"] + 1):
             otable = omega_table(point, n)
             ltable = lambda_table(point, n)
@@ -599,7 +607,7 @@ def _run_f1100(bounds, rng) -> Iterator[Case]:
                     value, coeffs = psi_k_expand(scalar_a, scalar_b, point, n, k, otable)
                 except TheoremViolationError as exc:
                     yield (
-                        {"point": str(point), "n": n, "k": k},
+                        {"point": label, "n": n, "k": k},
                         lambda: str(exc),
                         "integral coefficients",
                     )
@@ -610,22 +618,21 @@ def _run_f1100(bounds, rng) -> Iterator[Case]:
                     if k & 1:
                         bridge = -bridge
                     yield (
-                        {"point": str(point), "n": n, "k": k, "r": r, "path": "bridge"},
+                        {"point": label, "n": n, "k": k, "r": r, "path": "bridge"},
                         lambda: c,
                         bridge,
                     )
                     yield (
-                        {"point": str(point), "n": n, "k": k, "r": r, "path": "k!|lam"},
+                        {"point": label, "n": n, "k": k, "r": r, "path": "k!|lam"},
                         lambda: kfact == 1 or divides_int(kfact, ltable.entry(r, k)),
                         True,
                     )
-                dval = deriv.evaluate(Fraction(scalar_a), Fraction(scalar_b)) / kfact
-                if k & 1:
-                    dval = -dval
+                # QuadExt, not int / int, which would give a float
+                dval = QuadExt(deriv.evaluate(scalar_a, scalar_b)) / kfact
                 yield (
-                    {"point": str(point), "n": n, "k": k, "path": "derivative"},
+                    {"point": label, "n": n, "k": k, "path": "derivative"},
                     lambda: value,
-                    QuadExt(dval),
+                    -dval if k & 1 else dval,
                 )
 
 
@@ -637,9 +644,10 @@ def _run_f1100(bounds, rng) -> Iterator[Case]:
 )
 def _run_k00(bounds, rng) -> Iterator[Case]:
     for point in _int_points(bounds["coord"]):
+        label = str(point)
         for n in range(2, bounds["nmax"] + 1):
             yield (
-                {"point": str(point), "n": n},
+                {"point": label, "n": n},
                 lambda: second_fundamental(point, n) is not None,
                 True,
             )
@@ -652,11 +660,12 @@ def _run_k00(bounds, rng) -> Iterator[Case]:
 )
 def _run_space4(bounds, rng) -> Iterator[Case]:
     for point in _int_points(2) + _QUAD_SAMPLE[:1]:
+        label = str(point)
         for n in range(1, bounds["nmax"] + 1):
             if not psi_point(point, 2 * n):
                 continue  # kernel point at this level: ratio undefined
             yield (
-                {"point": str(point), "n": n},
+                {"point": label, "n": n},
                 lambda: second_fundamental_v2(point, n) is not None,
                 True,
             )
@@ -752,20 +761,21 @@ def _run_gen1(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, -2), QPoint(0, -1), QPoint(2, 3)]
     for k in range(2, bounds["kmax"] + 1):
         for point in points:
+            label = str(point)
             try:
                 result = emergence_check(k, point)
             except (TheoremViolationError, KernelPointError) as exc:
-                yield {"k": k, "point": str(point)}, lambda: str(exc), "identity holds"
+                yield {"k": k, "point": label}, lambda: str(exc), "identity holds"
                 continue
             if not result.exact_path:
                 continue
             yield (
-                {"k": k, "point": str(point), "claim": "integer"},
+                {"k": k, "point": label, "claim": "integer"},
                 lambda: result.gen1_integer,
                 True,
             )
             yield (
-                {"k": k, "point": str(point), "claim": "divisible"},
+                {"k": k, "point": label, "claim": "divisible"},
                 lambda: result.gen1_divisible,
                 True,
             )
@@ -806,19 +816,20 @@ def _run_gen5(bounds, rng) -> Iterator[Case]:
 def _closed_form_runner(point_id: tuple[int, int]) -> Callable:
     def run(bounds, rng) -> Iterator[Case]:
         point = QPoint(*point_id)
+        label = str(point)
         for n in range(2, bounds["nmax"] + 1):
             table = omega_table(point, n)
             K = n // 2
             for k in range(K + 1):
                 for r in range(K - k + 1):
                     yield (
-                        {"point": str(point), "n": n, "r": r, "k": k},
+                        {"point": label, "n": n, "r": r, "k": k},
                         lambda: table.entry(r, k),
                         QuadExt(omega_closed(point_id, r, k, n)),
                     )
             if point_id == (0, -1):
                 yield (
-                    {"point": str(point), "n": n, "claim": "top=ff"},
+                    {"point": label, "n": n, "claim": "top=ff"},
                     lambda: table.top(),
                     QuadExt(falling_factorial(n)),
                 )
@@ -829,7 +840,7 @@ def _closed_form_runner(point_id: tuple[int, int]) -> Callable:
                     explicit *= term
                     term -= 2
                 yield (
-                    {"point": str(point), "n": n, "claim": "descending-odds"},
+                    {"point": label, "n": n, "claim": "descending-odds"},
                     lambda: table.top(),
                     QuadExt(explicit),
                 )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -67,6 +68,22 @@ class TestPsiCommand:
         code, out, err = run_cli(capsys, "psi", "--point", "1000000000,1", "--n", "1000")
         assert code == EXIT_OK, err
         assert len(out.strip().lstrip("-")) > 4300
+
+    @pytest.mark.parametrize("extra", [(), ("--mod", "1000003")])
+    def test_n_above_cap_is_refused(self, capsys, extra):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "psi", "--point", "1,4", "--n", "100000000", *extra)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: --n is capped at {cli.PSI_MAX_N}")
+
+    def test_cap_is_inclusive(self, capsys):
+        argv = ["psi", "--point", "1,4", "--mod", "1000003", "--n"]
+        code, out, _ = run_cli(capsys, *argv, str(cli.PSI_MAX_N))
+        assert code == EXIT_OK
+        assert out.strip().isdigit()
+        assert run_cli(capsys, *argv, str(cli.PSI_MAX_N + 1))[0] == EXIT_USAGE
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "psi", "--point", "1,,2", "--n", "3")

@@ -6,8 +6,20 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from quanta.scalars import GOLDEN, LocalizationError, ModInt, QuadExt, SQRT2, SQRT5, divides_int
+from quanta import sequences
+from quanta.scalars import (
+    GOLDEN,
+    LocalizationError,
+    ModInt,
+    QuadExt,
+    SQRT2,
+    SQRT3,
+    SQRT5,
+    divides_int,
+)
 from quanta.sequences import (
     DegeneratePointError,
     _triangle,
@@ -64,6 +76,64 @@ class TestPsiRecurrence:
 
     def test_point_wrapper_quadratic(self):
         assert psi_point(QPoint(QuadExt(1), SQRT2), 2) == -SQRT2
+
+
+# integer, rational, quadratic and mixed-denominator points for the lift
+_LIFT_POINTS = [
+    QPoint(1, 1),
+    QPoint(0, -1),
+    QPoint(Fraction(1, 2), Fraction(-3, 4)),
+    QPoint(-3, Fraction(7, 2)),
+    QPoint(QuadExt(1), SQRT2),
+    QPoint(QuadExt(1), GOLDEN - 1),
+    QPoint(QuadExt(2), SQRT3 - 1),
+    QPoint(SQRT2 * Fraction(2, 3), QuadExt(Fraction(5, 7))),
+    QPoint(Fraction(1, 3) + SQRT5 / 6, SQRT5),
+]
+
+
+class TestPsiPointLift:
+    # psi_point runs on the point's integer lift; the generic recurrence on
+    # the point's own components is its reference, canonical form included
+    @pytest.mark.parametrize("point", _LIFT_POINTS, ids=str)
+    def test_matches_generic_recurrence(self, point):
+        for n in range(201):
+            got, want = psi_point(point, n), psi_rec(point.alpha, point.beta, n)
+            assert got == want, n
+            assert repr(got) == repr(want), n
+        with pytest.raises(ValueError):
+            psi_point(point, -1)
+
+    @given(
+        a=st.fractions(max_denominator=30),
+        b=st.fractions(max_denominator=30),
+        n=st.integers(0, 60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rational_points(self, a, b, n):
+        assume(a or b)
+        point = QPoint(a, b)
+        got, want = psi_point(point, n), psi_rec(point.alpha, point.beta, n)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    def test_fractions_only_at_the_boundary(self, monkeypatch):
+        point = QPoint(QuadExt(1), GOLDEN - 1)
+        made = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        psi_point(point, 200)
+        monkeypatch.undo()
+        assert len(made) <= 8
+
+    def test_lift_clears_every_denominator(self):
+        point = QPoint(Fraction(1, 3) + SQRT5 / 6, Fraction(5, 4) * SQRT5)
+        assert sequences._lift(point) == (12, (4, 2), (0, 15), 5)
 
 
 class TestPsiClosed:

@@ -264,6 +264,21 @@ class TestFaultInjection:
         assert report.status == "fail"
         assert any(f["params"].get("path") == "bridge" for f in report.failures)
 
+    def test_wrong_lift_fails_the_quadratic_tables(self, monkeypatch):
+        # psi and the omega kernel share the lift, so a wrong one cancels in
+        # the fundamental ratio; the hand tables of psi still see it
+        from quanta import sequences
+
+        lift = sequences._lift
+
+        def conjugated_beta(point):
+            s, z, (xu, xv), d = lift(point)
+            return s, z, (xu, -xv), d
+
+        monkeypatch.setattr(sequences, "_lift", conjugated_beta)
+        for id in ("phi", "root2", "root3", "FL"):
+            assert run_check(id, REGISTRY[id].tiny).status == "fail", id
+
     def test_zero_coupling_point_is_insensitive(self):
         # at (0, -1) the coupling coefficient is zero, so the flip is inert
         from quanta.sequences import QPoint, omega_top
