@@ -27,6 +27,7 @@ from .sequences import (
     KernelPointError,
     QPoint,
     TheoremViolationError,
+    _lift,
     falling_factorial,
     omega_table,
     omega_top,
@@ -45,6 +46,15 @@ EXIT_USAGE = 2
 # n up to nmax.  Larger n is refused by both.
 OMEGA_MAX_N = 1024
 PSI_MAX_N = 131072  # `quanta psi`: n steps on n-digit numbers; about 1 s at (1, 4)
+PSI_MAX_BITS = 2**18  # estimated size of an exact psi value; (1, 4) at PSI_MAX_N fits
+
+
+def _psi_bits(point: QPoint, n: int) -> int:
+    """Estimated bit length of the exact psi(point, n): n // 2 steps, each
+    about one lifted component long, sqrt(d) counted as half of d's bits."""
+    _, z, x, d = _lift(point)
+    width = max(abs(c).bit_length() for c in (*z, *x))
+    return (n // 2) * (width + 1 + (d.bit_length() + 1) // 2)
 
 
 def parse_point(text: str) -> QPoint:
@@ -78,18 +88,20 @@ def _cmd_psi(args) -> int:
     if args.n > PSI_MAX_N:
         raise primes.FeasibilityError(f"--n is capped at {PSI_MAX_N}; got {args.n}")
     point = parse_point(args.point)
-    if args.mod is not None:
-        if point.is_rational:
-            ua, _ = reduce_mod(point.alpha, args.mod)
-            ub, _ = reduce_mod(point.beta, args.mod)
-            value = psi_rec(ModInt(ua, args.mod), ModInt(ub, args.mod), args.n)
-            print(value.residue)
-        else:
-            exact = psi_point(point, args.n)
-            u, v = reduce_mod(exact, args.mod)
-            print(format_scalar(QuadExt(u, v, point.d)))
+    if args.mod is not None and point.is_rational:
+        ua, _ = reduce_mod(point.alpha, args.mod)
+        ub, _ = reduce_mod(point.beta, args.mod)
+        print(psi_rec(ModInt(ua, args.mod), ModInt(ub, args.mod), args.n).residue)
         return EXIT_OK
-    print(format_scalar(psi_point(point, args.n)))
+    bits = _psi_bits(point, args.n)
+    if bits > PSI_MAX_BITS:
+        raise primes.FeasibilityError(
+            f"exact psi would have about {bits} bits; the cap is {PSI_MAX_BITS}"
+        )
+    value = psi_point(point, args.n)
+    if args.mod is not None:
+        value = QuadExt(*reduce_mod(value, args.mod), point.d)
+    print(format_scalar(value))
     return EXIT_OK
 
 

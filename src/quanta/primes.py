@@ -260,12 +260,7 @@ class EmergenceResult:
 
 def _top_residue(point: QPoint, n: int, q: int) -> int:
     top = omega_top(point, n, modulus=q)
-    if isinstance(top, ModInt):
-        return top.residue
-    u, v = int(top.a), int(top.b)
-    if u == 0 and v == 0:
-        return 0
-    return u or v
+    return top.residue if isinstance(top, ModInt) else top.a or top.b
 
 
 def emergence_check(

@@ -25,13 +25,14 @@ sums over the triangle's paths in floor(n/2) steps from the same f and g;
 the two kernels are each other's reference.  They and ``psi_point`` run in
 native bigint arithmetic on the point's integer lift (``_lift``): rational
 points are scaled to integers, quadratic points to integer component pairs.
+``_unlift`` maps a lifted value back, exactly or mod m; besides a modular
+table's per-level reduction, it is the only code that divides or reduces one.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import partial
 from math import comb, factorial, lcm, prod
 from typing import Iterator, Union
 
@@ -147,6 +148,19 @@ def _lift(point: QPoint) -> tuple[int, tuple[int, int], tuple[int, int], int]:
     return s, (zu, zv), (xu, xv), point.d
 
 
+def _unlift(raw, q: int, d: int, modulus: int | None = None):
+    """The lifted value ``raw`` (an int, or a pair (u, v) for u + v sqrt(d))
+    divided by q: an exact QuadExt, or with a ``modulus`` its residue, a
+    ModInt for an int and a componentwise-residue QuadExt for a pair."""
+    u, v = raw if type(raw) is tuple else (raw, 0)
+    if modulus is None:
+        return _result(u, v, d) if q == 1 else _result(Fraction(u, q), v and Fraction(v, q), d)
+    qinv = pow(q, -1, modulus)
+    if type(raw) is not tuple:
+        return ModInt(u * qinv, modulus)
+    return _result(u * qinv % modulus, v * qinv % modulus, d)
+
+
 # -- psi --------------------------------------------------------------------
 
 
@@ -173,17 +187,14 @@ def psi_point(point: QPoint | tuple, n: int) -> QuadExt:
     s, (zu, zv), (xu, xv), d = _lift(as_point(point))
     q = s ** (n // 2)
     if not d:
-        value = psi_rec(zu, xu, n)
-        return _result(value if q == 1 else Fraction(value, q), 0, 0)
+        return _unlift(psi_rec(zu, xu, n), q, 0)
     # psi_rec fused on pairs u + v sqrt(d), t = 2z - x; ends on (pu, pv) = psi(n)
     tu, tv, tvd, zvd = 2 * zu - xu, 2 * zv - xv, (2 * zv - xv) * d, zv * d
     pu, pv, cu, cv = 2, 0, 1, 0
     for m in range(1, n + 1):
         nu, nv = (tu * cu + tvd * cv, tu * cv + tv * cu) if m & 1 else (cu, cv)
         pu, pv, cu, cv = cu, cv, nu - zu * pu - zvd * pv, nv - zu * pv - zv * pu
-    if q != 1:
-        pu, pv = Fraction(pu, q), Fraction(pv, q)
-    return _result(pu, pv, d)
+    return _unlift((pu, pv), q, d)
 
 
 def psi_closed(a, b, n: int):
@@ -267,7 +278,8 @@ def _triangle(seed, diag, coupling, d=None, modulus=None):
     Entries are ints or any ring elements that multiply with those of
     ``diag`` and ``coupling``.  With a radicand ``d``, each row, ``diag`` and
     ``coupling`` is instead a pair (u, v) of int lists for u + v sqrt(d).
-    With a ``modulus`` every entry is reduced.  Returns every level.
+    With a ``modulus`` each finished level is reduced mod m (componentwise
+    for pairs), which keeps the entries small.  Returns every level.
     """
     m = modulus
     if d is not None:
@@ -280,10 +292,7 @@ def _triangle(seed, diag, coupling, d=None, modulus=None):
         if d is None:
             # indexing beats zip here on small rows and ties on large ones
             w = range(len(prev) - 1)
-            if m is None:
-                cur = [diag[k + r] * prev[r] + coupling[r] * prev[r + 1] for r in w]
-            else:
-                cur = [(diag[k + r] * prev[r] + coupling[r] * prev[r + 1]) % m for r in w]
+            cur = [diag[k + r] * prev[r] + coupling[r] * prev[r + 1] for r in w]
         else:
             # two fused passes, one per component of
             # (p + q sqrt d)(x + y sqrt d) + (s + t sqrt d)(x2 + y2 sqrt d)
@@ -291,21 +300,17 @@ def _triangle(seed, diag, coupling, d=None, modulus=None):
             p1, u2, v2 = a1[k:], u[1:], v[1:]
             cu = zip(p1, a2d[k:], c1, c2d, u, v, u2, v2)
             cv = zip(p1, a2[k:], c1, c2, u, v, u2, v2)
-            if m is None:
-                cur = (
-                    [p * x + q * y + s * x2 + t * y2 for p, q, s, t, x, y, x2, y2 in cu],
-                    [p * y + q * x + s * y2 + t * x2 for p, q, s, t, x, y, x2, y2 in cv],
-                )
-            else:
-                cur = (
-                    [(p * x + q * y + s * x2 + t * y2) % m for p, q, s, t, x, y, x2, y2 in cu],
-                    [(p * y + q * x + s * y2 + t * x2) % m for p, q, s, t, x, y, x2, y2 in cv],
-                )
+            cur = (
+                [p * x + q * y + s * x2 + t * y2 for p, q, s, t, x, y, x2, y2 in cu],
+                [p * y + q * x + s * y2 + t * x2 for p, q, s, t, x, y, x2, y2 in cv],
+            )
+        if m is not None:
+            cur = [x % m for x in cur] if d is None else tuple([x % m for x in c] for c in cur)
         levels.append(cur)
     return levels
 
 
-def _unit_seed_top(diag, coupling, d=None, modulus=None):
+def _unit_seed_top(diag, coupling, d=None):
     """X_0(K) of ``_triangle`` from the all-ones seed row, in K steps.
 
     A path from seed cell (j, 0) to (0, K) picks up diag[j+1..K] on its
@@ -313,18 +318,15 @@ def _unit_seed_top(diag, coupling, d=None, modulus=None):
     and C(K, j) orders stay inside the triangle, so
     X_0(K) = sum_j C(K, j) coupling[0]...coupling[j-1] diag[j+1]...diag[K].
     The sum runs in Horner form; h = C(K, j) coupling[0]...coupling[j-1] is
-    kept exact, since C(K, j) = C(K, j-1)(K-j+1)/j divides exactly.
-    Arguments are those of ``_triangle``.
+    kept exact, since C(K, j) = C(K, j-1)(K-j+1)/j divides exactly, and so is
+    the sum: ``omega_top`` reduces it mod m once.  Arguments as in ``_triangle``.
     """
-    m = modulus
     if d is None:
         K = len(diag) - 1
         top = h = 1
         for j in range(1, K + 1):
             h = h * (coupling[j - 1] * (K - j + 1)) // j
             top = diag[j] * top + h
-            if m is not None:
-                top %= m
         return top
     (a1, a2), (c1, c2) = diag, coupling
     K = len(a1) - 1
@@ -334,8 +336,6 @@ def _unit_seed_top(diag, coupling, d=None, modulus=None):
         hu, hv = (s * hu + t * d * hv) // j, (t * hu + s * hv) // j
         p, q = a1[j], a2[j]
         u, v = p * u + q * d * v + hu, p * v + q * u + hv
-        if m is not None:
-            u, v = u % m, v % m
     return u, v
 
 
@@ -381,33 +381,17 @@ class Triangle:
         }
 
 
-def _omega_scalar(d: int, modulus: int | None, scale: int, raw, k: int):
-    """A kernel entry of level k as the omega table's scalar; ``raw`` is an
-    int or a (u, v) pair over sqrt(d) and carries the point's scale to the
-    power k."""
-    scale_k = scale**k
-    if type(raw) is tuple:
-        u, v = raw
-        if scale_k != 1:
-            u, v = Fraction(u, scale_k), Fraction(v, scale_k)
-        return QuadExt(u, v, d)
-    if modulus is not None:
-        return ModInt(raw, modulus)
-    return QuadExt(raw if scale_k == 1 else Fraction(raw, scale_k))
-
-
 def _omega_vectors(point: QPoint, n: int, modulus: int | None):
     """Scale s, kernel radicand (None at rational points), diag and coupling
-    of the omega triangle at ``point``."""
+    of the omega triangle on the lift of ``point``.  A ``modulus`` is only
+    checked here: m >= 2 and coprime to every denominator of the point."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if modulus is not None:
+        reduce_mod(point.alpha, modulus)
+        reduce_mod(point.beta, modulus)
     K = n // 2
-    if modulus is None:
-        scale, (zu, zv), (xu, xv), d = _lift(point)
-    else:
-        zu, zv = reduce_mod(point.alpha, modulus)
-        xu, xv = reduce_mod(point.beta, modulus)
-        scale, d = 1, point.d % modulus
+    scale, (zu, zv), (xu, xv), d = _lift(point)
     a_pair, b_pair = (2 * zu - xu, 2 * zv - xv), (2 * zu, 2 * zv)
     # omega_r(k) = A(n-r-k) omega_r(k-1) + sign B(n-2r-d(n-1)) omega_{r+1}(k-1);
     # the fault-injection sign lives in the coupling vector, not the kernel
@@ -425,7 +409,8 @@ def omega_table(point: QPoint | tuple, n: int, modulus: int | None = None) -> Tr
     scale, d, diag, coupling = _omega_vectors(point, n, modulus)
     seed = [1] * (n // 2 + 1)
     levels = _triangle(seed if d is None else (seed, [0] * len(seed)), diag, coupling, d, modulus)
-    return Triangle(point, n, levels, partial(_omega_scalar, point.d, modulus, scale), modulus)
+    scalar = lambda raw, k: _unlift(raw, scale**k, point.d, modulus)
+    return Triangle(point, n, levels, scalar, modulus)
 
 
 def omega_top(point: QPoint | tuple, n: int, modulus: int | None = None):
@@ -433,8 +418,7 @@ def omega_top(point: QPoint | tuple, n: int, modulus: int | None = None):
     table and equals ``omega_table(point, n, modulus).top()``."""
     point = as_point(point)
     scale, d, diag, coupling = _omega_vectors(point, n, modulus)
-    top = _unit_seed_top(diag, coupling, d, modulus)
-    return _omega_scalar(point.d, modulus, scale, top, n // 2)
+    return _unlift(_unit_seed_top(diag, coupling, d), scale ** (n // 2), point.d, modulus)
 
 
 _CLOSED_FORMS = {(1, -2), (1, 2), (0, -1)}
@@ -480,7 +464,7 @@ def lambda_table(point: QPoint | tuple, n: int) -> Triangle:
     coupling = [m2 * (r + 1) for r in range(K)]
     seed = [lambda_seed(n, r) for r in range(K + 1)]
     levels = _triangle(seed, diag, coupling)
-    return Triangle(point, n, levels, lambda raw, k: raw if type(raw) is QuadExt else QuadExt(raw))
+    return Triangle(point, n, levels, lambda raw, k: QuadExt._coerce(raw))
 
 
 def lambda_from_omega(

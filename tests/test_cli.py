@@ -8,8 +8,8 @@ import pytest
 
 from quanta import cli
 from quanta.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main, parse_point
-from quanta.scalars import QuadExt, SQRT2, ScalarParseError
-from quanta.sequences import QPoint
+from quanta.scalars import QuadExt, SQRT2, ScalarParseError, parse_scalar, reduce_mod
+from quanta.sequences import QPoint, omega_table
 from quanta.verify import REGISTRY
 
 
@@ -69,6 +69,33 @@ class TestPsiCommand:
         assert code == EXIT_OK, err
         assert len(out.strip().lstrip("-")) > 4300
 
+    @pytest.mark.parametrize(
+        "point, extra, bits",
+        [
+            ("1000000000,1", (), 2031616),
+            ("1000000000,1*sqrt(2)", (), 2097152),
+            ("1000000000,1*sqrt(2)", ("--mod", "1000003"), 2097152),
+        ],
+    )
+    def test_value_above_bit_cap_is_refused(self, capsys, point, extra, bits):
+        # n is within PSI_MAX_N, but each of the n steps would multiply
+        # numbers of about a million bits
+        start = time.perf_counter()
+        argv = ["psi", "--point", point, "--n", str(cli.PSI_MAX_N), *extra]
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_USAGE, "")
+        cap = cli.PSI_MAX_BITS
+        assert err == f"error: exact psi would have about {bits} bits; the cap is {cap}\n"
+
+    def test_bit_cap_spares_residues_and_small_points(self, capsys):
+        # a rational point with --mod runs on residues and keeps only the --n cap
+        argv = ["psi", "--point", "1000000000,1", "--n", str(cli.PSI_MAX_N), "--mod", "1000003"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert out.strip().isdigit()
+        assert cli._psi_bits(QPoint(1, 4), cli.PSI_MAX_N) == cli.PSI_MAX_BITS
+
     @pytest.mark.parametrize("extra", [(), ("--mod", "1000003")])
     def test_n_above_cap_is_refused(self, capsys, extra):
         start = time.perf_counter()
@@ -112,6 +139,27 @@ class TestOmegaCommand:
         )
         assert code == EXIT_OK
         assert out.strip() == "0"
+
+    @pytest.mark.parametrize(
+        "point, n, mod, r, k, want",
+        [
+            ("1/2,3", "9", "7", "2", "2", "4"),
+            ("1/2+1/2*sqrt(5),2", "20", "13", "0", "3", "8+2*sqrt(5)"),
+        ],
+    )
+    def test_modular_entry_at_scaled_point(self, capsys, point, n, mod, r, k, want):
+        # the entry carries the point's scale to the power k; its inverse mod m
+        # must be applied, so the residue matches reduce_mod of the exact entry
+        argv = ["omega", "--point", point, "--n", n, "--mod", mod, "--r", r, "--k", k]
+        assert run_cli(capsys, *argv)[:2] == (EXIT_OK, want + "\n")
+        exact = omega_table(parse_point(point), int(n)).entry(int(r), int(k))
+        assert parse_scalar(want) == QuadExt(*reduce_mod(exact, int(mod)), exact.d)
+
+    def test_modulus_sharing_the_scale_is_refused_before_any_entry(self, capsys):
+        argv = ["omega", "--point", "1/3,1", "--n", "2", "--mod", "3", "--r", "0", "--k", "0"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: denominator 3 shares a factor with 3\n"
 
     def test_r_without_k_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "omega", "--point", "1,1", "--n", "6", "--r", "1")

@@ -19,6 +19,7 @@ from quanta.scalars import (
     SQRT3,
     SQRT5,
     divides_int,
+    reduce_mod,
 )
 from quanta.sequences import (
     DegeneratePointError,
@@ -234,6 +235,11 @@ class TestOmegaTable:
                     assert got == want and type(got) is type(want), (flipped, n)
                     if isinstance(want, QuadExt):
                         assert (type(got.a), type(got.b)) == (type(want.a), type(want.b))
+                    if modulus is not None:
+                        # both sides above divide by the scale in _unlift;
+                        # reduce_mod of the exact top is an independent reference
+                        pair = (got.residue, 0) if isinstance(got, ModInt) else (got.a, got.b)
+                        assert pair == reduce_mod(omega_top(point, n), modulus), (flipped, n)
 
     def test_top_matches_table_at_large_n(self):
         assert omega_top(QPoint(1, 4), 1024) == omega_table(QPoint(1, 4), 1024).top()
