@@ -15,13 +15,10 @@ from pathlib import Path
 
 from .scalars import (
     LocalizationError,
-    ModInt,
-    QuadExt,
     RingMismatchError,
     ScalarParseError,
     format_scalar,
     parse_scalar,
-    reduce_mod,
 )
 from .sequences import (
     KernelPointError,
@@ -32,7 +29,6 @@ from .sequences import (
     omega_table,
     omega_top,
     psi_point,
-    psi_rec,
 )
 from . import primes
 from .verify import REGISTRY, SPECIAL_TABLES, reports_to_csv, run_all, run_check
@@ -47,6 +43,10 @@ EXIT_USAGE = 2
 OMEGA_MAX_N = 1024
 PSI_MAX_N = 131072  # `quanta psi`: n steps on n-digit numbers; about 1 s at (1, 4)
 PSI_MAX_BITS = 2**18  # estimated size of an exact psi value; (1, 4) at PSI_MAX_N fits
+# p - 2 squarings of p-bit numbers, twice over; p = 11213 takes about 8 s
+MERSENNE_MAX_P = 11213
+# the top entry at level 2 p_k, p_2048 = 17863; (10^9, 1) takes about 4 s
+EMERGE_MAX_K = 2048
 
 
 def _psi_bits(point: QPoint, n: int) -> int:
@@ -88,20 +88,12 @@ def _cmd_psi(args) -> int:
     if args.n > PSI_MAX_N:
         raise primes.FeasibilityError(f"--n is capped at {PSI_MAX_N}; got {args.n}")
     point = parse_point(args.point)
-    if args.mod is not None and point.is_rational:
-        ua, _ = reduce_mod(point.alpha, args.mod)
-        ub, _ = reduce_mod(point.beta, args.mod)
-        print(psi_rec(ModInt(ua, args.mod), ModInt(ub, args.mod), args.n).residue)
-        return EXIT_OK
-    bits = _psi_bits(point, args.n)
-    if bits > PSI_MAX_BITS:
+    # residues stay below --mod; only an exact value can outgrow memory
+    if args.mod is None and (bits := _psi_bits(point, args.n)) > PSI_MAX_BITS:
         raise primes.FeasibilityError(
             f"exact psi would have about {bits} bits; the cap is {PSI_MAX_BITS}"
         )
-    value = psi_point(point, args.n)
-    if args.mod is not None:
-        value = QuadExt(*reduce_mod(value, args.mod), point.d)
-    print(format_scalar(value))
+    print(psi_point(point, args.n, args.mod))
     return EXIT_OK
 
 
@@ -127,12 +119,16 @@ def _cmd_omega(args) -> int:
 
 
 def _cmd_mersenne(args) -> int:
+    if args.p > MERSENNE_MAX_P:
+        raise primes.FeasibilityError(f"p is capped at {MERSENNE_MAX_P}; got {args.p}")
     verdict = primes.mersenne_test(args.p)
     print("prime" if verdict else "composite")
     return EXIT_OK
 
 
 def _cmd_emerge(args) -> int:
+    if args.k > EMERGE_MAX_K:
+        raise primes.FeasibilityError(f"k is capped at {EMERGE_MAX_K}; got {args.k}")
     point = parse_point(args.point)
     try:
         result = primes.emergence_check(args.k, point)

@@ -385,57 +385,44 @@ def dickson_polynomial(n: int, alpha) -> UniPoly:
     return cur
 
 
-_DEFAULT_EVAL_XS = (Fraction(1, 2), Fraction(2), Fraction(-3, 2))
+# Che and Dic evaluate the omega ratio at these ten x; none is 0, so every
+# evaluation point (alpha, 2 alpha - c x^2) is a nonzero point.
+_EVAL_XS = tuple(Fraction(i, 4) for i in (-7, -5, -3, -1, 1, 3, 5, 7, 9, 11))
 
 
-def chebyshev_check(n: int, eval_points=_DEFAULT_EVAL_XS) -> bool:
+def _mirror_check(n: int, classical: UniPoly, alpha, c: int, scale: int, identity=None) -> bool:
+    """``classical`` against x^(d(n)) psi(alpha, 2 alpha - c x^2, n) / scale
+    coefficient-exactly, then ``identity()`` if given, then the omega ratio
+    over ``scale`` at each x of ``_EVAL_XS``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    mirrored = psi_rec(UniPoly.const(alpha), UniPoly([2 * alpha, 0, -c]), n)
+    if n & 1:
+        mirrored = mirrored.shifted(1)
+    if mirrored != classical * scale or (identity is not None and not identity()):
+        return False
+    ff = falling_factorial(n) * scale
+    for x0 in _EVAL_XS:
+        value = omega_top(QPoint(alpha, 2 * alpha - c * x0 * x0), n) / ff * x0 ** delta(n)
+        if value != QuadExt(classical.evaluate(x0)):
+            return False
+    return True
+
+
+def chebyshev_check(n: int) -> bool:
     """Classical T_n against x^(d(n)) psi(1, 2-4x^2, n) / 2^(d(n-1)),
     coefficient-exactly, plus omega-ratio evaluation at rational x values."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    classical = chebyshev_polynomial(n)
-    b = UniPoly([2, 0, -4])
-    mirrored = psi_rec(UniPoly.const(1), b, n)
-    if n & 1:
-        mirrored = mirrored.shifted(1)
-    mirrored = mirrored / 2 ** delta(n - 1)
-    if mirrored != classical:
-        return False
-    ff = falling_factorial(n)
-    for x0 in eval_points:
-        x0 = Fraction(x0)
-        point = QPoint(1, 2 - 4 * x0 * x0)
-        ratio = omega_top(point, n) / (ff * 2 ** delta(n - 1))
-        value = ratio * x0 ** delta(n)
-        if value != QuadExt(classical.evaluate(x0)):
-            return False
-    return True
+    return _mirror_check(n, chebyshev_polynomial(n), 1, 4, 2 ** delta(n - 1))
 
 
-def dickson_check(n: int, alpha, eval_points=_DEFAULT_EVAL_XS) -> bool:
+def dickson_check(n: int, alpha) -> bool:
     """Classical D_n(x, alpha) against x^(d(n)) psi(alpha, 2 alpha - x^2, n),
     the functional identity at rational arguments, and omega-ratio values."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     alpha = Fraction(alpha)
     classical = dickson_polynomial(n, alpha)
-    b = UniPoly([2 * alpha, 0, -1])
-    mirrored = psi_rec(UniPoly.const(alpha), b, n)
-    if n & 1:
-        mirrored = mirrored.shifted(1)
-    if mirrored != classical:
-        return False
-    for y in (Fraction(1), Fraction(2), Fraction(1, 2)):
-        arg = y + alpha / y
-        if classical.evaluate(arg) != y**n + (alpha / y) ** n:
-            return False
-    ff = falling_factorial(n)
-    for x0 in eval_points:
-        x0 = Fraction(x0)
-        if alpha == 0 and 2 * alpha - x0 * x0 == 0:
-            continue
-        point = QPoint(alpha, 2 * alpha - x0 * x0)
-        value = (omega_top(point, n) / ff) * x0 ** delta(n)
-        if value != QuadExt(classical.evaluate(x0)):
-            return False
-    return True
+
+    def identity() -> bool:
+        ys = (Fraction(1), Fraction(2), Fraction(1, 2))
+        return all(classical.evaluate(y + alpha / y) == y**n + (alpha / y) ** n for y in ys)
+
+    return _mirror_check(n, classical, alpha, 1, 1, identity)

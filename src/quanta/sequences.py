@@ -25,8 +25,10 @@ sums over the triangle's paths in floor(n/2) steps from the same f and g;
 the two kernels are each other's reference.  They and ``psi_point`` run in
 native bigint arithmetic on the point's integer lift (``_lift``): rational
 points are scaled to integers, quadratic points to integer component pairs.
-``_unlift`` maps a lifted value back, exactly or mod m; besides a modular
-table's per-level reduction, it is the only code that divides or reduces one.
+With a modulus m they all return residues, and ``_check_modulus`` is the one
+check of m.  ``_unlift`` maps a lifted value back, exactly or mod m; besides
+the per-level (tables) and per-step (``psi_point``) reductions that keep
+modular values small, it is the only code that divides or reduces one.
 """
 
 from __future__ import annotations
@@ -148,6 +150,14 @@ def _lift(point: QPoint) -> tuple[int, tuple[int, int], tuple[int, int], int]:
     return s, (zu, zv), (xu, xv), point.d
 
 
+def _check_modulus(point: QPoint, modulus: int | None) -> None:
+    """Refuse a ``modulus`` below 2 or sharing a factor with a denominator
+    of the point; the modular psi and omega paths check it only here."""
+    if modulus is not None:
+        reduce_mod(point.alpha, modulus)
+        reduce_mod(point.beta, modulus)
+
+
 def _unlift(raw, q: int, d: int, modulus: int | None = None):
     """The lifted value ``raw`` (an int, or a pair (u, v) for u + v sqrt(d))
     divided by q: an exact QuadExt, or with a ``modulus`` its residue, a
@@ -179,22 +189,30 @@ def psi_rec(a, b, n: int):
     return cur
 
 
-def psi_point(point: QPoint | tuple, n: int) -> QuadExt:
-    """psi at a parameter point, exactly.  psi_n(s a, s b) = s^floor(n/2)
-    psi_n(a, b), so it runs on the integer lift and divides once at the end."""
+def psi_point(point: QPoint | tuple, n: int, modulus: int | None = None):
+    """psi at a parameter point: exactly, or with a ``modulus`` its residue,
+    a ModInt at a rational point and a componentwise-residue QuadExt at a
+    quadratic one, as for ``omega_top``.  psi_n(s a, s b) = s^floor(n/2)
+    psi_n(a, b), so it runs on the integer lift (on residues mod m, when
+    given) and ``_unlift`` divides once at the end."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    s, (zu, zv), (xu, xv), d = _lift(as_point(point))
-    q = s ** (n // 2)
+    point = as_point(point)
+    _check_modulus(point, modulus)
+    s, (zu, zv), (xu, xv), d = _lift(point)
+    m, q = modulus, pow(s, n // 2, modulus)  # q is s^floor(n/2) mod m, or exact
     if not d:
-        return _unlift(psi_rec(zu, xu, n), q, 0)
+        raw = psi_rec(zu, xu, n) if m is None else psi_rec(ModInt(zu, m), ModInt(xu, m), n).residue
+        return _unlift(raw, q, 0, m)
     # psi_rec fused on pairs u + v sqrt(d), t = 2z - x; ends on (pu, pv) = psi(n)
     tu, tv, tvd, zvd = 2 * zu - xu, 2 * zv - xv, (2 * zv - xv) * d, zv * d
     pu, pv, cu, cv = 2, 0, 1, 0
-    for m in range(1, n + 1):
-        nu, nv = (tu * cu + tvd * cv, tu * cv + tv * cu) if m & 1 else (cu, cv)
+    for i in range(1, n + 1):
+        nu, nv = (tu * cu + tvd * cv, tu * cv + tv * cu) if i & 1 else (cu, cv)
         pu, pv, cu, cv = cu, cv, nu - zu * pu - zvd * pv, nv - zu * pv - zv * pu
-    return _unlift((pu, pv), q, d)
+        if m:
+            cu, cv = cu % m, cv % m
+    return _unlift((pu, pv), q, d, m)
 
 
 def psi_closed(a, b, n: int):
@@ -383,13 +401,10 @@ class Triangle:
 
 def _omega_vectors(point: QPoint, n: int, modulus: int | None):
     """Scale s, kernel radicand (None at rational points), diag and coupling
-    of the omega triangle on the lift of ``point``.  A ``modulus`` is only
-    checked here: m >= 2 and coprime to every denominator of the point."""
+    of the omega triangle on the lift of ``point``, after ``_check_modulus``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if modulus is not None:
-        reduce_mod(point.alpha, modulus)
-        reduce_mod(point.beta, modulus)
+    _check_modulus(point, modulus)
     K = n // 2
     scale, (zu, zv), (xu, xv), d = _lift(point)
     a_pair, b_pair = (2 * zu - xu, 2 * zv - xv), (2 * zu, 2 * zv)

@@ -1016,9 +1016,6 @@ def _run_g7(bounds, rng) -> Iterator[Case]:
         yield {"n": n}, lambda: lucas_fib_representations(n)[1] == expected, True
 
 
-_TEN_EVAL_XS = tuple(Fraction(i, 4) for i in (-7, -5, -3, -1, 1, 3, 5, 7, 9, 11))
-
-
 @_register(
     "Che",
     "Chebyshev polynomials: coefficient match and ratio evaluations "
@@ -1028,7 +1025,7 @@ _TEN_EVAL_XS = tuple(Fraction(i, 4) for i in (-7, -5, -3, -1, 1, 3, 5, 7, 9, 11)
 )
 def _run_che(bounds, rng) -> Iterator[Case]:
     for n in range(1, bounds["nmax"] + 1):
-        yield {"n": n}, lambda: chebyshev_check(n, eval_points=_TEN_EVAL_XS), True
+        yield {"n": n}, lambda: chebyshev_check(n), True
 
 
 _DIC_ALPHAS = (1, -1, 2, -2, 3)  # Dic's alpha grid unless the bounds give `alphas`
@@ -1048,11 +1045,7 @@ _OPTIONAL_BOUNDS = {"Dic": {"alphas"}}
 def _run_dic(bounds, rng) -> Iterator[Case]:
     for alpha in bounds.get("alphas", _DIC_ALPHAS):
         for n in range(1, bounds["nmax"] + 1):
-            yield (
-                {"n": n, "alpha": alpha},
-                lambda: dickson_check(n, alpha, eval_points=_TEN_EVAL_XS),
-                True,
-            )
+            yield {"n": n, "alpha": alpha}, lambda: dickson_check(n, alpha), True
 
 
 @_register(

@@ -9,7 +9,7 @@ import pytest
 from quanta import cli
 from quanta.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main, parse_point
 from quanta.scalars import QuadExt, SQRT2, ScalarParseError, parse_scalar, reduce_mod
-from quanta.sequences import QPoint, omega_table
+from quanta.sequences import QPoint, omega_table, psi_point
 from quanta.verify import REGISTRY
 
 
@@ -74,7 +74,6 @@ class TestPsiCommand:
         [
             ("1000000000,1", (), 2031616),
             ("1000000000,1*sqrt(2)", (), 2097152),
-            ("1000000000,1*sqrt(2)", ("--mod", "1000003"), 2097152),
         ],
     )
     def test_value_above_bit_cap_is_refused(self, capsys, point, extra, bits):
@@ -89,12 +88,37 @@ class TestPsiCommand:
         assert err == f"error: exact psi would have about {bits} bits; the cap is {cap}\n"
 
     def test_bit_cap_spares_residues_and_small_points(self, capsys):
-        # a rational point with --mod runs on residues and keeps only the --n cap
+        # with --mod, rational and quadratic points run on residues and keep
+        # only the --n cap
         argv = ["psi", "--point", "1000000000,1", "--n", str(cli.PSI_MAX_N), "--mod", "1000003"]
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert out.strip().isdigit()
+        argv[2] = "1000000000,1*sqrt(2)"
+        start = time.perf_counter()
+        assert run_cli(capsys, *argv) == (EXIT_OK, "16689\n", "")
+        assert time.perf_counter() - start < 1
         assert cli._psi_bits(QPoint(1, 4), cli.PSI_MAX_N) == cli.PSI_MAX_BITS
+
+    def test_quadratic_residue_at_the_cap_is_fast(self, capsys):
+        # the exact value has about 327680 bits; its residue needs none of them
+        start = time.perf_counter()
+        argv = ["psi", "--point", "3,7*sqrt(2)", "--n", str(cli.PSI_MAX_N), "--mod", "1000003"]
+        assert run_cli(capsys, *argv) == (EXIT_OK, "799832\n", "")
+        assert time.perf_counter() - start < 1
+
+    def test_quadratic_residue_matches_the_exact_value(self, capsys):
+        point = "1/2+1/2*sqrt(5),1"
+        code, out, _ = run_cli(capsys, "psi", "--point", point, "--n", "57", "--mod", "13")
+        assert code == EXIT_OK
+        exact = psi_point(parse_point(point), 57)
+        assert parse_scalar(out.strip()) == QuadExt(*reduce_mod(exact, 13), exact.d)
+
+    def test_modulus_sharing_a_denominator_is_refused(self, capsys):
+        argv = ["psi", "--point", "1/7+1*sqrt(2),1", "--n", "2", "--mod", "7"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: denominator 7 shares a factor with 7\n"
 
     @pytest.mark.parametrize("extra", [(), ("--mod", "1000003")])
     def test_n_above_cap_is_refused(self, capsys, extra):
@@ -282,6 +306,18 @@ class TestMersenneCommand:
         code, _, _ = run_cli(capsys, "mersenne", "9")
         assert code == EXIT_USAGE
 
+    def test_p_above_cap_is_refused(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "mersenne", "44497")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: p is capped at {cli.MERSENNE_MAX_P}; got 44497\n"
+
+    def test_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MERSENNE_MAX_P", 13)
+        assert run_cli(capsys, "mersenne", "13")[:2] == (EXIT_OK, "prime\n")
+        assert run_cli(capsys, "mersenne", "17")[0] == EXIT_USAGE
+
 
 class TestEmergeCommand:
     def test_exact_line(self, capsys):
@@ -294,6 +330,18 @@ class TestEmergeCommand:
         assert code == EXIT_OK
         assert "residue 0" in out
         assert out.strip().endswith("PASS")
+
+    def test_k_above_cap_is_refused(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "emerge", "20000", "--point", "2,3")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: k is capped at {cli.EMERGE_MAX_K}; got 20000\n"
+
+    def test_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "EMERGE_MAX_K", 15)
+        assert run_cli(capsys, "emerge", "15", "--point", "1,1")[0] == EXIT_OK
+        assert run_cli(capsys, "emerge", "16", "--point", "1,1")[0] == EXIT_USAGE
 
 
 class TestTableCommand:

@@ -3,7 +3,7 @@
 import json
 from contextlib import nullcontext
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -131,6 +131,32 @@ class TestPsiPointLift:
         psi_point(point, 200)
         monkeypatch.undo()
         assert len(made) <= 8
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            QPoint(Fraction(1, 2), Fraction(-2, 3)),
+            QPoint(GOLDEN, 1),
+            QPoint(QuadExt(1), SQRT2),
+            QPoint(2, 3),
+            QPoint(Fraction(-2, 3), SQRT3 * Fraction(5, 7)),
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("modulus", [7, 11, 12, 13])
+    def test_modular_matches_reduced_exact_value(self, point, modulus):
+        # reduce_mod of the exact value is an independent reference for the
+        # residues psi_point keeps on the lift
+        coprime = gcd(sequences._lift(point)[0], modulus) == 1
+        for n in range(41):
+            if not coprime:
+                with pytest.raises(LocalizationError):
+                    psi_point(point, n, modulus)
+                continue
+            got = psi_point(point, n, modulus)
+            pair = (got.residue, 0) if isinstance(got, ModInt) else (got.a, got.b)
+            assert isinstance(got, ModInt) == point.is_rational, n
+            assert pair == reduce_mod(psi_point(point, n), modulus), n
 
     def test_lift_clears_every_denominator(self):
         point = QPoint(Fraction(1, 3) + SQRT5 / 6, Fraction(5, 4) * SQRT5)
