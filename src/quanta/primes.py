@@ -263,16 +263,13 @@ def _top_residue(point: QPoint, n: int, q: int) -> int:
     return top.residue if isinstance(top, ModInt) else top.a or top.b
 
 
-def emergence_check(
-    k: int, point: QPoint | tuple, exact: bool | None = None
-) -> EmergenceResult:
+def emergence_check(k: int, point: QPoint | tuple) -> EmergenceResult:
     """Emergence divisibility at the k-th prime: p_{k+1} divides the top
     triangle entry at level 2 p_k (checked modularly, any point), and on the
     exact path p_{k+1} divides the psi-normalized ratio as well.
 
-    ``exact=None`` takes the exact path automatically when p_k is within the
-    exact bound and the point is outside the kernel; ``exact=True`` forces it
-    (raising KernelPointError on kernel points); ``exact=False`` skips it.
+    The exact path is taken when p_k is within the exact bound and the point
+    is outside the kernel.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -286,12 +283,11 @@ def emergence_check(
         )
     ratio_divisible = gen1_integer = gen1_divisible = None
     took_exact = False
-    if exact or (exact is None and p <= EXACT_EMERGENCE_MAX_P):
+    if p <= EXACT_EMERGENCE_MAX_P:
         try:
             ratio = _as_int(second_fundamental_v2(point, p))
         except KernelPointError:
-            if exact:
-                raise
+            pass
         else:
             took_exact = True
             ratio_divisible = ratio % q == 0

@@ -312,16 +312,6 @@ def reduce_mod(x: RationalLike, m: int) -> tuple[int, int]:
     return (u * qinv) % m, (v * qinv) % m
 
 
-def exact_div(x: RationalLike, y: RationalLike) -> QuadExt:
-    """Exact quotient in the field of fractions; y must be nonzero."""
-    xq, yq = QuadExt._coerce(x), QuadExt._coerce(y)
-    if xq is None or yq is None:
-        raise TypeError("exact_div expects scalar operands")
-    if not yq:
-        raise ZeroDivisionError("exact_div by zero")
-    return xq / yq
-
-
 class ModInt:
     """Canonical residue modulo a fixed integer modulus >= 2."""
 

@@ -17,18 +17,20 @@ single most exercised identity in the verification suite.
 The recurrence runners are generic over any ring whose elements support
 arithmetic with ints (exact scalars, residues, polynomials).  One kernel,
 ``_triangle``, fills X_r(k) = f(k+r) X_r(k-1) + g(r) X_{r+1}(k-1) from a seed
-row and the multiplier vectors f and g that each caller builds.  The omega
-and lambda tables are both a ``Triangle``; they differ only in how a raw
-kernel entry becomes a scalar.  ``omega_top`` and the Fibonacci companion
-need only the top entry of a unit-seed triangle, which ``_unit_seed_top``
-sums over the triangle's paths in floor(n/2) steps from the same f and g;
-the two kernels are each other's reference.  They and ``psi_point`` run in
-native bigint arithmetic on the point's integer lift (``_lift``): rational
-points are scaled to integers, quadratic points to integer component pairs.
-With a modulus m they all return residues, and ``_check_modulus`` is the one
-check of m.  ``_unlift`` maps a lifted value back, exactly or mod m; besides
-the per-level (tables) and per-step (``psi_point``) reductions that keep
-modular values small, it is the only code that divides or reduces one.
+row and the multiplier vectors f = (2z-x) w and g = z w' that ``_vectors``
+builds from each table's weights; the omega and lambda tables are both a
+``Triangle``.  ``omega_top`` and the Fibonacci companion need only the top
+entry of a unit-seed triangle, which ``_unit_seed_top`` sums over the
+triangle's paths in floor(n/2) steps from the same f and g; the two kernels
+are each other's reference.  Every kernel and ``psi_point`` run in native
+bigint arithmetic on the point's integer lift (``_lift``): rational points
+are scaled to integers, quadratic points to integer component pairs, and
+d = 0 marks the int path.  With a modulus m, ``_reduced_lift`` checks m and
+reduces the lift mod m before any arithmetic, and the results are residues.
+``_unlift`` is the only place a value leaves the lift: it divides by the
+scale's power, exactly or mod m.  Besides the reductions that keep modular
+work small (of the lift, per level in tables, per step in ``psi_point``), it
+is the only code that divides or reduces a lifted value.
 """
 
 from __future__ import annotations
@@ -150,23 +152,28 @@ def _lift(point: QPoint) -> tuple[int, tuple[int, int], tuple[int, int], int]:
     return s, (zu, zv), (xu, xv), point.d
 
 
-def _check_modulus(point: QPoint, modulus: int | None) -> None:
-    """Refuse a ``modulus`` below 2 or sharing a factor with a denominator
-    of the point; the modular psi and omega paths check it only here."""
-    if modulus is not None:
-        reduce_mod(point.alpha, modulus)
-        reduce_mod(point.beta, modulus)
+def _reduced_lift(point: QPoint, modulus: int | None):
+    """``_lift(point)``, with a ``modulus`` m its four point components
+    reduced mod m, so modular work costs the same at any point.  m is checked
+    first: below 2, or sharing a factor with a denominator of the point, it
+    is refused with ``reduce_mod``'s error.  psi and every triangle start here."""
+    if modulus is None:
+        return _lift(point)
+    reduce_mod(point.alpha, modulus)
+    reduce_mod(point.beta, modulus)
+    s, z, x, d = _lift(point)
+    return s, tuple(c % modulus for c in z), tuple(c % modulus for c in x), d
 
 
 def _unlift(raw, q: int, d: int, modulus: int | None = None):
-    """The lifted value ``raw`` (an int, or a pair (u, v) for u + v sqrt(d))
-    divided by q: an exact QuadExt, or with a ``modulus`` its residue, a
-    ModInt for an int and a componentwise-residue QuadExt for a pair."""
-    u, v = raw if type(raw) is tuple else (raw, 0)
+    """The lifted value ``raw`` (an int when d = 0, else a pair (u, v) for
+    u + v sqrt(d)) divided by q: an exact QuadExt, or with a ``modulus`` its
+    residue, a ModInt when d = 0 and a componentwise-residue QuadExt else."""
+    u, v = raw if d else (raw, 0)
     if modulus is None:
         return _result(u, v, d) if q == 1 else _result(Fraction(u, q), v and Fraction(v, q), d)
     qinv = pow(q, -1, modulus)
-    if type(raw) is not tuple:
+    if not d:
         return ModInt(u * qinv, modulus)
     return _result(u * qinv % modulus, v * qinv % modulus, d)
 
@@ -198,12 +205,10 @@ def psi_point(point: QPoint | tuple, n: int, modulus: int | None = None):
     if n < 0:
         raise ValueError("n must be nonnegative")
     point = as_point(point)
-    _check_modulus(point, modulus)
-    s, (zu, zv), (xu, xv), d = _lift(point)
+    s, (zu, zv), (xu, xv), d = _reduced_lift(point, modulus)
     m, q = modulus, pow(s, n // 2, modulus)  # q is s^floor(n/2) mod m, or exact
-    if not d:
-        raw = psi_rec(zu, xu, n) if m is None else psi_rec(ModInt(zu, m), ModInt(xu, m), n).residue
-        return _unlift(raw, q, 0, m)
+    if not d and m is None:
+        return _unlift(psi_rec(zu, xu, n), q, 0)
     # psi_rec fused on pairs u + v sqrt(d), t = 2z - x; ends on (pu, pv) = psi(n)
     tu, tv, tvd, zvd = 2 * zu - xu, 2 * zv - xv, (2 * zv - xv) * d, zv * d
     pu, pv, cu, cv = 2, 0, 1, 0
@@ -212,7 +217,7 @@ def psi_point(point: QPoint | tuple, n: int, modulus: int | None = None):
         pu, pv, cu, cv = cu, cv, nu - zu * pu - zvd * pv, nv - zu * pv - zv * pu
         if m:
             cu, cv = cu % m, cv % m
-    return _unlift((pu, pv), q, d, m)
+    return _unlift((pu, pv) if d else pu, q, d, m)
 
 
 def psi_closed(a, b, n: int):
@@ -289,25 +294,25 @@ def flipped_omega_coupling() -> Iterator[None]:
         _coupling_sign = -1
 
 
-def _triangle(seed, diag, coupling, d=None, modulus=None):
+def _triangle(seed: list[int], diag, coupling, d: int = 0, modulus=None):
     """Fill X_r(k) = diag[k+r] X_r(k-1) + coupling[r] X_{r+1}(k-1) by levels.
 
-    The seed row X_r(0) has K+1 entries and fixes the triangle 0 <= r+k <= K.
-    Entries are ints or any ring elements that multiply with those of
-    ``diag`` and ``coupling``.  With a radicand ``d``, each row, ``diag`` and
-    ``coupling`` is instead a pair (u, v) of int lists for u + v sqrt(d).
-    With a ``modulus`` each finished level is reduced mod m (componentwise
-    for pairs), which keeps the entries small.  Returns every level.
+    The int seed row X_r(0) has K+1 entries and fixes the triangle
+    0 <= r+k <= K.  With d = 0, ``diag``, ``coupling`` and each level are int
+    lists; with a radicand d they are pairs (u, v) of int lists for
+    u + v sqrt(d), and the seed is paired with zeros.  With a ``modulus``
+    each finished level is reduced mod m (componentwise for pairs), which
+    keeps the entries small.  Returns every level.
     """
     m = modulus
-    if d is not None:
+    if d:
         (a1, a2), (c1, c2) = diag, coupling
         a2d = [x * d for x in a2]
         c2d = [x * d for x in c2]
-    levels = [seed]
-    for k in range(1, len(seed[0] if d is not None else seed)):
+    levels = [(seed, [0] * len(seed)) if d else seed]
+    for k in range(1, len(seed)):
         prev = levels[-1]
-        if d is None:
+        if not d:
             # indexing beats zip here on small rows and ties on large ones
             w = range(len(prev) - 1)
             cur = [diag[k + r] * prev[r] + coupling[r] * prev[r + 1] for r in w]
@@ -323,12 +328,12 @@ def _triangle(seed, diag, coupling, d=None, modulus=None):
                 [p * y + q * x + s * y2 + t * x2 for p, q, s, t, x, y, x2, y2 in cv],
             )
         if m is not None:
-            cur = [x % m for x in cur] if d is None else tuple([x % m for x in c] for c in cur)
+            cur = tuple([x % m for x in c] for c in cur) if d else [x % m for x in cur]
         levels.append(cur)
     return levels
 
 
-def _unit_seed_top(diag, coupling, d=None):
+def _unit_seed_top(diag, coupling, d: int = 0):
     """X_0(K) of ``_triangle`` from the all-ones seed row, in K steps.
 
     A path from seed cell (j, 0) to (0, K) picks up diag[j+1..K] on its
@@ -339,7 +344,7 @@ def _unit_seed_top(diag, coupling, d=None):
     kept exact, since C(K, j) = C(K, j-1)(K-j+1)/j divides exactly, and so is
     the sum: ``omega_top`` reduces it mod m once.  Arguments as in ``_triangle``.
     """
-    if d is None:
+    if not d:
         K = len(diag) - 1
         top = h = 1
         for j in range(1, K + 1):
@@ -358,29 +363,29 @@ def _unit_seed_top(diag, coupling, d=None):
 
 
 class Triangle:
-    """The triangle X_r(k), 0 <= r+k <= floor(n/2), that ``_triangle`` filled.
+    """The triangle X_r(k), 0 <= r+k <= floor(n/2), that ``_triangle`` filled
+    on the lift of ``point`` by ``scale``.
 
-    ``scalar(raw, k)`` turns a raw entry of level k (an int, a ring element,
-    or a (u, v) pair over sqrt(d) when the level is a pair of lists) into the
-    value ``entry`` returns.  Exact omega and lambda tables yield QuadExt;
-    modular omega tables yield ModInt at rational points and
-    componentwise-residue QuadExt at quadratic points (``modulus`` qualifies
-    those components).
+    A raw entry of level k is homogeneous of degree k in the lifted
+    multipliers, so ``entry`` unlifts it by scale^k: an exact QuadExt, or
+    with a ``modulus`` a ModInt at a rational point and a
+    componentwise-residue QuadExt at a quadratic one.
     """
 
-    def __init__(self, point: QPoint, n: int, levels: list, scalar, modulus: int | None = None):
+    def __init__(self, point: QPoint, n: int, levels: list, scale: int, modulus: int | None = None):
         self.point = point
         self.n = n
         self.modulus = modulus
         self.K = n // 2
         self._levels = levels
-        self._scalar = scalar
+        self._scale = scale
 
     def entry(self, r: int, k: int):
         if k < 0 or r < 0 or r + k > self.K:
             raise IndexError(f"(r={r}, k={k}) outside triangle for n={self.n}")
-        level = self._levels[k]
-        return self._scalar((level[0][r], level[1][r]) if type(level) is tuple else level[r], k)
+        level, d = self._levels[k], self.point.d
+        raw = (level[0][r], level[1][r]) if d else level[r]
+        return _unlift(raw, pow(self._scale, k, self.modulus), d, self.modulus)
 
     def top(self):
         """X_0(floor(n/2)); for omega, the numerator of the fundamental ratio."""
@@ -399,33 +404,33 @@ class Triangle:
         }
 
 
+def _vectors(point: QPoint, diag_weights, coupling_weights, modulus: int | None):
+    """Scale s, radicand d, and the multipliers diag[j] = (2z-x) w_j and
+    coupling[r] = z w_r of a triangle on the ``_reduced_lift`` of ``point``:
+    int lists when d = 0, else pairs (u, v) of int lists for u + v sqrt(d)."""
+    s, (zu, zv), (xu, xv), d = _reduced_lift(point, modulus)
+    diag = [[t * w for w in diag_weights] for t in (2 * zu - xu, 2 * zv - xv)]
+    coupling = [[z * w for w in coupling_weights] for z in (zu, zv)]
+    return (s, d, diag, coupling) if d else (s, d, diag[0], coupling[0])
+
+
 def _omega_vectors(point: QPoint, n: int, modulus: int | None):
-    """Scale s, kernel radicand (None at rational points), diag and coupling
-    of the omega triangle on the lift of ``point``, after ``_check_modulus``."""
+    """``_vectors`` of the omega triangle:
+    omega_r(k) = (2z-x)(n-r-k) omega_r(k-1) + sign 2z(n-2r-d(n-1)) omega_{r+1}(k-1);
+    the fault-injection sign lives in the coupling weights, not the kernel."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_modulus(point, modulus)
-    K = n // 2
-    scale, (zu, zv), (xu, xv), d = _lift(point)
-    a_pair, b_pair = (2 * zu - xu, 2 * zv - xv), (2 * zu, 2 * zv)
-    # omega_r(k) = A(n-r-k) omega_r(k-1) + sign B(n-2r-d(n-1)) omega_{r+1}(k-1);
-    # the fault-injection sign lives in the coupling vector, not the kernel
-    dlt = (n - 1) & 1
-    diag = [[a * (n - j) for j in range(K + 1)] for a in a_pair]
-    coupling = [[_coupling_sign * b * (n - 2 * r - dlt) for r in range(K)] for b in b_pair]
-    if point.d == 0:
-        return scale, None, diag[0], coupling[0]
-    return scale, d, diag, coupling
+    K, dlt = n // 2, (n - 1) & 1
+    coupling_weights = [_coupling_sign * 2 * (n - 2 * r - dlt) for r in range(K)]
+    return _vectors(point, range(n, n - K - 1, -1), coupling_weights, modulus)
 
 
 def omega_table(point: QPoint | tuple, n: int, modulus: int | None = None) -> Triangle:
     """Full triangle, all entries retained."""
     point = as_point(point)
     scale, d, diag, coupling = _omega_vectors(point, n, modulus)
-    seed = [1] * (n // 2 + 1)
-    levels = _triangle(seed if d is None else (seed, [0] * len(seed)), diag, coupling, d, modulus)
-    scalar = lambda raw, k: _unlift(raw, scale**k, point.d, modulus)
-    return Triangle(point, n, levels, scalar, modulus)
+    levels = _triangle([1] * (n // 2 + 1), diag, coupling, d, modulus)
+    return Triangle(point, n, levels, scale, modulus)
 
 
 def omega_top(point: QPoint | tuple, n: int, modulus: int | None = None):
@@ -433,7 +438,7 @@ def omega_top(point: QPoint | tuple, n: int, modulus: int | None = None):
     table and equals ``omega_table(point, n, modulus).top()``."""
     point = as_point(point)
     scale, d, diag, coupling = _omega_vectors(point, n, modulus)
-    return _unlift(_unit_seed_top(diag, coupling, d), scale ** (n // 2), point.d, modulus)
+    return _unlift(_unit_seed_top(diag, coupling, d), pow(scale, n // 2, modulus), d, modulus)
 
 
 _CLOSED_FORMS = {(1, -2), (1, 2), (0, -1)}
@@ -469,17 +474,9 @@ def lambda_table(point: QPoint | tuple, n: int) -> Triangle:
         raise ValueError("n must be >= 1")
     point = as_point(point)
     K = n // 2
-    if point.is_rational:
-        m1 = 2 * point.alpha.a - point.beta.a
-        m2 = point.alpha.a
-    else:
-        m1 = 2 * point.alpha - point.beta
-        m2 = point.alpha
-    diag = [m1 * (K - j + 1) for j in range(K + 1)]
-    coupling = [m2 * (r + 1) for r in range(K)]
+    scale, d, diag, coupling = _vectors(point, range(K + 1, 0, -1), range(1, K + 1), None)
     seed = [lambda_seed(n, r) for r in range(K + 1)]
-    levels = _triangle(seed, diag, coupling)
-    return Triangle(point, n, levels, lambda raw, k: QuadExt._coerce(raw))
+    return Triangle(point, n, _triangle(seed, diag, coupling, d), scale)
 
 
 def lambda_from_omega(

@@ -1028,10 +1028,7 @@ def _run_che(bounds, rng) -> Iterator[Case]:
         yield {"n": n}, lambda: chebyshev_check(n), True
 
 
-_DIC_ALPHAS = (1, -1, 2, -2, 3)  # Dic's alpha grid unless the bounds give `alphas`
-
-# Override keys a runner reads with a default, so no profile names them.
-_OPTIONAL_BOUNDS = {"Dic": {"alphas"}}
+_DIC_ALPHAS = (1, -1, 2, -2, 3)  # the `alphas` of Dic's grid
 
 
 @_register(
@@ -1043,7 +1040,7 @@ _OPTIONAL_BOUNDS = {"Dic": {"alphas"}}
     quick={"nmax": 32}, full={"nmax": 64}, tiny={"nmax": 10},
 )
 def _run_dic(bounds, rng) -> Iterator[Case]:
-    for alpha in bounds.get("alphas", _DIC_ALPHAS):
+    for alpha in _DIC_ALPHAS:
         for n in range(1, bounds["nmax"] + 1):
             yield {"n": n, "alpha": alpha}, lambda: dickson_check(n, alpha), True
 
@@ -1176,15 +1173,14 @@ def run_check(
 ) -> TheoremReport:
     """Run one registered check with profile bounds plus overrides.
 
-    An override key must be a bound of the check's profiles (or one of the
-    optional keys in `_OPTIONAL_BOUNDS`); any other key raises ValueError,
-    as does a profile other than quick or full.
+    An override key must be a bound of the check's profiles; any other key
+    raises ValueError, as does a profile other than quick or full.
     """
     if id not in REGISTRY:
         raise KeyError(f"unknown check id {id!r}")
     _check_profile(profile)
     check = REGISTRY[id]
-    allowed = set(check.full) | _OPTIONAL_BOUNDS.get(id, set())
+    allowed = set(check.full)
     foreign = sorted(set(overrides or {}) - allowed)
     if foreign:
         raise ValueError(

@@ -107,6 +107,14 @@ class TestPsiCommand:
         assert run_cli(capsys, *argv) == (EXIT_OK, "799832\n", "")
         assert time.perf_counter() - start < 1
 
+    def test_residue_at_a_huge_point_is_fast(self, capsys):
+        # the lift is reduced mod m first, so a 3000-digit alpha costs what a
+        # small one does; 746411 was checked by a hand loop over pairs mod m
+        start = time.perf_counter()
+        argv = ["psi", "--point", f"{10**3000},1*sqrt(2)", "--n", str(cli.PSI_MAX_N)]
+        assert run_cli(capsys, *argv, "--mod", "1000003") == (EXIT_OK, "746411\n", "")
+        assert time.perf_counter() - start < 1
+
     def test_quadratic_residue_matches_the_exact_value(self, capsys):
         point = "1/2+1/2*sqrt(5),1"
         code, out, _ = run_cli(capsys, "psi", "--point", point, "--n", "57", "--mod", "13")
@@ -337,6 +345,14 @@ class TestEmergeCommand:
         assert time.perf_counter() - start < 1
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: k is capped at {cli.EMERGE_MAX_K}; got 20000\n"
+
+    def test_cost_does_not_grow_with_the_point(self, capsys):
+        # the top entry runs on the lift reduced mod p_{k+1}
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "emerge", "2048", "--point", f"{10**60},1")
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "p2049=17881 divides Omega0 (residue 0 mod 17881) : PASS\n"
 
     def test_cap_is_inclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "EMERGE_MAX_K", 15)

@@ -1,0 +1,103 @@
+"""Mutation matrix: five faults injected at the boundaries of the integer
+lift, and the registered checks that catch each one at tiny bounds.
+
+``tests/mutation_matrix.json`` records mutant -> sorted ids of the checks
+whose status is not "pass" while it is active (gen1, which records genuine
+counterexamples, is left out).  A rewrite that lets a check stop seeing a
+fault shrinks a set, and the test below names that mutant.  To print the
+sets of the current tree:
+
+    PYTHONPATH=src python tests/test_mutation_matrix.py
+"""
+
+import json
+from contextlib import contextmanager
+from pathlib import Path
+
+from quanta import polynomials, primes, sequences, verify
+from quanta.verify import REGISTRY, run_check
+
+MATRIX_FILE = Path(__file__).with_name("mutation_matrix.json")
+MODULES = (sequences, verify, primes, polynomials)
+
+
+def _seed_sign_flipped_at_r1(lambda_seed):
+    return lambda n, r: -lambda_seed(n, r) if r == 1 else lambda_seed(n, r)
+
+
+def _entries_plus_one_from_k2(lambda_table):
+    def mutant(point, n):
+        table = lambda_table(point, n)
+        entry = table.entry
+        table.entry = lambda r, k: entry(r, k) + 1 if k >= 2 else entry(r, k)
+        return table
+
+    return mutant
+
+
+def _plus_one_at_n7(psi_point):
+    def mutant(point, n, modulus=None):
+        value = psi_point(point, n, modulus)
+        return value + 1 if n == 7 else value
+
+    return mutant
+
+
+def _exact_skips_division(unlift):
+    return lambda raw, q, d, modulus=None: unlift(raw, 1 if modulus is None else q, d, modulus)
+
+
+def _modular_skips_inverse(unlift):
+    return lambda raw, q, d, modulus=None: unlift(raw, q if modulus is None else 1, d, modulus)
+
+
+# mutant -> (the name it replaces, a factory from the original to the mutant)
+MUTANTS = {
+    "lambda_seed sign flipped at r=1": ("lambda_seed", _seed_sign_flipped_at_r1),
+    "lambda_table entries +1 at k>=2": ("lambda_table", _entries_plus_one_from_k2),
+    "psi_point +1 at n=7": ("psi_point", _plus_one_at_n7),
+    "exact _unlift skips its division": ("_unlift", _exact_skips_division),
+    "modular _unlift skips q^-1": ("_unlift", _modular_skips_inverse),
+}
+
+
+@contextmanager
+def mutated(name, factory):
+    """Replace ``name`` by its mutant in every module that binds it."""
+    original = getattr(sequences, name)
+    mutant = factory(original)
+    bound = [m for m in MODULES if getattr(m, name, None) is original]
+    for module in bound:
+        setattr(module, name, mutant)
+    try:
+        yield
+    finally:
+        for module in bound:
+            setattr(module, name, original)
+
+
+def catching_sets() -> dict[str, list[str]]:
+    ids = sorted(id for id in REGISTRY if id != "gen1")
+    sets = {}
+    for label, (name, factory) in MUTANTS.items():
+        with mutated(name, factory):
+            sets[label] = [id for id in ids if run_check(id, REGISTRY[id].tiny).status != "pass"]
+    return sets
+
+
+def test_no_catching_set_shrank():
+    recorded = json.loads(MATRIX_FILE.read_text())
+    assert set(recorded) == set(MUTANTS)
+    sets = catching_sets()
+    uncaught = [label for label, caught in sets.items() if not caught]
+    shrank = {
+        label: sorted(set(recorded[label]) - set(caught))
+        for label, caught in sets.items()
+        if not set(recorded[label]) <= set(caught)
+    }
+    assert not uncaught, f"no check catches: {uncaught}"
+    assert not shrank, f"checks that stopped catching a mutant: {shrank}"
+
+
+if __name__ == "__main__":
+    print(json.dumps(catching_sets(), indent=2))

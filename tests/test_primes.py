@@ -165,10 +165,6 @@ class TestEmergence:
         assert result.omega0_mod == 0
         assert result.exact_path is False
 
-    def test_kernel_point_raises_when_forced(self):
-        with pytest.raises(KernelPointError):
-            emergence_check(3, QPoint(1, 0), exact=True)
-
     def test_quadratic_point(self):
         result = emergence_check(2, QPoint(QuadExt(1), SQRT2))
         assert result.omega0_mod == 0

@@ -14,7 +14,6 @@ from quanta.scalars import (
     SQRT5,
     ScalarParseError,
     divides_int,
-    exact_div,
     format_scalar,
     is_square_free,
     parse_scalar,
@@ -166,18 +165,18 @@ class TestDivisibility:
 
 class TestExactDiv:
     def test_integers(self):
-        assert exact_div(QuadExt(120), QuadExt(60)) == 2
+        assert QuadExt(120) / QuadExt(60) == 2
 
     def test_self_division(self):
         x = QuadExt(3, -4, 7)
-        assert exact_div(x, x) == 1
+        assert x / x == 1
 
     def test_conjugate_route(self):
-        assert exact_div(QuadExt(-4), QuadExt(1, -1, 5)) == QuadExt(1, 1, 5)
+        assert QuadExt(-4) / QuadExt(1, -1, 5) == QuadExt(1, 1, 5)
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
-            exact_div(QuadExt(1), QuadExt(0))
+            QuadExt(1) / QuadExt(0)
 
 
 class TestModInt:

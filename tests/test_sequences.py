@@ -33,6 +33,7 @@ from quanta.sequences import (
     fibonacci,
     flipped_omega_coupling,
     lambda_from_omega,
+    lambda_seed,
     lambda_table,
     lucas,
     omega_closed,
@@ -161,6 +162,36 @@ class TestPsiPointLift:
     def test_lift_clears_every_denominator(self):
         point = QPoint(Fraction(1, 3) + SQRT5 / 6, Fraction(5, 4) * SQRT5)
         assert sequences._lift(point) == (12, (4, 2), (0, 15), 5)
+
+
+# points far larger than either modulus: a modular value runs on the lift
+# reduced mod m, and reduce_mod of the exact value is its reference
+_HUGE_POINTS = [
+    QPoint(10**60 + 7, -3),
+    QPoint(Fraction(10**60, 3), 1),
+    QPoint(QuadExt(1), SQRT2 * 10**60),
+]
+
+
+class TestModularLift:
+    @staticmethod
+    def residue(value):
+        return (value.residue, 0) if isinstance(value, ModInt) else (value.a, value.b)
+
+    @pytest.mark.parametrize("modulus", [13, 1000003])
+    @pytest.mark.parametrize("point", _HUGE_POINTS, ids=["int", "rational", "quadratic"])
+    def test_residues_of_the_exact_values(self, point, modulus):
+        for n in range(31):
+            want = reduce_mod(psi_point(point, n), modulus)
+            assert self.residue(psi_point(point, n, modulus)) == want, n
+        for n in range(1, 31):
+            want = reduce_mod(omega_top(point, n), modulus)
+            assert self.residue(omega_top(point, n, modulus)) == want, n
+            table, exact = omega_table(point, n, modulus), omega_table(point, n)
+            for k in range(n // 2 + 1):
+                for r in range(n // 2 - k + 1):
+                    want = reduce_mod(exact.entry(r, k), modulus)
+                    assert self.residue(table.entry(r, k)) == want, (n, r, k)
 
 
 class TestPsiClosed:
@@ -368,6 +399,56 @@ class TestLambdaTable:
     def test_bridge_level_one_explicit(self):
         # factor 1/2 times omega_0(1) = -2 alpha - 4 beta
         assert lambda_from_omega(QPoint(1, 1), 5, 0, 1) == -3
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            QPoint(Fraction(1, 2), Fraction(-3, 4)),
+            QPoint(Fraction(-2, 3), Fraction(5, 7)),
+            QPoint(GOLDEN, 1),
+            QPoint(QuadExt(1), SQRT2),
+            QPoint(SQRT3 * Fraction(2, 3), QuadExt(-1)),
+        ],
+        ids=str,
+    )
+    def test_scaled_points_match_the_recurrence(self, point):
+        # the table runs on the lift and unlifts level k by s^k; the
+        # recurrence over the point's own QuadExt components is the reference
+        al, be = point.alpha, point.beta
+        for n in range(2, 31):
+            K = n // 2
+            table = lambda_table(point, n)
+            level = [QuadExt(lambda_seed(n, r)) for r in range(K + 1)]
+            for k in range(K + 1):
+                if k:
+                    level = [
+                        (2 * al - be) * (K - k - r + 1) * level[r] + al * (r + 1) * level[r + 1]
+                        for r in range(K - k + 1)
+                    ]
+                for r, want in enumerate(level):
+                    got = table.entry(r, k)
+                    assert got == want and repr(got) == repr(want), (n, r, k)
+
+    def test_fractions_only_in_the_seeds(self, monkeypatch):
+        # a rational or quadratic point costs no more Fractions than an
+        # integer one: the table is filled on the lift, and entries unlift
+        # only when read
+        points = [QPoint(3, -2), QPoint(Fraction(1, 2), Fraction(-3, 4)), QPoint(GOLDEN, 1)]
+        made = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        counts = []
+        for point in points:
+            made.clear()
+            monkeypatch.setattr(Fraction, "__new__", counting)
+            lambda_table(point, 40)
+            monkeypatch.undo()
+            counts.append(len(made))
+        assert counts == [counts[0]] * 3, counts
 
 
 class TestPsiKExpand:

@@ -95,16 +95,15 @@ class TestRunCheck:
 
     @pytest.mark.parametrize(
         "id, overrides, key",
-        [("U18", {"pmax": 3}, "pmax"), ("gen1", {"kmax": 3, "nmax": 5}, "nmax")],
+        [
+            ("U18", {"pmax": 3}, "pmax"),
+            ("gen1", {"kmax": 3, "nmax": 5}, "nmax"),
+            ("Dic", {"alphas": [1]}, "alphas"),
+        ],
     )
     def test_override_must_name_a_bound(self, id, overrides, key):
         with pytest.raises(ValueError, match=f"{key} is not a bound of {id}"):
             run_check(id, overrides)
-
-    def test_dic_takes_optional_alphas(self):
-        report = run_check("Dic", {"nmax": 3, "alphas": [1, 2]})
-        assert report.status == "pass"
-        assert report.cases_run == 6
 
     def test_schema_keys(self):
         report = run_check("G4", {"nmax": 2})
