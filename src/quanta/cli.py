@@ -18,6 +18,7 @@ from .scalars import (
     RingMismatchError,
     ScalarParseError,
     format_scalar,
+    is_square_free,
     parse_scalar,
 )
 from .sequences import (
@@ -59,25 +60,28 @@ def _psi_bits(point: QPoint, n: int) -> int:
 
 def parse_point(text: str) -> QPoint:
     """Parse 'a,b' where each side uses the scalar text form, optionally
-    carrying a ':d=<radicand>' suffix that declares the ambient ring."""
+    carrying a ':d=<radicand>' suffix that declares the ambient ring.  Every
+    declaration must name the same square-free d >= 0, and no component may
+    live over another radicand."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ScalarParseError("point must be '<alpha>,<beta>'", 0)
-    declared: int | None = None
+    declared: set[int] = set()
     comps = []
     for part in parts:
         head, sep, tail = part.partition(":d=")
         if sep:
-            declared = int(tail)
+            declared.add(int(tail))
         comps.append(parse_scalar(head.strip()))
-    alpha, beta = comps
-    if declared is not None:
+    if len(declared) > 1:
+        raise ScalarParseError(f"conflicting ring declarations d={sorted(declared)}", 0)
+    for d in declared:
+        if not is_square_free(d):
+            raise ScalarParseError(f"declared radicand d={d} must be square-free and >= 0", 0)
         for comp in comps:
-            if comp.d not in (0, declared):
-                raise ScalarParseError(
-                    f"component radicand {comp.d} conflicts with d={declared}", 0
-                )
-    return QPoint(alpha, beta)
+            if comp.d not in (0, d):
+                raise ScalarParseError(f"component radicand {comp.d} conflicts with d={d}", 0)
+    return QPoint(*comps)
 
 
 def _print_progress(message: str) -> None:

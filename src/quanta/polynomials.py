@@ -23,7 +23,6 @@ from .sequences import (
     as_point,
     delta,
     falling_factorial,
-    omega_table,
     omega_top,
     psi_closed,
     psi_point,
@@ -278,19 +277,14 @@ def psi_bipoly(n: int) -> BiPoly:
     return psi_closed(BiPoly.var_a(), BiPoly.var_b(), n)
 
 
-def psi_k_poly(
-    n: int, k: int, point: QPoint | tuple, table: Triangle | None = None
-) -> BiPoly:
-    """The k-th expansion of psi(a, b, n) along a rational point, built from
-    the omega entries, as a polynomial in (a, b)."""
-    point = as_point(point)
-    if not point.is_rational:
+def psi_k_poly(table: Triangle, k: int) -> BiPoly:
+    """The k-th expansion of psi(a, b, n) as a polynomial in (a, b), built
+    from the exact omega ``table`` of a rational point and n."""
+    if not table.point.is_rational:
         raise ValueError("polynomial expansion needs a rational point")
-    K = n // 2
+    K = table.K
     if not 0 <= k <= K:
-        raise ValueError(f"k={k} outside [0, {K}] for n={n}")
-    if table is None:
-        table = omega_table(point, n)
+        raise ValueError(f"k={k} outside [0, {K}] for n={table.n}")
     coeffs = [_expansion_coeff(table, r, k).as_fraction() for r in range(K - k + 1)]
     a = BiPoly.var_a()
     return _psi_sum(coeffs, a, 2 * a - BiPoly.var_b())
@@ -322,32 +316,22 @@ def verify_fundamental_psi(n: int, point: QPoint | tuple) -> bool:
     return collapsed.constant_value() == psi_point(point, n).as_fraction()
 
 
-def verify_derivative_expansion(
-    n: int,
-    k: int,
-    point: QPoint | tuple,
-    table: Triangle | None = None,
-    base: BiPoly | None = None,
-) -> bool:
-    """Omega-built expansion polynomial == (-1)^k/k! times the k-fold
-    directional derivative of the psi polynomial."""
-    lhs = psi_k_poly(n, k, point, table)
-    rhs = dir_derivative(psi_bipoly(n) if base is None else base, point, k) / factorial(k)
+def verify_derivative_expansion(table: Triangle, k: int, base: BiPoly | None = None) -> bool:
+    """Expansion polynomial from the exact omega ``table`` == (-1)^k/k! times
+    the k-fold directional derivative of the psi polynomial ``base`` (by
+    default ``psi_bipoly`` of the table's n) along the table's point."""
+    base = psi_bipoly(table.n) if base is None else base
+    rhs = dir_derivative(base, table.point, k) / factorial(k)
     if k & 1:
         rhs = -rhs
-    return lhs == rhs
+    return psi_k_poly(table, k) == rhs
 
 
-def verify_diff_ladder(n: int, r: int, point: QPoint | tuple) -> bool:
+def verify_diff_ladder(table: Triangle, r: int) -> bool:
     """Applying the directional derivative to the r-th expansion polynomial
-    yields -(r+1) times the (r+1)-th."""
-    if not 0 <= r < n // 2:
-        raise ValueError(f"r={r} outside [0, {n // 2})")
-    point = as_point(point)
-    table = omega_table(point, n)
-    lhs = dir_derivative(psi_k_poly(n, r, point, table), point)
-    rhs = -(r + 1) * psi_k_poly(n, r + 1, point, table)
-    return lhs == rhs
+    of the exact omega ``table`` yields -(r+1) times the (r+1)-th."""
+    lhs = dir_derivative(psi_k_poly(table, r), table.point)
+    return lhs == -(r + 1) * psi_k_poly(table, r + 1)
 
 
 # -- Chebyshev / Dickson -------------------------------------------------------

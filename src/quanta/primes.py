@@ -536,15 +536,16 @@ def harmonic_congruence_check(n: int) -> bool:
 # -- divisor-sum inequality -------------------------------------------------------
 
 LAGARIAS_PRECISION_CAP = 16384
+_SWEEP_BITS = 192  # fractional bits of lagarias_sweep's H_n brackets
 
 
-def lagarias_check(n: int, precision_bits: int = 128) -> str:
+def lagarias_check(n: int) -> str:
     """sigma(n) <= H_n + log(H_n) e^(H_n), decided by interval evaluation.
 
     H_n is exact; the transcendental right side is bracketed at increasing
-    precision until the comparison resolves or the cap is hit ('undecided').
-    A resolved violation would disprove the inequality and raises
-    TheoremViolationError.
+    precision from 128 bits until the comparison resolves or the cap is hit
+    ('undecided').  A resolved violation would disprove the inequality and
+    raises TheoremViolationError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -553,7 +554,7 @@ def lagarias_check(n: int, precision_bits: int = 128) -> str:
         return "holds"  # equality: sigma(1) = 1 = H_1 + log(H_1) e^(H_1)
     h = harmonic_number(n)
     iv = mpmath.iv
-    bits = max(precision_bits, 8)
+    bits = 128
     while bits <= LAGARIAS_PRECISION_CAP:
         saved = iv.prec
         try:
@@ -592,11 +593,11 @@ def _harmonic_interval(lo: int, hi: int, bits: int):
     return mpmath.iv.mpf([lo, hi]) / (1 << bits)
 
 
-def lagarias_sweep(nmax: int, precision_bits: int = 192) -> list[int]:
+def lagarias_sweep(nmax: int) -> list[int]:
     """All n in [1, nmax] failing to resolve as holds/holds_strict.
 
     H_n is carried as the integer enclosure of `_harmonic_brackets` with
-    ``precision_bits`` fractional bits; sigma(n) is computed once per n.
+    ``_SWEEP_BITS`` fractional bits; sigma(n) is computed once per n.
     The right side grows with n, so once it is known to exceed an integer
     threshold every later n with sigma(n) at or below that threshold holds.
     Only an n above the threshold gets the iv interval of its bracket and
@@ -607,18 +608,18 @@ def lagarias_sweep(nmax: int, precision_bits: int = 192) -> list[int]:
     failures: list[int] = []
     saved = iv.prec
     try:
-        iv.prec = precision_bits
+        iv.prec = _SWEEP_BITS
         threshold = -1
-        for n, lo, hi in _harmonic_brackets(nmax, precision_bits):
+        for n, lo, hi in _harmonic_brackets(nmax, _SWEEP_BITS):
             s = sigma(n)
             if s <= threshold:
                 continue
-            h = _harmonic_interval(lo, hi, precision_bits)
+            h = _harmonic_interval(lo, hi, _SWEEP_BITS)
             rhs = h + iv.log(h) * iv.exp(h)
             if s < rhs.a:
                 threshold = int(mpmath.floor(rhs.a)) - 1
                 continue
-            if lagarias_check(n, precision_bits) == "undecided":
+            if lagarias_check(n) == "undecided":
                 failures.append(n)
     finally:
         iv.prec = saved

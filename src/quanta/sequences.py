@@ -479,19 +479,10 @@ def lambda_table(point: QPoint | tuple, n: int) -> Triangle:
     return Triangle(point, n, _triangle(seed, diag, coupling, d), scale)
 
 
-def lambda_from_omega(
-    point: QPoint | tuple,
-    n: int,
-    r: int,
-    k: int,
-    table: Triangle | None = None,
-) -> QuadExt:
-    """lambda_r(k) recovered from the omega entry by the factorial bridge:
-    (-1)^k k! times the expansion coefficient of ``_expansion_coeff``."""
-    if k < 0 or r < 0 or r + k > n // 2:
-        raise ValueError(f"(r={r}, k={k}) outside triangle for n={n}")
-    if table is None:
-        table = omega_table(point, n)
+def lambda_from_omega(table: Triangle, r: int, k: int) -> QuadExt:
+    """lambda_r(k) at the point and n of the exact omega ``table``, recovered
+    by the factorial bridge: (-1)^k k! times the expansion coefficient of
+    ``_expansion_coeff``."""
     value = _expansion_coeff(table, r, k) * factorial(k)
     return -value if k & 1 else value
 
@@ -501,46 +492,40 @@ def lambda_from_omega(
 
 def _expansion_coeff(table: Triangle, r: int, k: int) -> QuadExt:
     """(-1)^(r+k) n (n-r-k-1)! C(K-r, k) / ((n-2r)! r!) times omega_r(k), the
-    r-th coefficient of the k-th expansion of psi; one exact int division."""
-    n = table.n
+    r-th coefficient of the k-th expansion of psi; one exact int division.
+    Every expansion reads the omega table through here: a modular table is
+    refused with ValueError, and ``entry`` raises IndexError outside it."""
+    if table.modulus is not None:
+        raise ValueError(f"expansions need an exact omega table, not one mod {table.modulus}")
+    entry, n = table.entry(r, k), table.n
     num = n * factorial(n - r - k - 1) * comb(table.K - r, k)
     if (r + k) & 1:
         num = -num
-    return table.entry(r, k) * num / (factorial(n - 2 * r) * factorial(r))
+    return entry * num / (factorial(n - 2 * r) * factorial(r))
 
 
-def psi_k_expand(
-    a,
-    b,
-    point: QPoint | tuple,
-    n: int,
-    k: int,
-    table: Triangle | None = None,
-) -> tuple[QuadExt, list[QuadExt]]:
+def psi_k_expand(a, b, table: Triangle, k: int) -> tuple[QuadExt, list[QuadExt]]:
     """Value and coefficient list of the k-th expansion of psi(a, b, n)
-    along the point.
+    along the point, with the point and n of the exact omega ``table``.
 
     The value equals (-1)^k / k! times the k-fold directional derivative of
     the psi polynomial in (a, b); at k = 0 it is psi(a, b, n) and at
     k = floor(n/2) it is (-1)^k psi at the point.  For integral points every
     coefficient is checked to be a rational integer.
     """
-    point = as_point(point)
+    point, K = table.point, table.K
     aq = a if isinstance(a, QuadExt) else QuadExt(a)
     bq = b if isinstance(b, QuadExt) else QuadExt(b)
     if not (point.beta * aq - point.alpha * bq):
         raise DegeneratePointError(f"beta*a == alpha*b for point {point}")
-    K = n // 2
     if not 0 <= k <= K:
-        raise ValueError(f"k={k} outside [0, {K}] for n={n}")
-    if table is None:
-        table = omega_table(point, n)
+        raise ValueError(f"k={k} outside [0, {K}] for n={table.n}")
     coeffs = [_expansion_coeff(table, r, k) for r in range(K - k + 1)]
     if point.is_integral:
         for r, c in enumerate(coeffs):
             if not c.is_integral:
                 raise TheoremViolationError(
-                    f"non-integral expansion coefficient at n={n}, k={k}, r={r}"
+                    f"non-integral expansion coefficient at n={table.n}, k={k}, r={r}"
                 )
     return _psi_sum(coeffs, aq, 2 * aq - bq), coeffs
 
@@ -614,28 +599,25 @@ def sums_of_powers_check(x: int, y: int, n: int) -> bool:
     return expansion == x**n + y**n
 
 
-def psi_expansion_identity_check(
-    a, b, point: QPoint | tuple, x: int, y: int, n: int
-) -> bool:
+def psi_expansion_identity_check(a, b, table: Triangle, x: int, y: int) -> bool:
     """The degree-floor(n/2) expansion of (beta a - alpha b)^K (x^n+y^n)/(x+y)^d
-    into the two quadratic forms, with coefficients from psi_k_expand."""
-    point = as_point(point)
+    into the two quadratic forms, at the point and n of the exact omega
+    ``table``, with coefficients from psi_k_expand."""
+    point, n, K = table.point, table.n, table.K
     aq = a if isinstance(a, QuadExt) else QuadExt(a)
     bq = b if isinstance(b, QuadExt) else QuadExt(b)
     pivot = point.beta * aq - point.alpha * bq
     if not pivot:
         raise DegeneratePointError(f"beta*a == alpha*b for point {point}")
-    K = n // 2
     val = _power_sum_quotient(x, y, n)
     if val is None:
         return False
     lhs = pivot**K * val
-    table = omega_table(point, n)
     p_form = point.alpha * (x * x) + point.beta * (x * y) + point.alpha * (y * y)
     q_form = aq * (x * x) + bq * (x * y) + aq * (y * y)
     rhs = QuadExt(0)
     for r in range(K + 1):
-        value, _ = psi_k_expand(aq, bq, point, n, r, table)
+        value, _ = psi_k_expand(aq, bq, table, r)
         rhs = rhs + value * p_form ** (K - r) * q_form**r
     return lhs == rhs
 

@@ -403,14 +403,15 @@ def _run_ex00(bounds, rng) -> Iterator[Case]:
     xys = [(2, 1), (1, 1), (3, -1)]
     for point in _int_points(2):
         label = str(point)
+        tables = {n: omega_table(point, n) for n in range(2, bounds["nmax"] + 1)}
         for a, b in scalars:
             if not (point.beta * a - point.alpha * b):
                 continue
             for x, y in xys:
-                for n in range(2, bounds["nmax"] + 1):
+                for n, table in tables.items():
                     yield (
                         {"point": label, "a": a, "b": b, "x": x, "y": y, "n": n},
-                        lambda: psi_expansion_identity_check(a, b, point, x, y, n),
+                        lambda: psi_expansion_identity_check(a, b, table, x, y),
                         True,
                     )
 
@@ -425,10 +426,11 @@ def _run_diff1(bounds, rng) -> Iterator[Case]:
     for point in points:
         label = str(point)
         for n in range(2, bounds["nmax"] + 1):
+            table = omega_table(point, n)
             for r in range(n // 2):
                 yield (
                     {"point": label, "n": n, "r": r},
-                    lambda: verify_diff_ladder(n, r, point),
+                    lambda: verify_diff_ladder(table, r),
                     True,
                 )
 
@@ -448,7 +450,7 @@ def _run_diff3(bounds, rng) -> Iterator[Case]:
             for k in range(n // 2 + 1):
                 yield (
                     {"point": label, "n": n, "k": k},
-                    lambda: verify_derivative_expansion(n, k, point, table, base),
+                    lambda: verify_derivative_expansion(table, k, base),
                     True,
                 )
 
@@ -575,7 +577,7 @@ def _run_h2(bounds, rng) -> Iterator[Case]:
                 for r in range(K - k + 1):
                     yield (
                         {"point": label, "n": n, "r": r, "k": k},
-                        lambda: lambda_from_omega(point, n, r, k, otable),
+                        lambda: lambda_from_omega(otable, r, k),
                         ltable.entry(r, k),
                     )
 
@@ -590,6 +592,7 @@ def _run_h2(bounds, rng) -> Iterator[Case]:
 )
 def _run_f1100(bounds, rng) -> Iterator[Case]:
     scalar_a, scalar_b = 1, 4
+    bipolys = {n: psi_bipoly(n) for n in range(2, bounds["nmax"] + 1)}
     for point in _int_points(bounds["coord"]):
         if not (point.beta * scalar_a - point.alpha * scalar_b):
             continue
@@ -597,14 +600,14 @@ def _run_f1100(bounds, rng) -> Iterator[Case]:
         for n in range(2, bounds["nmax"] + 1):
             otable = omega_table(point, n)
             ltable = lambda_table(point, n)
-            deriv = psi_bipoly(n)
+            deriv = bipolys[n]
             kfact = 1
             for k in range(n // 2 + 1):
                 if k:
                     deriv = dir_derivative(deriv, point)
                     kfact *= k
                 try:
-                    value, coeffs = psi_k_expand(scalar_a, scalar_b, point, n, k, otable)
+                    value, coeffs = psi_k_expand(scalar_a, scalar_b, otable, k)
                 except TheoremViolationError as exc:
                     yield (
                         {"point": label, "n": n, "k": k},

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -22,16 +23,21 @@ def run_cli(capsys, *argv):
 class TestPointParsing:
     def test_rational_pair(self):
         assert parse_point("1,-2") == QPoint(1, -2)
-        assert parse_point("1/2,3") == QPoint(QuadExt(0) + 0, 3) or True
+        assert parse_point("1/2,3") == QPoint(Fraction(1, 2), 3)
         assert parse_point("1/2,3").alpha.a.denominator == 2
 
     def test_quadratic_with_declared_ring(self):
         point = parse_point("1,1*sqrt(2):d=2")
         assert point == QPoint(QuadExt(1), SQRT2)
 
-    def test_ring_conflict(self):
+    @pytest.mark.parametrize(
+        "text",
+        ["1,1*sqrt(3):d=2", "1:d=2,1:d=3", "1,1:d=4", "1,1:d=-3"],
+        ids=["component-radicand", "two-declarations", "not-square-free", "negative"],
+    )
+    def test_ring_conflict(self, text):
         with pytest.raises(ScalarParseError):
-            parse_point("1,1*sqrt(3):d=2")
+            parse_point(text)
 
     def test_arity(self):
         with pytest.raises(ScalarParseError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from quanta.sequences import QPoint, psi_rec
+from quanta.sequences import QPoint, omega_table, psi_rec
 from quanta.polynomials import (
     BiPoly,
     UniPoly,
@@ -142,31 +142,32 @@ class TestFundamentalCollapse:
 
 class TestDiffLadder:
     def test_examples(self):
-        assert verify_diff_ladder(5, 0, QPoint(1, 1))
-        assert verify_diff_ladder(4, 1, QPoint(1, 0))
-        assert verify_diff_ladder(2, 0, QPoint(3, -4))
+        assert verify_diff_ladder(omega_table(QPoint(1, 1), 5), 0)
+        assert verify_diff_ladder(omega_table(QPoint(1, 0), 4), 1)
+        assert verify_diff_ladder(omega_table(QPoint(3, -4), 2), 0)
 
     def test_range_check(self):
         with pytest.raises(ValueError):
-            verify_diff_ladder(4, 2, QPoint(1, 1))
+            verify_diff_ladder(omega_table(QPoint(1, 1), 4), 2)
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_sweep_with_expansion(self, n):
-        point = QPoint(-1, 2)
-        for r in range(n // 2):
-            assert verify_diff_ladder(n, r, point)
-        for k in range(n // 2 + 1):
-            assert verify_derivative_expansion(n, k, point)
+        for point in (QPoint(-1, 2), QPoint(Fraction(1, 2), Fraction(-3, 4))):
+            table = omega_table(point, n)
+            for r in range(n // 2):
+                assert verify_diff_ladder(table, r)
+            for k in range(n // 2 + 1):
+                assert verify_derivative_expansion(table, k)
 
     def test_second_derivative_matches_expansion_poly(self):
         # two derivative steps of the degree-5 psi polynomial along (1, 1),
         # scaled by 1/2!, reproduce the k=2 expansion coefficient map
-        assert verify_derivative_expansion(5, 2, QPoint(1, 1))
+        assert verify_derivative_expansion(omega_table(QPoint(1, 1), 5), 2)
 
     def test_k_poly_top_is_constant(self):
         # top expansion polynomial is the signed psi value at the point
         point = QPoint(1, 1)
-        top = psi_k_poly(7, 3, point)
+        top = psi_k_poly(omega_table(point, 7), 3)
         assert top.is_constant()
         assert top.constant_value() == -psi_rec(1, 1, 7)
 

@@ -388,17 +388,23 @@ class TestLambdaTable:
                 assert divides_int(factorial(k), table.entry(r, k))
 
     def test_bridge_from_omega(self):
-        for point in [QPoint(1, 1), QPoint(-2, 3), QPoint(QuadExt(1), SQRT2)]:
+        points = [
+            QPoint(1, 1),
+            QPoint(-2, 3),
+            QPoint(QuadExt(1), SQRT2),
+            QPoint(Fraction(1, 2), Fraction(-3, 4)),
+        ]
+        for point in points:
             for n in (5, 7, 10):
                 table = lambda_table(point, n)
                 otable = omega_table(point, n)
                 for k in range(n // 2 + 1):
                     for r in range(n // 2 - k + 1):
-                        assert lambda_from_omega(point, n, r, k, otable) == table.entry(r, k)
+                        assert lambda_from_omega(otable, r, k) == table.entry(r, k)
 
     def test_bridge_level_one_explicit(self):
         # factor 1/2 times omega_0(1) = -2 alpha - 4 beta
-        assert lambda_from_omega(QPoint(1, 1), 5, 0, 1) == -3
+        assert lambda_from_omega(omega_table(QPoint(1, 1), 5), 0, 1) == -3
 
     @pytest.mark.parametrize(
         "point",
@@ -453,35 +459,44 @@ class TestLambdaTable:
 
 class TestPsiKExpand:
     def test_k0_reduces_to_psi(self):
-        value, _ = psi_k_expand(1, 4, QPoint(1, 1), 9, 0)
+        value, _ = psi_k_expand(1, 4, omega_table(QPoint(1, 1), 9), 0)
         assert value == psi_rec(1, 4, 9)
 
     def test_top_k_reduces_to_point_psi(self):
         for n in (6, 9):
             K = n // 2
-            value, _ = psi_k_expand(1, 4, QPoint(1, 1), n, K)
+            value, _ = psi_k_expand(1, 4, omega_table(QPoint(1, 1), n), K)
             expected = psi_point(QPoint(1, 1), n)
             assert value == (expected if K % 2 == 0 else -expected)
 
     def test_matches_directional_derivative(self):
         n, k = 5, 1
         point = QPoint(1, 1)
-        value, _ = psi_k_expand(1, 4, point, n, k)
+        value, _ = psi_k_expand(1, 4, omega_table(point, n), k)
         deriv = dir_derivative(psi_bipoly(n), point, k)
         expected = -deriv.evaluate(Fraction(1), Fraction(4))
         assert value == expected
 
     def test_integral_coefficients(self):
-        _, coeffs = psi_k_expand(1, 4, QPoint(-2, 3), 11, 2)
+        _, coeffs = psi_k_expand(1, 4, omega_table(QPoint(-2, 3), 11), 2)
         assert all(c.is_integral for c in coeffs)
 
     def test_degenerate_point_rejected(self):
         with pytest.raises(DegeneratePointError):
-            psi_k_expand(1, 2, QPoint(1, 2), 6, 1)
+            psi_k_expand(1, 2, omega_table(QPoint(1, 2), 6), 1)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            psi_k_expand(1, 4, QPoint(1, 1), 6, 4)
+            psi_k_expand(1, 4, omega_table(QPoint(1, 1), 6), 4)
+
+    def test_modular_table_refused(self):
+        # an expansion coefficient divides by factorials, which a residue
+        # table cannot honour
+        table = omega_table(QPoint(1, SQRT2), 9, modulus=7)
+        with pytest.raises(ValueError):
+            psi_k_expand(1, 4, table, 1)
+        with pytest.raises(ValueError):
+            lambda_from_omega(table, 0, 1)
 
 
 class TestSecondFundamental:
@@ -533,17 +548,17 @@ class TestSumsOfPowers:
 
 class TestExpansionIdentity:
     def test_reference_case(self):
-        assert psi_expansion_identity_check(1, 4, QPoint(1, 1), 2, 1, 4)
+        assert psi_expansion_identity_check(1, 4, omega_table(QPoint(1, 1), 4), 2, 1)
 
     def test_two_term_case(self):
-        assert psi_expansion_identity_check(2, -1, QPoint(1, -2), 3, 1, 2)
+        assert psi_expansion_identity_check(2, -1, omega_table(QPoint(1, -2), 2), 3, 1)
 
     def test_zero_alpha_point(self):
-        assert psi_expansion_identity_check(1, 0, QPoint(0, -1), 1, 1, 6)
+        assert psi_expansion_identity_check(1, 0, omega_table(QPoint(0, -1), 6), 1, 1)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegeneratePointError):
-            psi_expansion_identity_check(2, 4, QPoint(1, 2), 1, 1, 4)
+            psi_expansion_identity_check(2, 4, omega_table(QPoint(1, 2), 4), 1, 1)
 
 
 class TestFibTable:
