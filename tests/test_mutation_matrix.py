@@ -1,5 +1,6 @@
-"""Mutation matrix: five faults injected at the boundaries of the integer
-lift, and the registered checks that catch each one at tiny bounds.
+"""Mutation matrix: seven faults injected at the boundaries of the integer
+lift, the expansion coefficients and polynomial evaluation, and the
+registered checks that catch each one at tiny bounds.
 
 ``tests/mutation_matrix.json`` records mutant -> sorted ids of the checks
 whose status is not "pass" while it is active (gen1, which records genuine
@@ -43,6 +44,22 @@ def _plus_one_at_n7(psi_point):
     return mutant
 
 
+def _negated_at_k1(expansion_coeff):
+    def mutant(table, r, k):
+        value = expansion_coeff(table, r, k)
+        return -value if k == 1 else value
+
+    return mutant
+
+
+def _plus_one_above_degree5(evaluate):
+    def mutant(poly, x):
+        value = evaluate(poly, x)
+        return value + 1 if poly.degree > 5 else value
+
+    return mutant
+
+
 def _exact_skips_division(unlift):
     return lambda raw, q, d, modulus=None: unlift(raw, 1 if modulus is None else q, d, modulus)
 
@@ -58,22 +75,30 @@ MUTANTS = {
     "psi_point +1 at n=7": ("psi_point", _plus_one_at_n7),
     "exact _unlift skips its division": ("_unlift", _exact_skips_division),
     "modular _unlift skips q^-1": ("_unlift", _modular_skips_inverse),
+    "_expansion_coeff negated at k=1": ("_expansion_coeff", _negated_at_k1),
+    "UniPoly.evaluate +1 when degree>5": ("UniPoly.evaluate", _plus_one_above_degree5),
 }
 
 
 @contextmanager
 def mutated(name, factory):
-    """Replace ``name`` by its mutant in every module that binds it."""
-    original = getattr(sequences, name)
+    """Replace ``name`` by its mutant: a ``Class.attr`` name on its class,
+    any other name in every module that binds it."""
+    owner, _, attr = name.rpartition(".")
+    if owner:
+        bound = [next(getattr(m, owner) for m in MODULES if hasattr(m, owner))]
+        original = getattr(bound[0], attr)
+    else:
+        original = getattr(sequences, attr)
+        bound = [m for m in MODULES if getattr(m, attr, None) is original]
     mutant = factory(original)
-    bound = [m for m in MODULES if getattr(m, name, None) is original]
-    for module in bound:
-        setattr(module, name, mutant)
+    for target in bound:
+        setattr(target, attr, mutant)
     try:
         yield
     finally:
-        for module in bound:
-            setattr(module, name, original)
+        for target in bound:
+            setattr(target, attr, original)
 
 
 def catching_sets() -> dict[str, list[str]]:
