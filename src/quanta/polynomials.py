@@ -12,7 +12,10 @@ Coefficients are exact rationals in the scalar layer's canonical form: an
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 from math import factorial
+from typing import Callable, Iterator
 
 from .scalars import QuadExt, _canon
 from .sequences import (
@@ -20,13 +23,13 @@ from .sequences import (
     Triangle,
     _expansion_coeff,
     _psi_sum,
+    _psi_values,
     as_point,
     delta,
     falling_factorial,
     omega_top,
     psi_closed,
     psi_point,
-    psi_rec,
 )
 
 _SCALARS = (int, Fraction)
@@ -241,29 +244,24 @@ class UniPoly(_Poly):
             return self
         return UniPoly([0] * k + list(self.coeffs))
 
-    def evaluate(self, x):
-        total = x * 0
+    def evaluate(self, x) -> Fraction:
+        """The value at a rational x = p/q by homogeneous Horner on ints:
+        sum c_i p^i q^(m-i) over the degree m, then one division by q^m."""
+        p, q = x.numerator, x.denominator
+        total, qpow = 0, 1
         for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
+            total, qpow = total * p + c * qpow, qpow * q
+        return Fraction(total * q, qpow)  # qpow = q^(m+1)
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
     def to_text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{i}")
-        return " + ".join(parts)
+        terms = (
+            str(c) if i == 0 else f"{c}*x" if i == 1 else f"{c}*x^{i}"
+            for i, c in enumerate(self.coeffs) if c
+        )
+        return " + ".join(terms) or "0"
 
     def __repr__(self) -> str:
         return f"UniPoly({self.to_text()})"
@@ -337,17 +335,20 @@ def verify_diff_ladder(table: Triangle, r: int) -> bool:
 # -- Chebyshev / Dickson -------------------------------------------------------
 
 
+def _three_term(p0: int, mult: UniPoly, alpha) -> Iterator[UniPoly]:
+    """P_0 = p0, P_1 = x, P_{m+1} = mult P_m - alpha P_{m-1}, for m = 1, 2, ...:
+    T_n from (1, 2x, 1) and D_n(x, alpha) from (2, x, alpha)."""
+    prev, cur = UniPoly.const(p0), UniPoly.var()
+    while True:
+        yield prev
+        prev, cur = cur, mult * cur - alpha * prev
+
+
 def chebyshev_polynomial(n: int) -> UniPoly:
     """T_n by the classical three-term recurrence."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    prev, cur = UniPoly.const(1), UniPoly.var()
-    if n == 0:
-        return prev
-    two_x = UniPoly([0, 2])
-    for _ in range(n - 1):
-        prev, cur = cur, two_x * cur - prev
-    return cur
+    return next(islice(_three_term(1, UniPoly([0, 2]), 1), n, None))
 
 
 def dickson_polynomial(n: int, alpha) -> UniPoly:
@@ -359,14 +360,7 @@ def dickson_polynomial(n: int, alpha) -> UniPoly:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    alpha = Fraction(alpha)
-    prev, cur = UniPoly.const(2), UniPoly.var()
-    if n == 0:
-        return prev
-    x = UniPoly.var()
-    for _ in range(n - 1):
-        prev, cur = cur, x * cur - alpha * prev
-    return cur
+    return next(islice(_three_term(2, UniPoly.var(), Fraction(alpha)), n, None))
 
 
 # Che and Dic evaluate the omega ratio at these ten x; none is 0, so every
@@ -374,16 +368,19 @@ def dickson_polynomial(n: int, alpha) -> UniPoly:
 _EVAL_XS = tuple(Fraction(i, 4) for i in (-7, -5, -3, -1, 1, 3, 5, 7, 9, 11))
 
 
-def _mirror_check(n: int, classical: UniPoly, alpha, c: int, scale: int, identity=None) -> bool:
-    """``classical`` against x^(d(n)) psi(alpha, 2 alpha - c x^2, n) / scale
-    coefficient-exactly, then ``identity()`` if given, then the omega ratio
-    over ``scale`` at each x of ``_EVAL_XS``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    mirrored = psi_rec(UniPoly.const(alpha), UniPoly([2 * alpha, 0, -c]), n)
+def _mirror_check(classical: Iterator[UniPoly], alpha, c: int, scale, identity=None):
+    """One verdict per n = 1, 2, ...: P_n of ``classical`` against x^(d(n)) psi(alpha,
+    2 alpha - c x^2, n) / scale(n) coefficient-exactly, then ``identity(n, P_n)``
+    if given, then the omega ratio over scale(n) at each x of ``_EVAL_XS``."""
+    mirror = _psi_values(UniPoly.const(alpha), UniPoly([2 * alpha, 0, -c]))
+    for n, (poly, mirrored) in enumerate(islice(zip(classical, mirror), 1, None), 1):
+        yield partial(_mirror_verdict, n, poly, mirrored, alpha, c, scale(n), identity)
+
+
+def _mirror_verdict(n, classical, mirrored, alpha, c, scale, identity) -> bool:
     if n & 1:
         mirrored = mirrored.shifted(1)
-    if mirrored != classical * scale or (identity is not None and not identity()):
+    if mirrored != classical * scale or (identity is not None and not identity(n, classical)):
         return False
     ff = falling_factorial(n) * scale
     for x0 in _EVAL_XS:
@@ -393,20 +390,18 @@ def _mirror_check(n: int, classical: UniPoly, alpha, c: int, scale: int, identit
     return True
 
 
-def chebyshev_check(n: int) -> bool:
-    """Classical T_n against x^(d(n)) psi(1, 2-4x^2, n) / 2^(d(n-1)),
-    coefficient-exactly, plus omega-ratio evaluation at rational x values."""
-    return _mirror_check(n, chebyshev_polynomial(n), 1, 4, 2 ** delta(n - 1))
+def chebyshev_checks() -> Iterator[Callable[[], bool]]:
+    """Che's verdicts, n = 1, 2, ...: T_n against psi(1, 2 - 4x^2, n), scale 2^(d(n-1))."""
+    return _mirror_check(_three_term(1, UniPoly([0, 2]), 1), 1, 4, lambda n: 2 ** delta(n - 1))
 
 
-def dickson_check(n: int, alpha) -> bool:
-    """Classical D_n(x, alpha) against x^(d(n)) psi(alpha, 2 alpha - x^2, n),
-    the functional identity at rational arguments, and omega-ratio values."""
+def dickson_checks(alpha) -> Iterator[Callable[[], bool]]:
+    """Dic's verdicts, n = 1, 2, ...: D_n(x, alpha) against psi(alpha, 2 alpha
+    - x^2, n), scale 1, and D_n(y + alpha/y) = y^n + (alpha/y)^n at y = 1, 2, 1/2."""
     alpha = Fraction(alpha)
-    classical = dickson_polynomial(n, alpha)
 
-    def identity() -> bool:
+    def identity(n: int, classical: UniPoly) -> bool:
         ys = (Fraction(1), Fraction(2), Fraction(1, 2))
         return all(classical.evaluate(y + alpha / y) == y**n + (alpha / y) ** n for y in ys)
 
-    return _mirror_check(n, classical, alpha, 1, 1, identity)
+    return _mirror_check(_three_term(2, UniPoly.var(), alpha), alpha, 1, lambda n: 1, identity)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial, lcm, prod
 from typing import Iterator, Union
 
@@ -181,19 +182,23 @@ def _unlift(raw, q: int, d: int, modulus: int | None = None):
 # -- psi --------------------------------------------------------------------
 
 
+def _psi_values(a, b) -> Iterator:
+    """psi(a, b, 0), psi(a, b, 1), ... by the defining recurrence over the ring
+    of a, b; two steps per pass, so the odd step's 2a - b needs no parity test."""
+    prev, cur, t = a * 0 + 2, a * 0 + 1, 2 * a - b
+    yield prev
+    while True:
+        yield cur
+        prev = t * cur - a * prev
+        yield prev
+        cur = prev - a * cur
+
+
 def psi_rec(a, b, n: int):
-    """psi(a, b, n) by the defining recurrence; generic over the ring of a, b."""
+    """psi(a, b, n), the n-th value of ``_psi_values``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    prev = a * 0 + 2
-    if n == 0:
-        return prev
-    cur = a * 0 + 1
-    t = 2 * a - b
-    for m in range(1, n):
-        nxt = (t * cur if m & 1 else cur) - a * prev
-        prev, cur = cur, nxt
-    return cur
+    return next(islice(_psi_values(a, b), n, None))
 
 
 def psi_point(point: QPoint | tuple, n: int, modulus: int | None = None):

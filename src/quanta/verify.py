@@ -59,8 +59,8 @@ from .sequences import (
     sums_of_powers_check,
 )
 from .polynomials import (
-    chebyshev_check,
-    dickson_check,
+    chebyshev_checks,
+    dickson_checks,
     dir_derivative,
     psi_bipoly,
     verify_derivative_expansion,
@@ -442,15 +442,15 @@ def _run_diff1(bounds, rng) -> Iterator[Case]:
 )
 def _run_diff3(bounds, rng) -> Iterator[Case]:
     points = [QPoint(1, 1), QPoint(1, -2), QPoint(-2, 1), QPoint(1, 2)]
+    bipolys = {n: psi_bipoly(n) for n in range(2, bounds["nmax"] + 1)}
     for point in points:
         label = str(point)
         for n in range(2, bounds["nmax"] + 1):
-            base = psi_bipoly(n)
             table = omega_table(point, n)
             for k in range(n // 2 + 1):
                 yield (
                     {"point": label, "n": n, "k": k},
-                    lambda: verify_derivative_expansion(table, k, base),
+                    lambda: verify_derivative_expansion(table, k, bipolys[n]),
                     True,
                 )
 
@@ -1027,8 +1027,8 @@ def _run_g7(bounds, rng) -> Iterator[Case]:
     quick={"nmax": 32}, full={"nmax": 64}, tiny={"nmax": 10},
 )
 def _run_che(bounds, rng) -> Iterator[Case]:
-    for n in range(1, bounds["nmax"] + 1):
-        yield {"n": n}, lambda: chebyshev_check(n), True
+    for n, verdict in zip(range(1, bounds["nmax"] + 1), chebyshev_checks()):
+        yield {"n": n}, verdict, True
 
 
 _DIC_ALPHAS = (1, -1, 2, -2, 3)  # the `alphas` of Dic's grid
@@ -1044,8 +1044,8 @@ _DIC_ALPHAS = (1, -1, 2, -2, 3)  # the `alphas` of Dic's grid
 )
 def _run_dic(bounds, rng) -> Iterator[Case]:
     for alpha in _DIC_ALPHAS:
-        for n in range(1, bounds["nmax"] + 1):
-            yield {"n": n, "alpha": alpha}, lambda: dickson_check(n, alpha), True
+        for n, verdict in zip(range(1, bounds["nmax"] + 1), dickson_checks(alpha)):
+            yield {"n": n, "alpha": alpha}, verdict, True
 
 
 @_register(

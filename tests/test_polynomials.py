@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
+from math import comb, factorial
 
 import pytest
 
@@ -9,9 +11,11 @@ from quanta.sequences import QPoint, omega_table, psi_rec
 from quanta.polynomials import (
     BiPoly,
     UniPoly,
-    chebyshev_check,
+    _mirror_check,
+    _three_term,
+    chebyshev_checks,
     chebyshev_polynomial,
-    dickson_check,
+    dickson_checks,
     dickson_polynomial,
     dir_derivative,
     psi_bipoly,
@@ -172,15 +176,39 @@ class TestDiffLadder:
         assert top.constant_value() == -psi_rec(1, 1, 7)
 
 
+def _chebyshev_formula(n):
+    """T_n = (n/2) sum_k (-1)^k (n-k-1)!/(k! (n-2k)!) (2x)^(n-2k), n >= 1."""
+    coeffs = [Fraction(0)] * (n + 1)
+    for k in range(n // 2 + 1):
+        term = Fraction(n * factorial(n - k - 1), 2 * factorial(k) * factorial(n - 2 * k))
+        coeffs[n - 2 * k] = (-1) ** k * term * 2 ** (n - 2 * k)
+    return UniPoly(coeffs)
+
+
+def _dickson_formula(n, alpha):
+    """D_n = sum_i n/(n-i) C(n-i, i) (-alpha)^i x^(n-2i), n >= 1."""
+    coeffs = [Fraction(0)] * (n + 1)
+    for i in range(n // 2 + 1):
+        coeffs[n - 2 * i] = Fraction(n, n - i) * comb(n - i, i) * (-alpha) ** i
+    return UniPoly(coeffs)
+
+
 class TestChebyshev:
     def test_classical_values(self):
         assert chebyshev_polynomial(3) == UniPoly([0, -3, 0, 4])
         assert chebyshev_polynomial(2) == UniPoly([-1, 0, 2])
         assert chebyshev_polynomial(1) == UniPoly([0, 1])
+        assert chebyshev_polynomial(0) == UniPoly([1])
+
+    def test_explicit_coefficients(self):
+        for n in range(1, 65):
+            assert chebyshev_polynomial(n) == _chebyshev_formula(n), n
 
     @pytest.mark.parametrize("n", range(1, 24))
     def test_check(self, n):
-        assert chebyshev_check(n)
+        # the n-th verdict of Che's stream, called after the stream has moved on
+        verdicts = list(islice(chebyshev_checks(), 23))
+        assert verdicts[n - 1]()
 
 
 class TestDickson:
@@ -188,6 +216,7 @@ class TestDickson:
         assert dickson_polynomial(3, 1) == UniPoly([0, -3, 0, 1])
         assert dickson_polynomial(2, 2) == UniPoly([-4, 0, 1])
         assert dickson_polynomial(1, 9) == UniPoly([0, 1])
+        assert dickson_polynomial(0, 9) == UniPoly([2])
 
     def test_functional_identity(self):
         # D_n(y + alpha/y) = y^n + (alpha/y)^n
@@ -196,6 +225,25 @@ class TestDickson:
         assert d5.evaluate(y + 3 / y) == y**5 + (Fraction(3) / y) ** 5
 
     @pytest.mark.parametrize("alpha", [1, -1, 2, -2, 3])
+    def test_explicit_coefficients(self, alpha):
+        for n in range(1, 65):
+            assert dickson_polynomial(n, alpha) == _dickson_formula(n, alpha), n
+
+    @pytest.mark.parametrize("alpha", [1, -1, 2, -2, 3])
     def test_check(self, alpha):
-        for n in range(1, 16):
-            assert dickson_check(n, alpha)
+        assert all(verdict() for verdict in islice(dickson_checks(alpha), 15))
+
+    def test_wrong_classical_side_fails_its_own_n(self):
+        # a classical stream that is wrong only at n = 4 fails that verdict alone
+        def classical():
+            for n, poly in enumerate(_three_term(2, UniPoly.var(), 1)):
+                yield poly + 1 if n == 4 else poly
+
+        verdicts = list(islice(_mirror_check(classical(), 1, 1, lambda n: 1), 8))
+        assert [verdict() for verdict in verdicts] == [True] * 3 + [False] + [True] * 4
+
+    def test_negative_n_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            dickson_polynomial(-1, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            chebyshev_polynomial(-1)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quanta.polynomials import UniPoly
@@ -157,6 +157,19 @@ class TestIntegerBackedRationals:
             assert all(_canonical(c) for c in got.coeffs)
         assert (up == 3) == (_trimmed(p) == (3,))
         assert UniPoly([3]) == 3 and UniPoly() == 0
+
+    @given(
+        coeffs=st.lists(rationals, max_size=9),
+        x=st.fractions(min_value=-20, max_value=20, max_denominator=30),
+    )
+    @example(coeffs=[], x=Fraction(-7, 3))
+    @example(coeffs=[Fraction(1, 3), -2, 0, Fraction(5, 7)], x=Fraction(-5, 9))
+    @settings(max_examples=150)
+    def test_unipoly_evaluate_matches_naive_sum(self, coeffs, x):
+        # integer Horner on p/q against sum c_i x^i in Fraction arithmetic
+        naive = sum((Fraction(c) * x**i for i, c in enumerate(coeffs)), Fraction(0))
+        got = UniPoly(coeffs).evaluate(x)
+        assert got == naive and type(got) is Fraction
 
 
 class TestDivisibilityAgainstBruteForce:

@@ -284,3 +284,24 @@ class TestFaultInjection:
 
         with flipped_omega_coupling():
             assert omega_top(QPoint(0, -1), 9) == omega_top(QPoint(0, -1), 9)
+
+    @pytest.mark.parametrize("id", ["Che", "Dic"])
+    def test_raise_at_one_n_fails_only_that_case(self, monkeypatch, id):
+        # each Che/Dic verdict runs inside its case, so a raise at n = 5
+        # fails those cases and the sweep goes on
+        from quanta import polynomials
+        from quanta.sequences import KernelPointError
+
+        omega_top = polynomials.omega_top
+
+        def raising_at_n5(point, n, modulus=None):
+            if n == 5:
+                raise KernelPointError("psi vanishes")
+            return omega_top(point, n, modulus)
+
+        monkeypatch.setattr(polynomials, "omega_top", raising_at_n5)
+        report = run_check(id, REGISTRY[id].tiny)
+        assert report.status == "fail"
+        assert report.cases_run == (10 if id == "Che" else 50)
+        assert {f["params"]["n"] for f in report.failures} == {5}
+        assert report.failures_total == (1 if id == "Che" else 5)
