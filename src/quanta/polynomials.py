@@ -21,7 +21,7 @@ from .scalars import QuadExt, _canon
 from .sequences import (
     QPoint,
     Triangle,
-    _expansion_coeff,
+    _expansion_column,
     _psi_sum,
     _psi_values,
     as_point,
@@ -280,10 +280,7 @@ def psi_k_poly(table: Triangle, k: int) -> BiPoly:
     from the exact omega ``table`` of a rational point and n."""
     if not table.point.is_rational:
         raise ValueError("polynomial expansion needs a rational point")
-    K = table.K
-    if not 0 <= k <= K:
-        raise ValueError(f"k={k} outside [0, {K}] for n={table.n}")
-    coeffs = [_expansion_coeff(table, r, k).as_fraction() for r in range(K - k + 1)]
+    coeffs = [c.as_fraction() if type(c) is QuadExt else c for c in _expansion_column(table, k)]
     a = BiPoly.var_a()
     return _psi_sum(coeffs, a, 2 * a - BiPoly.var_b())
 

@@ -384,6 +384,7 @@ class Triangle:
         self.K = n // 2
         self._levels = levels
         self._scale = scale
+        self._columns: dict[int, list] = {}  # k -> ``_expansion_column(self, k)``
 
     def entry(self, r: int, k: int):
         if k < 0 or r < 0 or r + k > self.K:
@@ -488,25 +489,59 @@ def lambda_from_omega(table: Triangle, r: int, k: int) -> QuadExt:
     """lambda_r(k) at the point and n of the exact omega ``table``, recovered
     by the factorial bridge: (-1)^k k! times the expansion coefficient of
     ``_expansion_coeff``."""
-    value = _expansion_coeff(table, r, k) * factorial(k)
-    return -value if k & 1 else value
+    return QuadExt._coerce(_expansion_coeff(table, r, k) * (-1) ** k * factorial(k))
 
 
 # -- fundamental expansions ---------------------------------------------------
 
 
-def _expansion_coeff(table: Triangle, r: int, k: int) -> QuadExt:
+def _expansion_coeff(table: Triangle, r: int, k: int) -> int | QuadExt:
     """(-1)^(r+k) n (n-r-k-1)! C(K-r, k) / ((n-2r)! r!) times omega_r(k), the
-    r-th coefficient of the k-th expansion of psi; one exact int division.
-    Every expansion reads the omega table through here: a modular table is
-    refused with ValueError, and ``entry`` raises IndexError outside it."""
+    r-th coefficient of the k-th expansion of psi; an int when omega_r(k) is one
+    and the division exact.  Every expansion reads the omega table through here:
+    a modular table is refused with ValueError, and ``entry`` raises IndexError outside it."""
     if table.modulus is not None:
         raise ValueError(f"expansions need an exact omega table, not one mod {table.modulus}")
     entry, n = table.entry(r, k), table.n
     num = n * factorial(n - r - k - 1) * comb(table.K - r, k)
     if (r + k) & 1:
         num = -num
-    return entry * num / (factorial(n - 2 * r) * factorial(r))
+    den = factorial(n - 2 * r) * factorial(r)
+    if not entry.d and type(entry.a) is int:
+        c, rem = divmod(entry.a * num, den)
+        if not rem:
+            return c
+    return entry * num / den
+
+
+def _expansion_column(table: Triangle, k: int) -> list:
+    """[_expansion_coeff(table, r, k) for r in 0..K-k], built once per table;
+    at an integral point each is checked to be an int."""
+    if k not in table._columns:
+        if not 0 <= k <= table.K:
+            raise ValueError(f"k={k} outside [0, {table.K}] for n={table.n}")
+        column = [_expansion_coeff(table, r, k) for r in range(table.K - k + 1)]
+        for r, c in enumerate(column):
+            if type(c) is not int and table.point.is_integral:
+                raise TheoremViolationError(
+                    f"non-integral expansion coefficient at n={table.n}, k={k}, r={r}"
+                )
+        table._columns[k] = column
+    return table._columns[k]
+
+
+def _expansion_ring(a, b, table: Triangle) -> tuple:
+    """The point's alpha, beta and the arguments a, b in one ring: ints at an
+    integral point with int a and b, else QuadExt; beta*a == alpha*b raises."""
+    point = table.point
+    if point.is_integral and type(a) is int and type(b) is int:
+        al, be = point.alpha.a, point.beta.a
+    else:
+        al, be = point.alpha, point.beta
+        a, b = (x if isinstance(x, QuadExt) else QuadExt(x) for x in (a, b))
+    if not (be * a - al * b):
+        raise DegeneratePointError(f"beta*a == alpha*b for point {point}")
+    return al, be, a, b
 
 
 def psi_k_expand(a, b, table: Triangle, k: int) -> tuple[QuadExt, list[QuadExt]]:
@@ -518,21 +553,9 @@ def psi_k_expand(a, b, table: Triangle, k: int) -> tuple[QuadExt, list[QuadExt]]
     k = floor(n/2) it is (-1)^k psi at the point.  For integral points every
     coefficient is checked to be a rational integer.
     """
-    point, K = table.point, table.K
-    aq = a if isinstance(a, QuadExt) else QuadExt(a)
-    bq = b if isinstance(b, QuadExt) else QuadExt(b)
-    if not (point.beta * aq - point.alpha * bq):
-        raise DegeneratePointError(f"beta*a == alpha*b for point {point}")
-    if not 0 <= k <= K:
-        raise ValueError(f"k={k} outside [0, {K}] for n={table.n}")
-    coeffs = [_expansion_coeff(table, r, k) for r in range(K - k + 1)]
-    if point.is_integral:
-        for r, c in enumerate(coeffs):
-            if not c.is_integral:
-                raise TheoremViolationError(
-                    f"non-integral expansion coefficient at n={table.n}, k={k}, r={r}"
-                )
-    return _psi_sum(coeffs, aq, 2 * aq - bq), coeffs
+    _, _, a, b = _expansion_ring(a, b, table)
+    coeffs = _expansion_column(table, k)
+    return QuadExt._coerce(_psi_sum(coeffs, a, 2 * a - b)), [QuadExt._coerce(c) for c in coeffs]
 
 
 def second_fundamental(point: QPoint | tuple, n: int) -> QuadExt:
@@ -607,23 +630,18 @@ def sums_of_powers_check(x: int, y: int, n: int) -> bool:
 def psi_expansion_identity_check(a, b, table: Triangle, x: int, y: int) -> bool:
     """The degree-floor(n/2) expansion of (beta a - alpha b)^K (x^n+y^n)/(x+y)^d
     into the two quadratic forms, at the point and n of the exact omega
-    ``table``, with coefficients from psi_k_expand."""
-    point, n, K = table.point, table.n, table.K
-    aq = a if isinstance(a, QuadExt) else QuadExt(a)
-    bq = b if isinstance(b, QuadExt) else QuadExt(b)
-    pivot = point.beta * aq - point.alpha * bq
-    if not pivot:
-        raise DegeneratePointError(f"beta*a == alpha*b for point {point}")
+    ``table``, with the expansions of psi_k_expand."""
+    n, K = table.n, table.K
+    al, be, a, b = _expansion_ring(a, b, table)
     val = _power_sum_quotient(x, y, n)
     if val is None:
         return False
-    lhs = pivot**K * val
-    p_form = point.alpha * (x * x) + point.beta * (x * y) + point.alpha * (y * y)
-    q_form = aq * (x * x) + bq * (x * y) + aq * (y * y)
-    rhs = QuadExt(0)
+    lhs = (be * a - al * b) ** K * val
+    p_form = al * (x * x) + be * (x * y) + al * (y * y)
+    q_form = a * (x * x) + b * (x * y) + a * (y * y)
+    rhs, t = 0, 2 * a - b
     for r in range(K + 1):
-        value, _ = psi_k_expand(aq, bq, table, r)
-        rhs = rhs + value * p_form ** (K - r) * q_form**r
+        rhs = rhs + _psi_sum(_expansion_column(table, r), a, t) * p_form ** (K - r) * q_form**r
     return lhs == rhs
 
 

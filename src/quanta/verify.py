@@ -600,12 +600,11 @@ def _run_f1100(bounds, rng) -> Iterator[Case]:
         for n in range(2, bounds["nmax"] + 1):
             otable = omega_table(point, n)
             ltable = lambda_table(point, n)
-            deriv = bipolys[n]
-            kfact = 1
+            deriv, signed = bipolys[n], 1  # signed = (-1)^k k!
             for k in range(n // 2 + 1):
                 if k:
                     deriv = dir_derivative(deriv, point)
-                    kfact *= k
+                    signed *= -k
                 try:
                     value, coeffs = psi_k_expand(scalar_a, scalar_b, otable, k)
                 except TheoremViolationError as exc:
@@ -616,26 +615,22 @@ def _run_f1100(bounds, rng) -> Iterator[Case]:
                     )
                     continue
                 for r, c in enumerate(coeffs):
-                    # c_r = (-1)^k lambda_r(k) / k!, lambda from its own triangle
-                    bridge = ltable.entry(r, k) / kfact
-                    if k & 1:
-                        bridge = -bridge
+                    # c_r (-1)^k k! = lambda_r(k), lambda from its own triangle
+                    lam = ltable.entry(r, k)
                     yield (
                         {"point": label, "n": n, "k": k, "r": r, "path": "bridge"},
-                        lambda: c,
-                        bridge,
+                        lambda: c * signed,
+                        lam,
                     )
                     yield (
                         {"point": label, "n": n, "k": k, "r": r, "path": "k!|lam"},
-                        lambda: kfact == 1 or divides_int(kfact, ltable.entry(r, k)),
+                        lambda: lam.a % signed == 0,
                         True,
                     )
-                # QuadExt, not int / int, which would give a float
-                dval = QuadExt(deriv.evaluate(scalar_a, scalar_b)) / kfact
                 yield (
                     {"point": label, "n": n, "k": k, "path": "derivative"},
-                    lambda: value,
-                    -dval if k & 1 else dval,
+                    lambda: value * signed,
+                    deriv.evaluate(scalar_a, scalar_b),
                 )
 
 

@@ -1,6 +1,6 @@
-"""Mutation matrix: seven faults injected at the boundaries of the integer
-lift, the expansion coefficients and polynomial evaluation, and the
-registered checks that catch each one at tiny bounds.
+"""Mutation matrix: nine faults injected at the boundaries of the integer
+lift, the expansion coefficients, the ratio denominator and polynomial
+evaluation, and the registered checks that catch each one at tiny bounds.
 
 ``tests/mutation_matrix.json`` records mutant -> sorted ids of the checks
 whose status is not "pass" while it is active (gen1, which records genuine
@@ -52,12 +52,25 @@ def _negated_at_k1(expansion_coeff):
     return mutant
 
 
+def _plus_one_at_last_r(expansion_coeff):
+    # the last coefficient of a column, r = K - k
+    def mutant(table, r, k):
+        value = expansion_coeff(table, r, k)
+        return value + 1 if r == table.K - k else value
+
+    return mutant
+
+
 def _plus_one_above_degree5(evaluate):
     def mutant(poly, x):
         value = evaluate(poly, x)
         return value + 1 if poly.degree > 5 else value
 
     return mutant
+
+
+def _falling_plus_one_at_n7(falling_factorial):
+    return lambda n: falling_factorial(n) + 1 if n == 7 else falling_factorial(n)
 
 
 def _exact_skips_division(unlift):
@@ -76,7 +89,9 @@ MUTANTS = {
     "exact _unlift skips its division": ("_unlift", _exact_skips_division),
     "modular _unlift skips q^-1": ("_unlift", _modular_skips_inverse),
     "_expansion_coeff negated at k=1": ("_expansion_coeff", _negated_at_k1),
+    "_expansion_coeff +1 at r=K-k": ("_expansion_coeff", _plus_one_at_last_r),
     "UniPoly.evaluate +1 when degree>5": ("UniPoly.evaluate", _plus_one_above_degree5),
+    "falling_factorial +1 at n=7": ("falling_factorial", _falling_plus_one_at_n7),
 }
 
 

@@ -3,7 +3,7 @@
 import json
 from contextlib import nullcontext
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +23,7 @@ from quanta.scalars import (
 )
 from quanta.sequences import (
     DegeneratePointError,
+    _expansion_column,
     _triangle,
     _unit_seed_top,
     KernelPointError,
@@ -497,6 +498,53 @@ class TestPsiKExpand:
             psi_k_expand(1, 4, table, 1)
         with pytest.raises(ValueError):
             lambda_from_omega(table, 0, 1)
+
+
+class TestExpansionColumn:
+    @pytest.mark.parametrize(
+        "point",
+        [QPoint(1, 1), QPoint(-2, 1), QPoint(0, -1), QPoint(Fraction(1, 2), Fraction(-3, 4))]
+        + _QUAD_SAMPLE[:2],
+        ids=str,
+    )
+    def test_column_is_the_coefficient_formula(self, point):
+        # the reference divides the QuadExt entry; the column divides ints
+        # wherever omega_r(k) is one
+        for n in range(2, 17):
+            table, K = omega_table(point, n), n // 2
+            for k in range(K + 1):
+                want = []
+                for r in range(K - k + 1):
+                    num = (-1) ** (r + k) * n * factorial(n - r - k - 1) * comb(K - r, k)
+                    den = factorial(n - 2 * r) * factorial(r)
+                    want.append(table.entry(r, k) * num / den)
+                column = _expansion_column(table, k)
+                assert column == want, (n, k)
+                if point.is_integral:
+                    assert all(type(c) is int for c in column), (n, k)
+
+    def test_cached_per_table(self):
+        first, second = omega_table(QPoint(1, 1), 9), omega_table(QPoint(1, 1), 9)
+        column = _expansion_column(first, 2)
+        assert _expansion_column(first, 2) is column
+        assert _expansion_column(second, 2) is not column
+        assert _expansion_column(second, 2) == column
+
+    @pytest.mark.parametrize("point", [QPoint(1, 1), QPoint(1, SQRT2)], ids=str)
+    def test_modular_table_refused(self, point):
+        with pytest.raises(ValueError):
+            _expansion_column(omega_table(point, 9, modulus=7), 1)
+
+    @pytest.mark.parametrize("point", [QPoint(1, 1), QPoint(-2, 3)], ids=str)
+    def test_int_and_quadext_arguments_agree(self, point):
+        # int arguments at an integer point run on ints; QuadExt ones do not
+        for n in range(2, 13):
+            table = omega_table(point, n)
+            for k in range(n // 2 + 1):
+                got = psi_k_expand(1, 4, table, k)
+                assert got == psi_k_expand(QuadExt(1), QuadExt(4), table, k)
+                assert all(type(x) is QuadExt for x in [got[0], *got[1]])
+            assert psi_expansion_identity_check(QuadExt(1), Fraction(4), table, 2, 1)
 
 
 class TestSecondFundamental:

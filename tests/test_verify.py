@@ -138,6 +138,14 @@ class TestReproducibility:
                 changed.append(id)
         assert not changed, f"canonical report bytes changed for {changed}"
 
+    @pytest.mark.parametrize("seed", [0, 12345])
+    def test_quick_sweep_bytes_match_recorded_digest(self, seed):
+        # SHA-256 of the newline-joined canonical reports of run_all("quick")
+        path = Path(__file__).with_name("quick_report_digests.json")
+        expected = json.loads(path.read_text())[str(seed)]
+        blob = "\n".join(r.to_json(volatile=False) for r in run_all("quick", seed=seed))
+        assert hashlib.sha256(blob.encode()).hexdigest() == expected
+
 
 class TestRunAll:
     def test_quick_profile_coverage(self):
