@@ -5,6 +5,7 @@ inequality."""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt, prod
@@ -199,6 +200,23 @@ def sigma(n: int) -> int:
     if m > 1:
         total *= m + 1
     return total
+
+
+def _divisor_sums(nmax: int) -> array:
+    """sigma(n) at index n <= nmax from a smallest-prime-factor sieve: with p
+    the smallest prime of n and m = n / p, sigma(n) = (p + 1) sigma(m), less
+    p sigma(m / p) if p | m.  12 bytes per n, about 192 MiB at the cap."""
+    if nmax > SIEVE_MAX_LIMIT:
+        raise FeasibilityError(f"{nmax} is beyond the sieve cap {SIEVE_MAX_LIMIT}")
+    smallest = array("I", [0]) * (nmax + 1)  # 0 marks a prime
+    for p in reversed(primes_upto(isqrt(max(nmax, 0)))):
+        smallest[p * p :: p] = array("I", [p]) * len(range(p * p, nmax + 1, p))
+    sums = array("q", [1]) * (nmax + 1)  # sigma(1) = 1; index 0 is unused
+    for n in range(2, nmax + 1):
+        p = smallest[n] or n
+        m = n // p
+        sums[n] = (p + 1) * sums[m] - (0 if m % p else p * sums[m // p])
+    return sums
 
 
 def harmonic_number(k: int) -> Fraction:
@@ -511,8 +529,14 @@ def combinatorial_identity_check(n: int) -> bool:
     K = n // 2
     lhs = falling_factorial(n)
     shift = delta(n - 1)
-    rhs = 2 ** (K - delta(n + 1)) * prod(n + shift - 2 * lam for lam in range(1, K + 1))
-    return lhs == rhs
+    odds = range(n + shift - 2, n + shift - 2 * K - 1, -2)
+    return lhs == _balanced_prod(odds) << (K - delta(n + 1))
+
+
+def _balanced_prod(terms: range) -> int:
+    """prod(terms) by halving, so the large factors multiply at equal sizes."""
+    mid = len(terms) // 2
+    return prod(terms) if mid < 16 else _balanced_prod(terms[:mid]) * _balanced_prod(terms[mid:])
 
 
 def harmonic_congruence_check(n: int) -> bool:
@@ -597,13 +621,14 @@ def lagarias_sweep(nmax: int) -> list[int]:
     """All n in [1, nmax] failing to resolve as holds/holds_strict.
 
     H_n is carried as the integer enclosure of `_harmonic_brackets` with
-    ``_SWEEP_BITS`` fractional bits; sigma(n) is computed once per n.
+    ``_SWEEP_BITS`` fractional bits; sigma(n) is read from the `_divisor_sums` sieve.
     The right side grows with n, so once it is known to exceed an integer
     threshold every later n with sigma(n) at or below that threshold holds.
     Only an n above the threshold gets the iv interval of its bracket and
     the transcendental right side; an n that does not then hold strictly
     escalates to the exact per-n `lagarias_check`.
     """
+    sums = _divisor_sums(nmax)
     iv = mpmath.iv
     failures: list[int] = []
     saved = iv.prec
@@ -611,7 +636,7 @@ def lagarias_sweep(nmax: int) -> list[int]:
         iv.prec = _SWEEP_BITS
         threshold = -1
         for n, lo, hi in _harmonic_brackets(nmax, _SWEEP_BITS):
-            s = sigma(n)
+            s = sums[n]
             if s <= threshold:
                 continue
             h = _harmonic_interval(lo, hi, _SWEEP_BITS)

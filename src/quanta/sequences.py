@@ -38,7 +38,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm, perm, prod
 from typing import Iterator, Union
 
 from .scalars import ModInt, QuadExt, _result, format_scalar, reduce_mod
@@ -64,8 +64,8 @@ def delta(n: int) -> int:
 
 
 def falling_factorial(n: int) -> int:
-    """(n-1)(n-2)...(n - floor(n/2)), the universal ratio denominator."""
-    return prod(range(n - n // 2, n))
+    """(n-1)(n-2)...(n - floor(n/2)), the universal ratio denominator (1 for n <= 0)."""
+    return perm(n - 1, n // 2) if n > 0 else 1
 
 
 def rising_product(n: int) -> int:

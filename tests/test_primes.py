@@ -1,6 +1,8 @@
 """Prime machinery and arithmetic applications."""
 
+import time
 from fractions import Fraction
+from math import prod
 
 import mpmath
 import pytest
@@ -299,6 +301,24 @@ class TestCombinatorialIdentity:
     def test_sweep(self):
         assert all(combinatorial_identity_check(n) for n in range(2, 256))
 
+    def test_falling_factorial_matches_range_product(self):
+        from quanta.sequences import falling_factorial
+
+        assert [falling_factorial(n) for n in range(301)] == [
+            prod(range(n - n // 2, n)) for n in range(301)
+        ]
+
+    def test_right_side_matches_generator_form(self, monkeypatch):
+        # with the left side replaced by the generator form of the right
+        # side, the check holds exactly when its own right side equals it
+        def generator_form(n):
+            K = n // 2
+            shift = (n - 1) & 1
+            return 2 ** (K - ((n + 1) & 1)) * prod(n + shift - 2 * lam for lam in range(1, K + 1))
+
+        monkeypatch.setattr(primes, "falling_factorial", generator_form)
+        assert all(combinatorial_identity_check(n) for n in range(2, 601))
+
 
 class TestHarmonicCongruence:
     def test_anchor_case(self):
@@ -358,6 +378,22 @@ class TestLagarias:
                 assert Fraction(*to_rational(a)) <= h <= Fraction(*to_rational(b)), n
         finally:
             mpmath.iv.prec = saved
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 2**14, 3**9, 7**5, 20000])
+    def test_divisor_sums_match_sigma(self, N):
+        # the tiny lagarias bounds stop at n = 200; this covers the sieve above it
+        assert list(primes._divisor_sums(N))[1:] == [sigma(n) for n in range(1, N + 1)]
+
+    def test_sweep_beyond_sieve_cap_is_refused(self):
+        from quanta.verify import run_check
+
+        start = time.perf_counter()
+        report = run_check("lagarias", {"nmax": primes.SIEVE_MAX_LIMIT + 1})
+        assert time.perf_counter() - start < 1.0
+        assert report.status == "error"
+        assert str(primes.SIEVE_MAX_LIMIT) in report.failures[0]["actual"]
+        with pytest.raises(FeasibilityError):
+            primes._divisor_sums(primes.SIEVE_MAX_LIMIT + 1)
 
     def test_sweep_matches_per_n_check(self):
         undecided = [n for n in range(1, 2001) if lagarias_check(n) == "undecided"]
