@@ -1,6 +1,7 @@
 """CLI surface: parsing, output formats, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -68,6 +69,10 @@ class TestPsiCommand:
         )
         assert code == EXIT_OK
         assert out.strip() == "0"
+
+    def test_residue_at_an_integer_point(self, capsys):
+        argv = ["psi", "--point", "3,7", "--n", "1000", "--mod", "1000003"]
+        assert run_cli(capsys, *argv) == (EXIT_OK, "961351\n", "")
 
     def test_value_over_4300_digits_prints(self, capsys):
         # str() of an int this long raises under Python's default digit limit
@@ -192,6 +197,15 @@ class TestOmegaCommand:
         assert run_cli(capsys, *argv)[:2] == (EXIT_OK, want + "\n")
         exact = omega_table(parse_point(point), int(n)).entry(int(r), int(k))
         assert parse_scalar(want) == QuadExt(*reduce_mod(exact, int(mod)), exact.d)
+
+    def test_whole_residue_table_at_a_rational_point(self, capsys):
+        # SHA-256 of the JSON table, recorded before the residue type changed
+        argv = ["omega", "--point", "1/2,3", "--n", "40", "--mod", "7"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "28856d9eead8c7cca948878bdb594b0c574271a10e5253e098e2d3b05fea62ca"
+        )
 
     def test_modulus_sharing_the_scale_is_refused_before_any_entry(self, capsys):
         argv = ["omega", "--point", "1/3,1", "--n", "2", "--mod", "3", "--r", "0", "--k", "0"]
@@ -344,6 +358,10 @@ class TestEmergeCommand:
         assert code == EXIT_OK
         assert "residue 0" in out
         assert out.strip().endswith("PASS")
+
+    def test_modular_line_at_a_rational_point(self, capsys):
+        out = "p61=283 divides Omega0 (residue 0 mod 283) : PASS\n"
+        assert run_cli(capsys, "emerge", "60", "--point", "1/2,3") == (EXIT_OK, out, "")
 
     def test_k_above_cap_is_refused(self, capsys):
         start = time.perf_counter()

@@ -1,6 +1,7 @@
-"""Mutation matrix: nine faults injected at the boundaries of the integer
-lift, the expansion coefficients, the ratio denominator and polynomial
-evaluation, and the registered checks that catch each one at tiny bounds.
+"""Mutation matrix: eleven faults injected at the boundaries of the integer
+lift, the expansion coefficients, the ratio denominator, polynomial
+evaluation and the modular values, and the registered checks that catch
+each one at tiny bounds.
 
 ``tests/mutation_matrix.json`` records mutant -> sorted ids of the checks
 whose status is not "pass" while it is active (gen1, which records genuine
@@ -73,6 +74,22 @@ def _falling_plus_one_at_n7(falling_factorial):
     return lambda n: falling_factorial(n) + 1 if n == 7 else falling_factorial(n)
 
 
+def _pow2_plus_one_with_modulus(psi_pow2):
+    def mutant(a, b, s, modulus=None):
+        value = psi_pow2(a, b, s, modulus)
+        return value if modulus is None else value + 1
+
+    return mutant
+
+
+def _top_plus_one_with_modulus(omega_top):
+    def mutant(point, n, modulus=None):
+        value = omega_top(point, n, modulus)
+        return value if modulus is None else value + 1
+
+    return mutant
+
+
 def _exact_skips_division(unlift):
     return lambda raw, q, d, modulus=None: unlift(raw, 1 if modulus is None else q, d, modulus)
 
@@ -92,6 +109,8 @@ MUTANTS = {
     "_expansion_coeff +1 at r=K-k": ("_expansion_coeff", _plus_one_at_last_r),
     "UniPoly.evaluate +1 when degree>5": ("UniPoly.evaluate", _plus_one_above_degree5),
     "falling_factorial +1 at n=7": ("falling_factorial", _falling_plus_one_at_n7),
+    "psi_pow2 +1 with a modulus": ("psi_pow2", _pow2_plus_one_with_modulus),
+    "omega_top +1 with a modulus": ("omega_top", _top_plus_one_with_modulus),
 }
 
 
