@@ -13,16 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from .scalars import (
-    LocalizationError,
-    RingMismatchError,
-    ScalarParseError,
-    format_scalar,
-    is_square_free,
-    parse_scalar,
-)
+from .scalars import ScalarParseError, format_scalar, is_square_free, parse_scalar
 from .sequences import (
-    KernelPointError,
     QPoint,
     TheoremViolationError,
     _lift,
@@ -227,7 +219,10 @@ def _cmd_verify(args) -> int:
         for r in reports:
             line = f"{r.status.upper():7} {r.id:16} cases={r.cases_run:<7} {r.elapsed_ms} ms"
             if r.failures:
-                line += f"  first: {r.failures[0]['params']}"
+                first = r.failures[0]
+                line += f"  first: {first['params']}"
+                if r.status == "error":
+                    line += f"  {first['actual']}"
             print(line)
     if args.out is not None:
         outdir = Path(args.out)
@@ -305,10 +300,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScalarParseError as exc:
-        _print_progress(f"error: {exc}")
-        return EXIT_USAGE
-    except (RingMismatchError, LocalizationError, KernelPointError, ValueError) as exc:
+    except ValueError as exc:
+        # parse, ring, localization, kernel-point and feasibility errors alike
         _print_progress(f"error: {exc}")
         return EXIT_USAGE
     except TheoremViolationError as exc:

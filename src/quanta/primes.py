@@ -13,7 +13,7 @@ from typing import Iterator
 
 import mpmath
 
-from .scalars import ModInt, QuadExt
+from .scalars import QuadExt
 from .sequences import (
     KernelPointError,
     QPoint,
@@ -61,7 +61,7 @@ class PrimeCache:
             raise FeasibilityError(f"limit {limit} is beyond the sieve cap {SIEVE_MAX_LIMIT}")
         self._limit = 0
         self._primes: list[int] = []
-        self._index: dict[int, int] = {}
+        self._members: frozenset[int] = frozenset()
         self._rebuild(max(limit, 16))
 
     def _rebuild(self, limit: int) -> None:
@@ -79,7 +79,7 @@ class PrimeCache:
                 raise DataIntegrityError(f"no prime strictly between {p} and {2 * p}")
         self._limit = limit
         self._primes = primes
-        self._index = {p: i + 1 for i, p in enumerate(primes)}
+        self._members = frozenset(primes)
 
     @property
     def limit(self) -> int:
@@ -100,12 +100,6 @@ class PrimeCache:
             self._cover(self._limit + 1)
         return self._primes[k - 1]
 
-    def index_of(self, p: int) -> int:
-        self._cover(p)
-        if p not in self._index:
-            raise ValueError(f"{p} is not prime")
-        return self._index[p]
-
     def upto(self, x: int) -> list[int]:
         self._cover(x)
         out = []
@@ -119,7 +113,7 @@ class PrimeCache:
         """Sieve lookup up to the limit, deterministic Miller-Rabin above it;
         a query never grows the sieve."""
         if n <= self._limit:
-            return n in self._index
+            return n in self._members
         return _miller_rabin(n)
 
 
@@ -276,11 +270,6 @@ class EmergenceResult:
     exact_path: bool
 
 
-def _top_residue(point: QPoint, n: int, q: int) -> int:
-    top = omega_top(point, n, modulus=q)
-    return top.residue if isinstance(top, ModInt) else top.a or top.b
-
-
 def emergence_check(k: int, point: QPoint | tuple) -> EmergenceResult:
     """Emergence divisibility at the k-th prime: p_{k+1} divides the top
     triangle entry at level 2 p_k (checked modularly, any point), and on the
@@ -294,7 +283,8 @@ def emergence_check(k: int, point: QPoint | tuple) -> EmergenceResult:
     point = as_point(point)
     p, q = nth_prime(k), nth_prime(k + 1)
     n = 2 * p
-    residue = _top_residue(point, n, q)
+    top = omega_top(point, n, modulus=q)
+    residue = top.a or top.b
     if residue != 0:
         raise TheoremViolationError(
             f"p_{k + 1}={q} does not divide the top entry at {point}, n={n}"
@@ -409,8 +399,7 @@ def mersenne_test(p: int) -> bool:
     if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5")
     m = (1 << p) - 1
-    residue = psi_pow2(1, 4, p - 1, modulus=m)
-    verdict = residue.residue == 0
+    verdict = not psi_pow2(1, 4, p - 1, modulus=m)
     if verdict != lucas_lehmer(p):
         raise TheoremViolationError(f"doubling chain disagrees with classical test at p={p}")
     return verdict

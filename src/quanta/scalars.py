@@ -1,11 +1,12 @@
-"""Exact scalar arithmetic: rationals, quadratic extensions and modular residues.
+"""Exact scalar arithmetic: rationals, quadratic extensions and their residues.
 
 Every value in the library bottoms out here.  ``QuadExt`` is the universal
 scalar: an exact element ``a + b*sqrt(d)`` with rational components over a
 fixed square-free radicand, so that integer points, rational points and the
 quadratic points (sqrt(2), sqrt(3), sqrt(5), golden ratio) all live in one
-type.  ``ModInt`` is a canonical residue used by the modular table builders
-and the Mersenne doubling test.
+type.  A value mod m is a ``QuadExt`` too, with int components in [0, m)
+(``sequences._unlift`` builds it).  No library path builds a ``ModInt``; the
+class stays only because ``perfbench/layers.py`` traces it by name.
 
 An exact rational -- a ``QuadExt`` component here, a polynomial coefficient
 in ``polynomials`` -- is stored as a plain ``int`` when it is integral and as

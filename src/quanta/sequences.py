@@ -30,7 +30,10 @@ reduces the lift mod m before any arithmetic, and the results are residues.
 ``_unlift`` is the only place a value leaves the lift: it divides by the
 scale's power, exactly or mod m.  Besides the reductions that keep modular
 work small (of the lift, per level in tables, per step in ``psi_point``), it
-is the only code that divides or reduces a lifted value.
+is the only code that divides or reduces a lifted value.  It is also where
+the form of a residue is decided: every modular value, ``psi_pow2``'s
+included, is a QuadExt with int components in [0, m), d = 0 at a rational
+point.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from itertools import islice
 from math import comb, factorial, lcm, perm, prod
 from typing import Iterator, Union
 
-from .scalars import ModInt, QuadExt, _result, format_scalar, reduce_mod
+from .scalars import QuadExt, _result, format_scalar, reduce_mod
 
 Scalar = Union[int, Fraction, QuadExt]
 
@@ -169,13 +172,11 @@ def _reduced_lift(point: QPoint, modulus: int | None):
 def _unlift(raw, q: int, d: int, modulus: int | None = None):
     """The lifted value ``raw`` (an int when d = 0, else a pair (u, v) for
     u + v sqrt(d)) divided by q: an exact QuadExt, or with a ``modulus`` its
-    residue, a ModInt when d = 0 and a componentwise-residue QuadExt else."""
+    residue, a QuadExt with int components in [0, m) (d = 0 at a rational point)."""
     u, v = raw if d else (raw, 0)
     if modulus is None:
         return _result(u, v, d) if q == 1 else _result(Fraction(u, q), v and Fraction(v, q), d)
     qinv = pow(q, -1, modulus)
-    if not d:
-        return ModInt(u * qinv, modulus)
     return _result(u * qinv % modulus, v * qinv % modulus, d)
 
 
@@ -202,9 +203,8 @@ def psi_rec(a, b, n: int):
 
 
 def psi_point(point: QPoint | tuple, n: int, modulus: int | None = None):
-    """psi at a parameter point: exactly, or with a ``modulus`` its residue,
-    a ModInt at a rational point and a componentwise-residue QuadExt at a
-    quadratic one, as for ``omega_top``.  psi_n(s a, s b) = s^floor(n/2)
+    """psi at a parameter point: exactly, or with a ``modulus`` its residue
+    QuadExt (``_unlift``), as for ``omega_top``.  psi_n(s a, s b) = s^floor(n/2)
     psi_n(a, b), so it runs on the integer lift (on residues mod m, when
     given) and ``_unlift`` divides once at the end."""
     if n < 0:
@@ -249,24 +249,26 @@ def _psi_sum(coeffs: list, a, t):
 def psi_pow2(a, b, s: int, modulus: int | None = None):
     """psi(a, b, 2**s) by repeated doubling from psi(2) = -b.
 
-    With a modulus the whole chain runs on residues (s-1 modular squarings
-    plus a squared power track for a), which is what the Mersenne criterion
-    consumes.
+    With a modulus m the whole chain runs on ints reduced mod m (s-1 modular
+    squarings plus a squared power track for a) and ends in a residue
+    QuadExt, which is what the Mersenne criterion consumes.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    if modulus is None:
+    m = modulus
+    if m is None:
         cur, apow = -(a * 0 + b), a * a
     else:
-        ua, va = reduce_mod(a, modulus)  # raises for a modulus below 2
-        ub, vb = reduce_mod(b, modulus)
+        ua, va = reduce_mod(a, m)  # raises for a modulus below 2
+        ub, vb = reduce_mod(b, m)
         if va or vb:
             raise ValueError("modular doubling requires rational parameters")
-        cur, apow = ModInt(-ub, modulus), ModInt(ua * ua, modulus)
+        cur, apow = -ub, ua * ua
     for _ in range(s - 1):
-        cur = cur * cur - 2 * apow
-        apow = apow * apow
-    return cur
+        cur, apow = cur * cur - 2 * apow, apow * apow
+        if m:
+            cur, apow = cur % m, apow % m
+    return cur if m is None else _unlift(cur, 1, 0, m)
 
 
 def product_identity_check(a, b, n: int, m: int) -> bool:
@@ -373,8 +375,7 @@ class Triangle:
 
     A raw entry of level k is homogeneous of degree k in the lifted
     multipliers, so ``entry`` unlifts it by scale^k: an exact QuadExt, or
-    with a ``modulus`` a ModInt at a rational point and a
-    componentwise-residue QuadExt at a quadratic one.
+    with a ``modulus`` its residue QuadExt (``_unlift``).
     """
 
     def __init__(self, point: QPoint, n: int, levels: list, scale: int, modulus: int | None = None):

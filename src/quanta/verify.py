@@ -511,14 +511,9 @@ def _run_g0(bounds, rng) -> Iterator[Case]:
             for k in range(K + 1):
                 for r in range(K - k + 1):
                     got = mod_table.entry(r, k)
-                    actual_pair = (
-                        (int(got.a) % m, int(got.b) % m)
-                        if isinstance(got, QuadExt)
-                        else (got.residue, 0)
-                    )
                     yield (
                         {"point": label, "n": n, "r": r, "k": k, "mod": m},
-                        lambda: actual_pair,
+                        lambda: (got.a, got.b),
                         reduce_mod(table.entry(r, k), m),
                     )
 

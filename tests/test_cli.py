@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from quanta import cli
+from quanta import cli, primes
 from quanta.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main, parse_point
 from quanta.scalars import QuadExt, SQRT2, ScalarParseError, parse_scalar, reduce_mod
 from quanta.sequences import QPoint, omega_table, psi_point
@@ -288,6 +288,17 @@ class TestVerifyCommand:
         (report,) = json.loads(out)
         assert report["status"] == "error"
         assert report["failures"][0]["actual"].startswith("ZeroDivisionError: ")
+
+    def test_pretty_error_row_shows_the_exception(self, capsys):
+        # one above the sieve cap: the check errors before sieving anything
+        nmax = str(primes.SIEVE_MAX_LIMIT + 1)
+        code, out, err = run_cli(capsys, "verify", "lagarias", "--nmax", nmax)
+        assert (code, err) == (EXIT_VIOLATION, "")
+        assert out.startswith("ERROR   lagarias ")
+        assert out.endswith(
+            f"first: {{'stage': 'sweep'}}  FeasibilityError: {nmax} is beyond "
+            f"the sieve cap {primes.SIEVE_MAX_LIMIT}\n"
+        )
 
     def test_violation_exit_code(self, capsys):
         # gen1 carries a genuine counterexample at k=2

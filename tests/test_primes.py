@@ -55,12 +55,6 @@ class TestPrimeCache:
         assert is_prime(8191)
         assert not is_prime(2047)
 
-    def test_index_of(self):
-        cache = PrimeCache()
-        assert cache.index_of(13) == 6
-        with pytest.raises(ValueError):
-            cache.index_of(9)
-
     def test_above_limit_agrees_with_sieve(self):
         # every n above 16 goes through Miller-Rabin, and the sieve stays put
         cache = PrimeCache(limit=16)
@@ -92,8 +86,6 @@ class TestPrimeCache:
         limit = primes._CACHE.limit
         with pytest.raises(FeasibilityError, match="sieve cap"):
             primes_upto(10**12)
-        with pytest.raises(FeasibilityError, match="sieve cap"):
-            primes._CACHE.index_of(10**12 + 39)
         assert primes._CACHE.limit == limit
 
     def test_constructor_is_capped(self):

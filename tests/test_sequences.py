@@ -13,7 +13,6 @@ from quanta import sequences
 from quanta.scalars import (
     GOLDEN,
     LocalizationError,
-    ModInt,
     QuadExt,
     SQRT2,
     SQRT3,
@@ -156,9 +155,8 @@ class TestPsiPointLift:
                     psi_point(point, n, modulus)
                 continue
             got = psi_point(point, n, modulus)
-            pair = (got.residue, 0) if isinstance(got, ModInt) else (got.a, got.b)
-            assert isinstance(got, ModInt) == point.is_rational, n
-            assert pair == reduce_mod(psi_point(point, n), modulus), n
+            assert type(got) is QuadExt and got.d in (0, point.d), n
+            assert (got.a, got.b) == reduce_mod(psi_point(point, n), modulus), n
 
     def test_lift_clears_every_denominator(self):
         point = QPoint(Fraction(1, 3) + SQRT5 / 6, Fraction(5, 4) * SQRT5)
@@ -176,23 +174,35 @@ _HUGE_POINTS = [
 
 class TestModularLift:
     @staticmethod
-    def residue(value):
-        return (value.residue, 0) if isinstance(value, ModInt) else (value.a, value.b)
+    def residue(value, modulus):
+        # every modular value is a QuadExt with int components in [0, m)
+        assert type(value) is QuadExt
+        assert all(type(c) is int and 0 <= c < modulus for c in (value.a, value.b))
+        return value.a, value.b
 
     @pytest.mark.parametrize("modulus", [13, 1000003])
     @pytest.mark.parametrize("point", _HUGE_POINTS, ids=["int", "rational", "quadratic"])
     def test_residues_of_the_exact_values(self, point, modulus):
+        m = modulus
         for n in range(31):
-            want = reduce_mod(psi_point(point, n), modulus)
-            assert self.residue(psi_point(point, n, modulus)) == want, n
+            want = reduce_mod(psi_point(point, n), m)
+            assert self.residue(psi_point(point, n, m), m) == want, n
         for n in range(1, 31):
-            want = reduce_mod(omega_top(point, n), modulus)
-            assert self.residue(omega_top(point, n, modulus)) == want, n
-            table, exact = omega_table(point, n, modulus), omega_table(point, n)
+            want = reduce_mod(omega_top(point, n), m)
+            assert self.residue(omega_top(point, n, m), m) == want, n
+            table, exact = omega_table(point, n, m), omega_table(point, n)
             for k in range(n // 2 + 1):
                 for r in range(n // 2 - k + 1):
-                    want = reduce_mod(exact.entry(r, k), modulus)
-                    assert self.residue(table.entry(r, k)) == want, (n, r, k)
+                    want = reduce_mod(exact.entry(r, k), m)
+                    assert self.residue(table.entry(r, k), m) == want, (n, r, k)
+        a, b = point.alpha, point.beta
+        for s in range(1, 8):
+            if not point.is_rational:
+                with pytest.raises(ValueError, match="rational parameters"):
+                    psi_pow2(a, b, s, m)
+                continue
+            want = reduce_mod(psi_pow2(a, b, s), m)
+            assert self.residue(psi_pow2(a, b, s, m), m) == want, s
 
 
 class TestPsiClosed:
@@ -219,8 +229,8 @@ class TestPsiPow2:
 
     def test_modular_chain(self):
         result = psi_pow2(1, 4, 4, modulus=31)
-        assert isinstance(result, ModInt)
-        assert result == 0
+        assert type(result) is QuadExt
+        assert (result.a, result.b) == reduce_mod(psi_pow2(1, 4, 4), 31) == (0, 0)
 
     def test_agrees_with_recurrence(self):
         for s in range(1, 7):
@@ -296,8 +306,8 @@ class TestOmegaTable:
                     if modulus is not None:
                         # both sides above divide by the scale in _unlift;
                         # reduce_mod of the exact top is an independent reference
-                        pair = (got.residue, 0) if isinstance(got, ModInt) else (got.a, got.b)
-                        assert pair == reduce_mod(omega_top(point, n), modulus), (flipped, n)
+                        want = reduce_mod(omega_top(point, n), modulus)
+                        assert (got.a, got.b) == want, (flipped, n)
 
     def test_top_matches_table_at_large_n(self):
         assert omega_top(QPoint(1, 4), 1024) == omega_table(QPoint(1, 4), 1024).top()
@@ -309,8 +319,8 @@ class TestOmegaTable:
             modular = omega_table(point, n, modulus=7)
             for k in range(n // 2 + 1):
                 for r in range(n // 2 - k + 1):
-                    want = int(exact.entry(r, k).a) % 7
-                    assert modular.entry(r, k) == ModInt(want, 7)
+                    got, want = modular.entry(r, k), reduce_mod(exact.entry(r, k), 7)
+                    assert type(got) is QuadExt and (got.a, got.b) == want
 
     def test_quadratic_point(self):
         # top value at (1, sqrt2), n=6 equals ff(6) * psi = 60 * sqrt2
