@@ -165,22 +165,11 @@ def is_prime(n: int) -> bool:
 
 
 def sigma(n: int) -> int:
-    """Divisor sum by trial division with a 2/3/5 wheel."""
+    """Divisor sum by trial division: by 2, then by odd f up to the square root
+    of the part of n still unfactored."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = 1
-    m = n
-    for p in (2, 3, 5):
-        if m % p == 0:
-            power, term = 1, 1
-            while m % p == 0:
-                m //= p
-                power *= p
-                term += power
-            total *= term
-    f = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    wi = 0
+    total, m, f = 1, n, 2
     while f * f <= m:
         if m % f == 0:
             power, term = 1, 1
@@ -189,8 +178,7 @@ def sigma(n: int) -> int:
                 power *= f
                 term += power
             total *= term
-        f += wheel[wi]
-        wi = (wi + 1) & 7
+        f += 1 if f == 2 else 2
     if m > 1:
         total *= m + 1
     return total
@@ -245,9 +233,10 @@ EXACT_EMERGENCE_MAX_P = 31
 class EmergenceResult:
     """Outcome of one emergence check at (k, point).
 
-    ``omega0_mod`` is the residue of the top triangle entry mod p_{k+1}
-    (for quadratic points: 0 when both components vanish, else the first
-    nonzero component residue).  The ratio fields are None when the exact
+    ``omega0_mod`` is the residue of the top triangle entry mod p_{k+1}; it
+    is always 0, since ``emergence_check`` raises TheoremViolationError
+    instead of returning when the entry has a nonzero residue (either
+    component, at a quadratic point).  The ratio fields are None when the exact
     path was not taken, either because p_k exceeds the exact bound or the
     point lies in the kernel at level 2 p_k.
 

@@ -4,9 +4,9 @@ Every value in the library bottoms out here.  ``QuadExt`` is the universal
 scalar: an exact element ``a + b*sqrt(d)`` with rational components over a
 fixed square-free radicand, so that integer points, rational points and the
 quadratic points (sqrt(2), sqrt(3), sqrt(5), golden ratio) all live in one
-type.  A value mod m is a ``QuadExt`` too, with int components in [0, m)
-(``sequences._unlift`` builds it).  No library path builds a ``ModInt``; the
-class stays only because ``perfbench/layers.py`` traces it by name.
+type.  The residue of a value mod m is a ``QuadExt`` too, with int components
+in [0, m): ``reduce_mod`` and ``sequences._unlift`` build it.  ``ModInt`` is an
+empty placeholder kept for a lookup by name (see its docstring).
 
 An exact rational -- a ``QuadExt`` component here, a polynomial coefficient
 in ``polynomials`` -- is stored as a plain ``int`` when it is integral and as
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
 RationalLike = Union[int, Fraction, "QuadExt"]
@@ -39,7 +39,7 @@ def _canon(x: int | Fraction) -> Rational:
 
 
 class RingMismatchError(ValueError):
-    """Operands belong to incompatible rings (radicands or moduli differ)."""
+    """Quadratic operands belong to incompatible rings: their radicands differ."""
 
 
 class LocalizationError(ValueError):
@@ -276,127 +276,46 @@ SQRT5 = QuadExt.sqrt(5)
 GOLDEN = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
 
 
-def _cleared_components(x: QuadExt) -> tuple[int, int, int]:
-    """Write x = (u + v*sqrt(d)) / q with integer u, v and q > 0 minimal."""
-    q = x.a.denominator * x.b.denominator // gcd(x.a.denominator, x.b.denominator)
-    u = x.a.numerator * (q // x.a.denominator)
-    v = x.b.numerator * (q // x.b.denominator)
-    return u, v, q
-
-
 def divides_int(m: int, x: RationalLike) -> bool:
-    """Whether the integer m >= 2 divides x componentwise.
+    """Whether the integer m >= 2 divides x: whether ``reduce_mod(x, m)`` is 0.
 
-    x = (u + v*sqrt(d)) / q has residues (u/q mod m, v/q mod m); q must be
-    coprime to m (otherwise the question has no answer in the localization
-    and LocalizationError is raised), and since q is then invertible mod m,
-    m divides x exactly when both residues are 0.
+    A denominator of x must be coprime to m; otherwise the question has no
+    answer in the localization and LocalizationError is raised.
     """
-    return reduce_mod(x, m) == (0, 0)
+    return not reduce_mod(x, m)
 
 
-def reduce_mod(x: RationalLike, m: int) -> tuple[int, int]:
-    """Componentwise residues (u mod m, v mod m) of x = u + v*sqrt(d).
+def reduce_mod(x: RationalLike, m: int) -> QuadExt:
+    """The residue of x mod m: a QuadExt with int components in [0, m), and
+    d = 0 when the sqrt(d) part vanishes mod m.
 
-    Denominators are cleared by multiplying with their inverse mod m; they
-    must be coprime to m.
+    x = (u + v*sqrt(d)) / q with integers u, v and q > 0 minimal; q must be
+    coprime to m, and the residue is u/q + v/q*sqrt(d) with 1/q the inverse
+    of q mod m.  It is computed from x alone, not through the lift that
+    every modular kernel shares, so it is their independent reference.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
     xq = QuadExt._coerce(x)
     if xq is None:
         raise TypeError(f"cannot reduce {type(x).__name__}")
-    u, v, q = _cleared_components(xq)
+    a, b = xq.a, xq.b
+    q = lcm(a.denominator, b.denominator)
     if gcd(q, m) != 1:
         raise LocalizationError(f"denominator {q} shares a factor with {m}")
     qinv = pow(q, -1, m)
-    return (u * qinv) % m, (v * qinv) % m
+    u, v = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+    return _result(u * qinv % m, v * qinv % m, xq.d)
 
 
 class ModInt:
-    """Canonical residue modulo a fixed integer modulus >= 2."""
+    """Empty placeholder: no residue type but ``QuadExt`` exists.
 
-    __slots__ = ("residue", "modulus")
-
-    def __init__(self, value: int, modulus: int) -> None:
-        if modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        object.__setattr__(self, "residue", value % modulus)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ModInt is immutable")
-
-    def _coerce(self, other: object) -> ModInt | None:
-        if isinstance(other, ModInt):
-            if other.modulus != self.modulus:
-                raise RingMismatchError(
-                    f"modulus mismatch: {self.modulus} vs {other.modulus}"
-                )
-            return other
-        if isinstance(other, int):
-            return ModInt(other, self.modulus)
-        return None
-
-    def __add__(self, other: object) -> ModInt:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ModInt(self.residue + o.residue, self.modulus)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> ModInt:
-        return ModInt(-self.residue, self.modulus)
-
-    def __sub__(self, other: object) -> ModInt:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ModInt(self.residue - o.residue, self.modulus)
-
-    def __rsub__(self, other: object) -> ModInt:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other: object) -> ModInt:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ModInt(self.residue * o.residue, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> ModInt:
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        return ModInt(pow(self.residue, e, self.modulus), self.modulus)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ModInt):
-            return (
-                self.modulus == other.modulus and self.residue == other.residue
-            )
-        if isinstance(other, int):
-            return self.residue == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.residue, self.modulus))
-
-    def __bool__(self) -> bool:
-        return self.residue != 0
-
-    def __int__(self) -> int:
-        return self.residue
-
-    def __repr__(self) -> str:
-        return f"ModInt({self.residue}, {self.modulus})"
-
-    def __str__(self) -> str:
-        return str(self.residue)
+    ``perfbench/layers.py`` (``Tracer.install``) still looks this class up by
+    name and wraps only the methods in ``vars(cls)``; with none here, its
+    ``scalars.modint_ops`` and ``scalars.modint_s`` read 0.  It goes together
+    with that lookup.
+    """
 
 
 # -- canonical text form ------------------------------------------------------

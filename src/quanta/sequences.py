@@ -259,11 +259,10 @@ def psi_pow2(a, b, s: int, modulus: int | None = None):
     if m is None:
         cur, apow = -(a * 0 + b), a * a
     else:
-        ua, va = reduce_mod(a, m)  # raises for a modulus below 2
-        ub, vb = reduce_mod(b, m)
-        if va or vb:
+        ra, rb = reduce_mod(a, m), reduce_mod(b, m)  # raises for a modulus below 2
+        if ra.d or rb.d:
             raise ValueError("modular doubling requires rational parameters")
-        cur, apow = -ub, ua * ua
+        cur, apow = -rb.a, ra.a * ra.a
     for _ in range(s - 1):
         cur, apow = cur * cur - 2 * apow, apow * apow
         if m:

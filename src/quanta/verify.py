@@ -285,6 +285,8 @@ _EMERGENCE_POINTS = [
     QPoint(2, 3),
     QPoint(1, -2),
 ]
+# the points of the checks on the psi-normalized ratio: gen1, gen5, infinite_params
+_RATIO_POINTS = [QPoint(1, 1), QPoint(1, -2), QPoint(0, -1), QPoint(2, 3)]
 
 _QUAD_SAMPLE = [
     QPoint(QuadExt(1), SQRT2),
@@ -510,10 +512,9 @@ def _run_g0(bounds, rng) -> Iterator[Case]:
             mod_table = omega_table(point, n, modulus=m)
             for k in range(K + 1):
                 for r in range(K - k + 1):
-                    got = mod_table.entry(r, k)
                     yield (
                         {"point": label, "n": n, "r": r, "k": k, "mod": m},
-                        lambda: (got.a, got.b),
+                        lambda: mod_table.entry(r, k),
                         reduce_mod(table.entry(r, k), m),
                     )
 
@@ -727,13 +728,12 @@ _register(
     quick={"kmax": 4}, full={"kmax": 6}, tiny={"kmax": 3},
 )
 def _run_infinite_params(bounds, rng) -> Iterator[Case]:
-    base_points = [QPoint(1, 1), QPoint(1, -2), QPoint(0, -1), QPoint(2, 3)]
     for k in range(2, bounds["kmax"] + 1):
         combos = [
-            (base_points[:1], [1]),
-            (base_points[:2], [3, -2]),
-            (base_points, [0, 0, 0, 0]),
-            (base_points, [rng.randint(-9, 9) for _ in base_points]),
+            (_RATIO_POINTS[:1], [1]),
+            (_RATIO_POINTS[:2], [3, -2]),
+            (_RATIO_POINTS, [0, 0, 0, 0]),
+            (_RATIO_POINTS, [rng.randint(-9, 9) for _ in _RATIO_POINTS]),
         ]
         for i, (pts, coeffs) in enumerate(combos):
             yield (
@@ -751,9 +751,8 @@ def _run_infinite_params(bounds, rng) -> Iterator[Case]:
     quick={"kmax": 4}, full={"kmax": 6}, tiny={"kmax": 3},
 )
 def _run_gen1(bounds, rng) -> Iterator[Case]:
-    points = [QPoint(1, 1), QPoint(1, -2), QPoint(0, -1), QPoint(2, 3)]
     for k in range(2, bounds["kmax"] + 1):
-        for point in points:
+        for point in _RATIO_POINTS:
             label = str(point)
             try:
                 result = emergence_check(k, point)
@@ -796,9 +795,8 @@ def _run_gen2(bounds, rng) -> Iterator[Case]:
     quick={"kmax": 5}, full={"kmax": 6}, tiny={"kmax": 3},
 )
 def _run_gen5(bounds, rng) -> Iterator[Case]:
-    points = [QPoint(1, 1), QPoint(1, -2), QPoint(0, -1), QPoint(2, 3)]
     for k in range(2, bounds["kmax"] + 1):
-        for point in points:
+        for point in _RATIO_POINTS:
             yield (
                 {"k": k, "point": str(point)},
                 lambda: first_odd_primes_check(k, point),

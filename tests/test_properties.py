@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quanta.polynomials import UniPoly
-from quanta.scalars import ModInt, QuadExt, divides_int, format_scalar, parse_scalar
+from quanta.scalars import QuadExt, divides_int, format_scalar, parse_scalar
 from quanta.sequences import (
     QPoint,
     falling_factorial,
@@ -195,19 +195,6 @@ class TestTextRoundTrip:
     @settings(max_examples=200)
     def test_parse_format(self, x):
         assert parse_scalar(format_scalar(x)) == x
-
-
-class TestModIntLaws:
-    @given(
-        a=st.integers(-1000, 1000),
-        b=st.integers(-1000, 1000),
-        m=st.integers(2, 97),
-    )
-    @settings(max_examples=200)
-    def test_homomorphism(self, a, b, m):
-        assert ModInt(a, m) + ModInt(b, m) == ModInt(a + b, m)
-        assert ModInt(a, m) * ModInt(b, m) == ModInt(a * b, m)
-        assert ModInt(a, m) ** 3 == ModInt(a**3, m)
 
 
 nonzero_pairs = st.tuples(

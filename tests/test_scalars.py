@@ -7,7 +7,6 @@ import pytest
 from quanta.scalars import (
     GOLDEN,
     LocalizationError,
-    ModInt,
     QuadExt,
     RingMismatchError,
     SQRT2,
@@ -157,10 +156,20 @@ class TestDivisibility:
             divides_int(1, QuadExt(6))
 
     def test_reduce_mod(self):
-        assert reduce_mod(QuadExt(7, 12, 2), 5) == (2, 2)
-        assert reduce_mod(QuadExt(Fraction(1, 2)), 7) == (4, 0)
+        assert reduce_mod(QuadExt(7, 12, 2), 5) == QuadExt(2, 2, 2)
+        assert reduce_mod(QuadExt(Fraction(1, 2)), 7) == QuadExt(4)
         with pytest.raises(LocalizationError):
             reduce_mod(GOLDEN, 4)
+
+    def test_reduce_mod_is_a_residue_quadext(self):
+        # 7*sqrt(2) vanishes mod 7, so the residue is rational: d drops to 0
+        residue = reduce_mod(QuadExt(3, 7, 2), 7)
+        assert type(residue) is QuadExt and residue == QuadExt(3) and residue.d == 0
+        for x, m in [(QuadExt(Fraction(-5, 3), Fraction(9, 2), 5), 11), (QuadExt(-40), 7)]:
+            residue = reduce_mod(x, m)
+            assert all(type(c) is int and 0 <= c < m for c in (residue.a, residue.b))
+        assert divides_int(5, QuadExt(10)) is True
+        assert divides_int(5, QuadExt(11)) is False
 
 
 class TestExactDiv:
@@ -177,31 +186,6 @@ class TestExactDiv:
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
             QuadExt(1) / QuadExt(0)
-
-
-class TestModInt:
-    def test_square_of_minus_one(self):
-        x = ModInt(30, 31)
-        assert (x * x).residue == 1
-
-    def test_doubling_step(self):
-        x = ModInt(14, 31)
-        assert (x * x - 2).residue == 8
-
-    def test_pow(self):
-        assert (ModInt(2, 31) ** 5).residue == 1
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(RingMismatchError):
-            ModInt(1, 5) + ModInt(1, 7)
-
-    def test_int_coercion(self):
-        assert 3 * ModInt(11, 31) == ModInt(2, 31)
-        assert ModInt(30, 31) + 1 == 0
-
-    def test_modulus_bound(self):
-        with pytest.raises(ValueError):
-            ModInt(0, 1)
 
 
 class TestTextForm:
