@@ -1,7 +1,8 @@
-"""Mutation matrix: eleven faults injected at the boundaries of the integer
+"""Mutation matrix: fourteen faults injected at the boundaries of the integer
 lift, the expansion coefficients, the ratio denominator, polynomial
-evaluation and the modular values, and the registered checks that catch
-each one at tiny bounds.
+evaluation, the modular values and the exact values at integral and
+quadratic points, and the registered checks that catch each one at tiny
+bounds.
 
 ``tests/mutation_matrix.json`` records mutant -> sorted ids of the checks
 whose status is not "pass" while it is active (gen1, which records genuine
@@ -41,6 +42,14 @@ def _plus_one_at_n7(psi_point):
     def mutant(point, n, modulus=None):
         value = psi_point(point, n, modulus)
         return value + 1 if n == 7 else value
+
+    return mutant
+
+
+def _psi_plus_one_at_a_quadratic_point(psi_point):
+    def mutant(point, n, modulus=None):
+        value = psi_point(point, n, modulus)
+        return value + 1 if sequences.as_point(point).d else value
 
     return mutant
 
@@ -90,6 +99,17 @@ def _top_plus_one_with_modulus(omega_top):
     return mutant
 
 
+def _exact_top_plus_one_where(at_point):
+    def factory(omega_top):
+        def mutant(point, n, modulus=None):
+            value = omega_top(point, n, modulus)
+            return value + 1 if modulus is None and at_point(sequences.as_point(point)) else value
+
+        return mutant
+
+    return factory
+
+
 def _exact_skips_division(unlift):
     return lambda raw, q, d, modulus=None: unlift(raw, 1 if modulus is None else q, d, modulus)
 
@@ -103,6 +123,7 @@ MUTANTS = {
     "lambda_seed sign flipped at r=1": ("lambda_seed", _seed_sign_flipped_at_r1),
     "lambda_table entries +1 at k>=2": ("lambda_table", _entries_plus_one_from_k2),
     "psi_point +1 at n=7": ("psi_point", _plus_one_at_n7),
+    "psi_point +1 at a quadratic point": ("psi_point", _psi_plus_one_at_a_quadratic_point),
     "exact _unlift skips its division": ("_unlift", _exact_skips_division),
     "modular _unlift skips q^-1": ("_unlift", _modular_skips_inverse),
     "_expansion_coeff negated at k=1": ("_expansion_coeff", _negated_at_k1),
@@ -111,6 +132,12 @@ MUTANTS = {
     "falling_factorial +1 at n=7": ("falling_factorial", _falling_plus_one_at_n7),
     "psi_pow2 +1 with a modulus": ("psi_pow2", _pow2_plus_one_with_modulus),
     "omega_top +1 with a modulus": ("omega_top", _top_plus_one_with_modulus),
+    "omega_top +1 at an exact integral point": (
+        "omega_top", _exact_top_plus_one_where(lambda point: point.is_integral)
+    ),
+    "omega_top +1 at an exact quadratic point": (
+        "omega_top", _exact_top_plus_one_where(lambda point: point.d)
+    ),
 }
 
 

@@ -158,6 +158,33 @@ class TestPsiPointLift:
             assert type(got) is QuadExt and got.d in (0, point.d), n
             assert got == reduce_mod(psi_point(point, n), modulus), n
 
+    @pytest.mark.parametrize("modulus", [None, 13, 1000003])
+    @pytest.mark.parametrize(
+        "point",
+        [
+            QPoint(3, -7),
+            QPoint(Fraction(1, 2), Fraction(-2, 3)),
+            QPoint(GOLDEN, 1),
+            QPoint(Fraction(-2, 3), SQRT3 * Fraction(5, 7)),
+        ],
+        ids=str,
+    )
+    def test_step_by_step_reference(self, point, modulus):
+        # psi_rec's values, read once for every n, reduced mod m when given
+        values = sequences._psi_values(point.alpha, point.beta)
+        for n, want in zip(range(301), values):
+            if modulus is not None:
+                want = reduce_mod(want, modulus)
+            assert psi_point(point, n, modulus) == want, n
+
+    @pytest.mark.parametrize("n", [4097, 4098])
+    @pytest.mark.parametrize("point", [QPoint(1, 4), QPoint(QuadExt(2), 3 * SQRT2 - 1)], ids=str)
+    def test_step_by_step_reference_at_large_n(self, point, n):
+        m = 1000003
+        want = psi_rec(point.alpha, point.beta, n)
+        assert psi_point(point, n) == want
+        assert psi_point(point, n, m) == reduce_mod(want, m)
+
     def test_lift_clears_every_denominator(self):
         point = QPoint(Fraction(1, 3) + SQRT5 / 6, Fraction(5, 4) * SQRT5)
         assert sequences._lift(point) == (12, (4, 2), (0, 15), 5)
