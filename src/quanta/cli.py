@@ -34,7 +34,7 @@ EXIT_USAGE = 2
 # grows as about n^3 (58 MB at n = 1000); `quanta table` computes one top per
 # n up to nmax.  Larger n is refused by both.
 OMEGA_MAX_N = 1024
-PSI_MAX_N = 131072  # `quanta psi`: n steps on n-digit numbers; about 1 s at (1, 4)
+PSI_MAX_N = 131072  # `quanta psi`: O(log n) products; (1, 4) takes about 0.03 s, printing included
 PSI_MAX_BITS = 2**18  # estimated size of an exact psi value; (1, 4) at PSI_MAX_N fits
 # p - 2 squarings of p-bit numbers, twice over; p = 11213 takes about 8 s
 MERSENNE_MAX_P = 11213
@@ -134,11 +134,9 @@ def _cmd_emerge(args) -> int:
     if result.exact_path:
         omega0 = format_scalar(omega_top(point, 2 * result.p_k))
         print(f"p{args.k + 1}={result.p_next} divides Omega0={omega0} : PASS")
-    else:
-        print(
-            f"p{args.k + 1}={result.p_next} divides Omega0 "
-            f"(residue {result.omega0_mod} mod {result.p_next}) : PASS"
-        )
+    else:  # emergence_check returns only when the residue is 0
+        q = result.p_next
+        print(f"p{args.k + 1}={q} divides Omega0 (residue 0 mod {q}) : PASS")
     return EXIT_OK
 
 

@@ -11,8 +11,6 @@ from fractions import Fraction
 from math import factorial, isqrt, prod
 from typing import Iterator
 
-import mpmath
-
 from .scalars import QuadExt
 from .sequences import (
     KernelPointError,
@@ -231,14 +229,10 @@ EXACT_EMERGENCE_MAX_P = 31
 
 @dataclass(frozen=True)
 class EmergenceResult:
-    """Outcome of one emergence check at (k, point).
-
-    ``omega0_mod`` is the residue of the top triangle entry mod p_{k+1}; it
-    is always 0, since ``emergence_check`` raises TheoremViolationError
-    instead of returning when the entry has a nonzero residue (either
-    component, at a quadratic point).  The ratio fields are None when the exact
-    path was not taken, either because p_k exceeds the exact bound or the
-    point lies in the kernel at level 2 p_k.
+    """Outcome of one emergence check at (k, point), which ``emergence_check``
+    returns only when p_{k+1} divides the top triangle entry.  The ratio
+    fields are None when the exact path was not taken, either because p_k
+    exceeds the exact bound or the point lies in the kernel at level 2 p_k.
 
     ``gen1_integer`` says whether the thinned ratio
     R / (p_k (2 p_k - 1)(2 p_k - 2)) is an integer, R being the
@@ -252,7 +246,6 @@ class EmergenceResult:
     p_k: int
     p_next: int
     point: QPoint
-    omega0_mod: int
     ratio_divisible: bool | None
     gen1_integer: bool | None
     gen1_divisible: bool | None
@@ -272,9 +265,7 @@ def emergence_check(k: int, point: QPoint | tuple) -> EmergenceResult:
     point = as_point(point)
     p, q = nth_prime(k), nth_prime(k + 1)
     n = 2 * p
-    top = omega_top(point, n, modulus=q)
-    residue = top.a or top.b
-    if residue != 0:
+    if omega_top(point, n, modulus=q):
         raise TheoremViolationError(
             f"p_{k + 1}={q} does not divide the top entry at {point}, n={n}"
         )
@@ -306,7 +297,6 @@ def emergence_check(k: int, point: QPoint | tuple) -> EmergenceResult:
         p_k=p,
         p_next=q,
         point=point,
-        omega0_mod=residue,
         ratio_divisible=ratio_divisible,
         gen1_integer=gen1_integer,
         gen1_divisible=gen1_divisible,
@@ -549,6 +539,7 @@ def lagarias_check(n: int) -> str:
     ('undecided').  A resolved violation would disprove the inequality and
     raises TheoremViolationError.
     """
+    import mpmath  # loaded where used: ``import quanta`` skips its start-up cost
     if n < 1:
         raise ValueError("n must be >= 1")
     s = sigma(n)
@@ -592,6 +583,7 @@ def _harmonic_interval(lo: int, hi: int, bits: int):
     """The iv interval [lo, hi] / 2^bits at the current iv precision.  The
     endpoints may have more than `iv.prec` bits; their conversion rounds
     outward and the division by a power of two is exact."""
+    import mpmath
     return mpmath.iv.mpf([lo, hi]) / (1 << bits)
 
 
@@ -606,6 +598,7 @@ def lagarias_sweep(nmax: int) -> list[int]:
     the transcendental right side; an n that does not then hold strictly
     escalates to the exact per-n `lagarias_check`.
     """
+    import mpmath
     sums = _divisor_sums(nmax)
     iv = mpmath.iv
     failures: list[int] = []

@@ -15,25 +15,22 @@ entry omega_0(floor(n/2)) divided by the falling-factorial product
 single most exercised identity in the verification suite.
 
 The recurrence runners are generic over any ring whose elements support
-arithmetic with ints (exact scalars, residues, polynomials).  One kernel,
-``_triangle``, fills X_r(k) = f(k+r) X_r(k-1) + g(r) X_{r+1}(k-1) from a seed
-row and the multiplier vectors f = (2z-x) w and g = z w' that ``_vectors``
-builds from each table's weights; the omega and lambda tables are both a
-``Triangle``.  ``omega_top`` and the Fibonacci companion need only the top
-entry of a unit-seed triangle, which ``_unit_seed_top`` sums over the
-triangle's paths in floor(n/2) steps from the same f and g; the two kernels
-are each other's reference.  Every kernel and ``psi_point`` run in native
-bigint arithmetic on the point's integer lift (``_lift``): rational points
-are scaled to integers, quadratic points to integer component pairs, and
-d = 0 marks the int path.  With a modulus m, ``_reduced_lift`` checks m and
-reduces the lift mod m before any arithmetic, and the results are residues.
-``_unlift`` is the only place a value leaves the lift: it divides by the
-scale's power, exactly or mod m.  Besides the reductions that keep modular
-work small (of the lift, per level in tables, per step in ``psi_point``), it
-is the only code that divides or reduces a lifted value.  It is also where
-the form of a residue is decided: every modular value, ``psi_pow2``'s
-included, is a QuadExt with int components in [0, m), d = 0 at a rational
-point.
+arithmetic with ints (exact scalars, residues, polynomials).  ``_triangle``
+fills X_r(k) = f(k+r) X_r(k-1) + g(r) X_{r+1}(k-1) from a seed row and the
+multipliers f = (2z-x) w, g = z w' of each table's int weights; the omega and
+lambda tables are both a ``Triangle``.  ``_unit_seed_top``, the top entry of
+a unit-seed triangle for ``omega_top`` and the Fibonacci companion, sums its
+paths in floor(n/2) steps with each multiplier formed in the loop; the two
+kernels are each other's reference.  ``psi_point`` powers the recurrence's
+two-step matrix by squaring, in O(log n) ring products; ``psi_rec`` steps it
+n times and is its reference.  All run in native bigint arithmetic on the
+point's integer lift (``_lift``): ints at a rational point, int pairs (u, v)
+for u + v sqrt(d) at a quadratic one, d = 0 marking the int path.  With a
+modulus m, ``_reduced_lift`` checks m and reduces the lift first, and tables
+and ``psi_point`` reduce as they go.  ``_unlift`` is where a value leaves the
+lift: it divides by the scale's power, exactly or mod m, and makes every
+modular value, ``psi_pow2``'s included, a QuadExt with int components in
+[0, m), d = 0 at a rational point.
 """
 
 from __future__ import annotations
@@ -203,26 +200,47 @@ def psi_rec(a, b, n: int):
 
 
 def psi_point(point: QPoint | tuple, n: int, modulus: int | None = None):
-    """psi at a parameter point: exactly, or with a ``modulus`` its residue
-    QuadExt (``_unlift``), as for ``omega_top``.  psi_n(s a, s b) = s^floor(n/2)
-    psi_n(a, b), so it runs on the integer lift (on residues mod m, when
-    given) and ``_unlift`` divides once at the end."""
+    """psi at a parameter point in O(log n) ring products: exactly, or with a
+    ``modulus`` its residue QuadExt (``_unlift``), as for ``omega_top``.
+
+    Two recurrence steps are M = [[t-a, -a], [t, -a]], t = 2a - b, on
+    (psi(2j+1), psi(2j)) from (1, 2).  M^2 = -b M - a^2, so M^j = x M + y;
+    squaring maps (x, y) to (x(2y - bx), (y - ax)(y + ax)), a step to
+    (y - bx, -a^2 x), and psi(2j) = 2y - bx = V_j(-b, a^2), psi(2j+1) = y - (a+b)x.
+    As psi_n(sa, sb) = s^floor(n/2) psi_n(a, b), this runs on the lift (ints,
+    or pairs u + v sqrt(d)), reduced mod m after each bit when given, and
+    ``_unlift`` divides once at the end.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    point = as_point(point)
-    s, (zu, zv), (xu, xv), d = _reduced_lift(point, modulus)
-    m, q = modulus, pow(s, n // 2, modulus)  # q is s^floor(n/2) mod m, or exact
-    if not d and m is None:
-        return _unlift(psi_rec(zu, xu, n), q, 0)
-    # psi_rec fused on pairs u + v sqrt(d), t = 2z - x; ends on (pu, pv) = psi(n)
-    tu, tv, tvd, zvd = 2 * zu - xu, 2 * zv - xv, (2 * zv - xv) * d, zv * d
-    pu, pv, cu, cv = 2, 0, 1, 0
-    for i in range(1, n + 1):
-        nu, nv = (tu * cu + tvd * cv, tu * cv + tv * cu) if i & 1 else (cu, cv)
-        pu, pv, cu, cv = cu, cv, nu - zu * pu - zvd * pv, nv - zu * pv - zv * pu
+    s, a, b, d = _reduced_lift(as_point(point), modulus)
+    m, q, bits = modulus, pow(s, n // 2, modulus), bin(n >> 1)[2:]
+    if not d:
+        (a, _), (b, _), x, y = a, b, 0, 1
+        for bit in bits:
+            x, y = x * (2 * y - b * x), (y - a * x) * (y + a * x)
+            if bit == "1":
+                x, y = y - b * x, -a * a * x
+            if m:
+                x, y = x % m, y % m
+        return _unlift(y - (a + b) * x if n & 1 else 2 * y - b * x, q, 0, m)
+
+    def mul(p, r):
+        return p[0] * r[0] + d * p[1] * r[1], p[0] * r[1] + p[1] * r[0]
+
+    def comb(c, p, e, r):  # c p + e r for ints c, e
+        return c * p[0] + e * r[0], c * p[1] + e * r[1]
+
+    aa, x, y = mul(a, a), (0, 0), (1, 0)
+    for bit in bits:
+        ax = mul(a, x)
+        x, y = mul(x, comb(2, y, -1, mul(b, x))), mul(comb(1, y, -1, ax), comb(1, y, 1, ax))
+        if bit == "1":
+            x, y = comb(1, y, -1, mul(b, x)), comb(0, y, -1, mul(aa, x))
         if m:
-            cu, cv = cu % m, cv % m
-    return _unlift((pu, pv) if d else pu, q, d, m)
+            x, y = (x[0] % m, x[1] % m), (y[0] % m, y[1] % m)
+    raw = comb(1, y, -1, mul(comb(1, a, 1, b), x)) if n & 1 else comb(2, y, -1, mul(b, x))
+    return _unlift(raw, q, d, m)
 
 
 def psi_closed(a, b, n: int):
@@ -339,32 +357,32 @@ def _triangle(seed: list[int], diag, coupling, d: int = 0, modulus=None):
     return levels
 
 
-def _unit_seed_top(diag, coupling, d: int = 0):
-    """X_0(K) of ``_triangle`` from the all-ones seed row, in K steps.
-
-    A path from seed cell (j, 0) to (0, K) picks up diag[j+1..K] on its
-    diagonal steps and coupling[0..j-1] on its coupling steps in any order,
-    and C(K, j) orders stay inside the triangle, so
-    X_0(K) = sum_j C(K, j) coupling[0]...coupling[j-1] diag[j+1]...diag[K].
-    The sum runs in Horner form; h = C(K, j) coupling[0]...coupling[j-1] is
-    kept exact, since C(K, j) = C(K, j-1)(K-j+1)/j divides exactly, and so is
-    the sum: ``omega_top`` reduces it mod m once.  Arguments as in ``_triangle``.
+def _unit_seed_top(t, z, diag_weights, coupling_weights, d: int = 0):
+    """X_0(K) of ``_triangle`` from the all-ones seed row, in K steps and no
+    list: diag[j] = t diag_weights[j] and coupling[r] = z coupling_weights[r]
+    are formed in the loop from the lift's t = 2z - x and z (ints when d = 0,
+    else pairs (u, v) for u + v sqrt(d)).  A path from seed cell (j, 0) to
+    (0, K) picks up diag[j+1..K] and coupling[0..j-1] in any of the C(K, j)
+    orders, all inside the triangle, so
+    X_0(K) = sum_j C(K, j) coupling[0]...coupling[j-1] diag[j+1]...diag[K],
+    summed in Horner form.  h = C(K, j) coupling[0]...coupling[j-1] stays
+    exact, as C(K, j) = C(K, j-1)(K-j+1)/j divides exactly; so does the sum,
+    which ``omega_top`` reduces mod m once.
     """
+    K = len(diag_weights) - 1
+    steps = zip(range(1, K + 1), range(K, 0, -1), coupling_weights, diag_weights[1:])
     if not d:
-        K = len(diag) - 1
         top = h = 1
-        for j in range(1, K + 1):
-            h = h * (coupling[j - 1] * (K - j + 1)) // j
-            top = diag[j] * top + h
+        for j, i, c, w in steps:  # i = K - j + 1
+            h = h * (z * c * i) // j
+            top = t * w * top + h
         return top
-    (a1, a2), (c1, c2) = diag, coupling
-    K = len(a1) - 1
+    (tu, tv), (zu, zv), tvd, zvd = t, z, t[1] * d, z[1] * d
     u, v, hu, hv = 1, 0, 1, 0
-    for j in range(1, K + 1):
-        s, t = c1[j - 1] * (K - j + 1), c2[j - 1] * (K - j + 1)
-        hu, hv = (s * hu + t * d * hv) // j, (t * hu + s * hv) // j
-        p, q = a1[j], a2[j]
-        u, v = p * u + q * d * v + hu, p * v + q * u + hv
+    for j, i, c, w in steps:
+        c *= i
+        hu, hv = (zu * hu + zvd * hv) * c // j, (zv * hu + zu * hv) * c // j
+        u, v = (tu * u + tvd * v) * w + hu, (tu * v + tv * u) * w + hv
     return u, v
 
 
@@ -420,21 +438,21 @@ def _vectors(point: QPoint, diag_weights, coupling_weights, modulus: int | None)
     return (s, d, diag, coupling) if d else (s, d, diag[0], coupling[0])
 
 
-def _omega_vectors(point: QPoint, n: int, modulus: int | None):
-    """``_vectors`` of the omega triangle:
-    omega_r(k) = (2z-x)(n-r-k) omega_r(k-1) + sign 2z(n-2r-d(n-1)) omega_{r+1}(k-1);
-    the fault-injection sign lives in the coupling weights, not the kernel."""
+def _omega_weights(n: int) -> tuple[range, range]:
+    """The int weights n - j and sign 2(n-2r-d(n-1)), r < floor(n/2), of
+    omega_r(k) = (2z-x)(n-r-k) omega_r(k-1) + sign 2z(n-2r-d(n-1)) omega_{r+1}(k-1),
+    as ranges; the fault-injection sign lives here, not in the kernels."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    K, dlt = n // 2, (n - 1) & 1
-    coupling_weights = [_coupling_sign * 2 * (n - 2 * r - dlt) for r in range(K)]
-    return _vectors(point, range(n, n - K - 1, -1), coupling_weights, modulus)
+    K, c = n // 2, 2 * _coupling_sign
+    first = c * (n - ((n - 1) & 1))
+    return range(n, n - K - 1, -1), range(first, first - 2 * c * K, -2 * c)
 
 
 def omega_table(point: QPoint | tuple, n: int, modulus: int | None = None) -> Triangle:
     """Full triangle, all entries retained."""
     point = as_point(point)
-    scale, d, diag, coupling = _omega_vectors(point, n, modulus)
+    scale, d, diag, coupling = _vectors(point, *_omega_weights(n), modulus)
     levels = _triangle([1] * (n // 2 + 1), diag, coupling, d, modulus)
     return Triangle(point, n, levels, scale, modulus)
 
@@ -442,9 +460,10 @@ def omega_table(point: QPoint | tuple, n: int, modulus: int | None = None) -> Tr
 def omega_top(point: QPoint | tuple, n: int, modulus: int | None = None):
     """omega_0(floor(n/2)) as the path sum of ``_unit_seed_top``; builds no
     table and equals ``omega_table(point, n, modulus).top()``."""
-    point = as_point(point)
-    scale, d, diag, coupling = _omega_vectors(point, n, modulus)
-    return _unlift(_unit_seed_top(diag, coupling, d), pow(scale, n // 2, modulus), d, modulus)
+    weights = _omega_weights(n)
+    s, (zu, zv), (xu, xv), d = _reduced_lift(as_point(point), modulus)
+    t, z = ((2 * zu - xu, 2 * zv - xv), (zu, zv)) if d else (2 * zu - xu, zu)
+    return _unlift(_unit_seed_top(t, z, *weights, d), pow(s, n // 2, modulus), d, modulus)
 
 
 _CLOSED_FORMS = {(1, -2), (1, 2), (0, -1)}
@@ -558,6 +577,16 @@ def psi_k_expand(a, b, table: Triangle, k: int) -> tuple[QuadExt, list[QuadExt]]
     return QuadExt._coerce(_psi_sum(coeffs, a, 2 * a - b)), [QuadExt._coerce(c) for c in coeffs]
 
 
+def _quotient(num: QuadExt, den: int | QuadExt) -> QuadExt:
+    """num / den, by ``divmod`` when both are ints and den divides num."""
+    q = QuadExt._coerce(den)
+    if not (num.d or q.d) and type(num.a) is type(q.a) is int and q.a:
+        c, rem = divmod(num.a, q.a)
+        if not rem:
+            return _result(c, 0, 0)
+    return num / den
+
+
 def second_fundamental(point: QPoint | tuple, n: int) -> QuadExt:
     """omega_0(floor(n/2)) / (n-1)...(n-floor(n/2)); checked equal to psi.
 
@@ -567,16 +596,11 @@ def second_fundamental(point: QPoint | tuple, n: int) -> QuadExt:
     if n < 2:
         raise ValueError("n must be >= 2")
     point = as_point(point)
-    quotient = omega_top(point, n) / falling_factorial(n)
+    quotient = _quotient(omega_top(point, n), falling_factorial(n))
     if point.is_integral and not quotient.is_integral:
-        raise TheoremViolationError(
-            f"fundamental ratio not integral at point {point}, n={n}"
-        )
-    expected = psi_point(point, n)
-    if quotient != expected:
-        raise TheoremViolationError(
-            f"fundamental ratio != psi at point {point}, n={n}"
-        )
+        raise TheoremViolationError(f"fundamental ratio not integral at point {point}, n={n}")
+    if quotient != psi_point(point, n):
+        raise TheoremViolationError(f"fundamental ratio != psi at point {point}, n={n}")
     return quotient
 
 
@@ -588,11 +612,9 @@ def second_fundamental_v2(point: QPoint | tuple, n: int) -> QuadExt:
     psi = psi_point(point, 2 * n)
     if not psi:
         raise KernelPointError(f"psi({point}, {2 * n}) = 0")
-    ratio = omega_top(point, 2 * n) / psi
+    ratio = _quotient(omega_top(point, 2 * n), psi)
     if ratio != rising_product(n):
-        raise TheoremViolationError(
-            f"psi-normalized top entry != rising product at {point}, n={n}"
-        )
+        raise TheoremViolationError(f"psi-normalized top entry != rising product at {point}, n={n}")
     return ratio
 
 
@@ -655,9 +677,8 @@ def fib_lambda_table(n: int) -> tuple[int, int]:
     if n < 2:
         raise ValueError("n must be >= 2")
     K = (n - 1) // 2
-    diag = [n - j for j in range(K + 1)]
-    coupling = [2 * (n - 1 - 2 * r - delta(n)) for r in range(K)]
-    top = _unit_seed_top(diag, coupling)
+    coupling_weights = [2 * (n - 1 - 2 * r - delta(n)) for r in range(K)]
+    top = _unit_seed_top(1, 1, range(n, n - K - 1, -1), coupling_weights)
     value, rem = divmod(top, prod(range(n - K, n)))
     if rem:
         raise TheoremViolationError(f"companion top entry not divisible at n={n}")

@@ -1,15 +1,20 @@
 """Prime machinery and arithmetic applications."""
 
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath.libmp import to_rational
 
+import quanta
 from quanta.scalars import QuadExt, SQRT2
-from quanta.sequences import KernelPointError, QPoint, TheoremViolationError
+from quanta.sequences import KernelPointError, QPoint, TheoremViolationError, omega_top
 from quanta import primes
 from quanta.primes import (
     EXACT_EMERGENCE_MAX_P,
@@ -134,34 +139,45 @@ class TestHarmonicNumbers:
 
 
 class TestEmergence:
+    @staticmethod
+    def top_residue(result):
+        # the residue of the top entry, which emergence_check found to be 0
+        return omega_top(result.point, 2 * result.p_k, result.p_next)
+
     def test_hand_case_unit_point(self):
         result = emergence_check(2, QPoint(1, 1))
         assert (result.p_k, result.p_next) == (3, 5)
-        assert result.omega0_mod == 0
+        assert not self.top_residue(result)
         assert result.ratio_divisible is True
         assert result.gen1_integer is True
 
     def test_closed_form_point(self):
         result = emergence_check(2, QPoint(1, -2))
-        assert result.omega0_mod == 0
+        assert not self.top_residue(result)
         assert result.ratio_divisible is True
 
     def test_modular_only_for_large_k(self):
         result = emergence_check(15, QPoint(1, 0))  # p_15 = 47 > exact bound
         assert result.p_k > EXACT_EMERGENCE_MAX_P
-        assert result.omega0_mod == 0
+        assert not self.top_residue(result)
         assert result.exact_path is False
         assert result.ratio_divisible is None
 
     def test_kernel_point_skips_exact_path(self):
         # (1, 0) lies in the kernel at every level 2p for odd prime p
         result = emergence_check(3, QPoint(1, 0))
-        assert result.omega0_mod == 0
+        assert not self.top_residue(result)
         assert result.exact_path is False
 
     def test_quadratic_point(self):
         result = emergence_check(2, QPoint(QuadExt(1), SQRT2))
-        assert result.omega0_mod == 0
+        assert not self.top_residue(result)
+
+    def test_nonzero_residue_raises(self, monkeypatch):
+        top = primes.omega_top
+        monkeypatch.setattr(primes, "omega_top", lambda *args, **kwargs: top(*args, **kwargs) + 1)
+        with pytest.raises(TheoremViolationError, match="does not divide the top entry"):
+            emergence_check(2, QPoint(1, 1))
 
     def test_gen1_counterexample_at_k2(self):
         # p_3 = 5 = 2*3 - 1 cancels from the thinned ratio: divisibility fails
@@ -406,3 +422,13 @@ class TestOmegaSpaceProbe:
     def test_member_classes(self):
         assert omega_space_probe(QPoint(1, -1), 2) == "member"
         assert omega_space_probe(QPoint(0, -1), 17) == "member"
+
+
+class TestImport:
+    def test_import_quanta_leaves_mpmath_unloaded(self):
+        # mpmath is imported inside the three functions that use it
+        src = str(Path(quanta.__file__).resolve().parents[1])
+        code = "import sys, quanta; print('mpmath' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr

@@ -657,7 +657,7 @@ class TestFibTable:
             diag = [n - j for j in range(K + 1)]
             coupling = [2 * (n - 1 - 2 * r - n % 2) for r in range(K)]
             want = _triangle([1] * (K + 1), diag, coupling)[K][0]
-            assert _unit_seed_top(diag, coupling) == want
+            assert _unit_seed_top(1, 1, diag, coupling) == want
             assert fib_lambda_table(n)[0] == want
 
     def test_smallest_case(self):
