@@ -1,14 +1,16 @@
-"""Mutation matrix: fourteen faults injected at the boundaries of the integer
+"""Mutation matrix: sixteen faults injected at the boundaries of the integer
 lift, the expansion coefficients, the ratio denominator, polynomial
-evaluation, the modular values and the exact values at integral and
-quadratic points, and the registered checks that catch each one at tiny
-bounds.
+evaluation, the modular values, the exact values at integral and quadratic
+points and the harmonic numbers, and the registered checks that catch each
+one at tiny bounds.
 
 ``tests/mutation_matrix.json`` records mutant -> sorted ids of the checks
 whose status is not "pass" while it is active (gen1, which records genuine
 counterexamples, is left out).  A rewrite that lets a check stop seeing a
-fault shrinks a set, and the test below names that mutant.  To print the
-sets of the current tree:
+fault shrinks a set, and the test below names that mutant.  The mutants in
+``KNOWN_GAPS`` are recorded with an empty set: no registered check sees them,
+and only direct tests guard those functions.  To print the sets of the
+current tree:
 
     PYTHONPATH=src python tests/test_mutation_matrix.py
 """
@@ -118,6 +120,17 @@ def _modular_skips_inverse(unlift):
     return lambda raw, q, d, modulus=None: unlift(raw, q if modulus is None else 1, d, modulus)
 
 
+def _lower_end_one_unit_high(harmonic_brackets):
+    def mutant(nmax, bits):
+        return ((n, lo + 1, hi) for n, lo, hi in harmonic_brackets(nmax, bits))
+
+    return mutant
+
+
+def _harmonic_plus_one_from_k1000(harmonic_number):
+    return lambda k: harmonic_number(k) + 1 if k >= 1000 else harmonic_number(k)
+
+
 # mutant -> (the name it replaces, a factory from the original to the mutant)
 MUTANTS = {
     "lambda_seed sign flipped at r=1": ("lambda_seed", _seed_sign_flipped_at_r1),
@@ -138,7 +151,14 @@ MUTANTS = {
     "omega_top +1 at an exact quadratic point": (
         "omega_top", _exact_top_plus_one_where(lambda point: point.d)
     ),
+    "_harmonic_brackets lower end one unit high": (
+        "_harmonic_brackets", _lower_end_one_unit_high
+    ),
+    "harmonic_number +1 at k>=1000": ("harmonic_number", _harmonic_plus_one_from_k1000),
 }
+# The sweep decides sigma(n) < H_n + log(H_n) e^(H_n) with a margin far above
+# one unit in 2^-192, and no check at tiny bounds asks for H_k with k >= 1000.
+KNOWN_GAPS = {"_harmonic_brackets lower end one unit high", "harmonic_number +1 at k>=1000"}
 
 
 @contextmanager
@@ -150,7 +170,7 @@ def mutated(name, factory):
         bound = [next(getattr(m, owner) for m in MODULES if hasattr(m, owner))]
         original = getattr(bound[0], attr)
     else:
-        original = getattr(sequences, attr)
+        original = next(getattr(m, attr) for m in MODULES if hasattr(m, attr))
         bound = [m for m in MODULES if getattr(m, attr, None) is original]
     mutant = factory(original)
     for target in bound:
@@ -175,7 +195,7 @@ def test_no_catching_set_shrank():
     recorded = json.loads(MATRIX_FILE.read_text())
     assert set(recorded) == set(MUTANTS)
     sets = catching_sets()
-    uncaught = [label for label, caught in sets.items() if not caught]
+    uncaught = [label for label, caught in sets.items() if not caught and label not in KNOWN_GAPS]
     shrank = {
         label: sorted(set(recorded[label]) - set(caught))
         for label, caught in sets.items()

@@ -13,7 +13,7 @@ import pytest
 from mpmath.libmp import to_rational
 
 import quanta
-from quanta.scalars import QuadExt, SQRT2
+from quanta.scalars import QuadExt, SQRT2, reduce_mod
 from quanta.sequences import KernelPointError, QPoint, TheoremViolationError, omega_top
 from quanta import primes
 from quanta.primes import (
@@ -137,6 +137,12 @@ class TestHarmonicNumbers:
             acc += Fraction(1, t)
         assert harmonic_number(59) == acc
 
+    def test_matches_running_sum(self):
+        acc = Fraction(0)
+        for k in range(1, 501):
+            acc += Fraction(1, k)
+            assert harmonic_number(k) == acc, k
+
 
 class TestEmergence:
     @staticmethod
@@ -172,6 +178,15 @@ class TestEmergence:
     def test_quadratic_point(self):
         result = emergence_check(2, QPoint(QuadExt(1), SQRT2))
         assert not self.top_residue(result)
+
+    def test_modular_top_at_emergence_levels(self):
+        # the modulus p_{k+1} exceeds floor(n/2) = p_k, so it is prime to p_k!
+        from quanta.verify import _EMERGENCE_POINTS
+
+        for k in range(1, 61):
+            n, q = 2 * nth_prime(k), nth_prime(k + 1)
+            for point in _EMERGENCE_POINTS:
+                assert omega_top(point, n, q) == reduce_mod(omega_top(point, n), q), (k, point)
 
     def test_nonzero_residue_raises(self, monkeypatch):
         top = primes.omega_top

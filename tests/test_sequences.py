@@ -295,6 +295,17 @@ _EQUIV_POINTS = [
 ]
 
 
+# an integral, a rational and two quadratic points; every denominator is 1
+# or 7, prime to each of the moduli
+_TOP_POINTS = [
+    QPoint(3, -5),
+    QPoint(Fraction(2, 7), Fraction(-3, 7)),
+    QPoint(QuadExt(2), SQRT3 - 1),
+    QPoint(QuadExt(Fraction(1, 7)), SQRT5 * Fraction(3, 7)),
+]
+_TOP_MODULI = [2, 5, 6, 11, 12, 97, 101, 1000003]
+
+
 class TestOmegaTable:
     def test_hand_levels_n7(self):
         table = omega_table(QPoint(1, 1), 7)
@@ -335,6 +346,16 @@ class TestOmegaTable:
                         # reduce_mod of the exact top is an independent reference
                         want = reduce_mod(omega_top(point, n), modulus)
                         assert got == want, (flipped, n)
+
+    @pytest.mark.parametrize("point", _TOP_POINTS, ids=repr)
+    def test_modular_top_is_the_residue_of_the_exact_top(self, point):
+        # m shares a factor with floor(n/2)! once floor(n/2) reaches the
+        # smallest prime of m; for n <= 90, 97, 101 and 1000003 never do
+        exact = {n: omega_top(point, n) for n in range(1, 91)}
+        for m in _TOP_MODULI:
+            for n, top in exact.items():
+                got = omega_top(point, n, m)
+                assert type(got) is QuadExt and got == reduce_mod(top, m), (m, n)
 
     def test_top_matches_table_at_large_n(self):
         assert omega_top(QPoint(1, 4), 1024) == omega_table(QPoint(1, 4), 1024).top()
