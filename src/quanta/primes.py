@@ -8,8 +8,10 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import count
 from math import factorial, isqrt, prod
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .scalars import QuadExt
 from .sequences import (
@@ -200,19 +202,20 @@ def _divisor_sums(nmax: int) -> array:
 
 
 def harmonic_number(k: int) -> Fraction:
-    """H_k = sum of 1/t for t = 1..k, exactly (balanced summation)."""
+    """H_k = sum of 1/t for t = 1..k, exactly, by binary splitting on int
+    pairs: the sum p/q over [lo, hi) joins its halves as (p1 q2 + p2 q1, q1 q2),
+    and only the final Fraction reduces by a gcd."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return Fraction(0)
 
-    def span(lo: int, hi: int) -> Fraction:
+    def span(lo: int, hi: int) -> tuple[int, int]:
         if hi - lo == 1:
-            return Fraction(1, lo)
+            return 1, lo
         mid = (lo + hi) // 2
-        return span(lo, mid) + span(mid, hi)
+        (p1, q1), (p2, q2) = span(lo, mid), span(mid, hi)
+        return p1 * q2 + p2 * q1, q1 * q2
 
-    return span(1, k + 1)
+    return Fraction(*span(1, k + 1)) if k else Fraction(0)
 
 
 def _as_int(x: QuadExt) -> int:
@@ -230,9 +233,10 @@ EXACT_EMERGENCE_MAX_P = 31
 @dataclass(frozen=True)
 class EmergenceResult:
     """Outcome of one emergence check at (k, point), which ``emergence_check``
-    returns only when p_{k+1} divides the top triangle entry.  The ratio
-    fields are None when the exact path was not taken, either because p_k
-    exceeds the exact bound or the point lies in the kernel at level 2 p_k.
+    returns only when p_{k+1} divides the top triangle entry and, on the
+    exact path (``exact_path``), the psi-normalized ratio.  The gen1 fields
+    are None when the exact path was not taken, either because p_k exceeds
+    the exact bound or the point lies in the kernel at level 2 p_k.
 
     ``gen1_integer`` says whether the thinned ratio
     R / (p_k (2 p_k - 1)(2 p_k - 2)) is an integer, R being the
@@ -246,7 +250,6 @@ class EmergenceResult:
     p_k: int
     p_next: int
     point: QPoint
-    ratio_divisible: bool | None
     gen1_integer: bool | None
     gen1_divisible: bool | None
     exact_path: bool
@@ -269,7 +272,7 @@ def emergence_check(k: int, point: QPoint | tuple) -> EmergenceResult:
         raise TheoremViolationError(
             f"p_{k + 1}={q} does not divide the top entry at {point}, n={n}"
         )
-    ratio_divisible = gen1_integer = gen1_divisible = None
+    gen1_integer = gen1_divisible = None
     took_exact = False
     if p <= EXACT_EMERGENCE_MAX_P:
         try:
@@ -278,8 +281,7 @@ def emergence_check(k: int, point: QPoint | tuple) -> EmergenceResult:
             pass
         else:
             took_exact = True
-            ratio_divisible = ratio % q == 0
-            if not ratio_divisible:
+            if ratio % q:
                 raise TheoremViolationError(
                     f"p_{k + 1}={q} does not divide the normalized ratio at {point}"
                 )
@@ -297,7 +299,6 @@ def emergence_check(k: int, point: QPoint | tuple) -> EmergenceResult:
         p_k=p,
         p_next=q,
         point=point,
-        ratio_divisible=ratio_divisible,
         gen1_integer=gen1_integer,
         gen1_divisible=gen1_divisible,
         exact_path=took_exact,
@@ -491,14 +492,28 @@ def lucas_fib_representations(n: int) -> tuple[int, int]:
 
 def combinatorial_identity_check(n: int) -> bool:
     """(n-1)...(n-floor(n/2)) == 2^(floor(n/2)-d(n+1)) times the descending
-    odd-step product."""
+    odd-step product (n+d(n-1)-2)(n+d(n-1)-4)...1, built afresh; the
+    reference of ``combinatorial_identity_checks``."""
     if n < 2:
         raise ValueError("n must be >= 2")
     K = n // 2
-    lhs = falling_factorial(n)
     shift = delta(n - 1)
     odds = range(n + shift - 2, n + shift - 2 * K - 1, -2)
-    return lhs == _balanced_prod(odds) << (K - delta(n + 1))
+    return _combinatorial_verdict(n, _balanced_prod(odds))
+
+
+def combinatorial_identity_checks() -> Iterator[Callable[[], bool]]:
+    """AU7's verdicts, n = 2, 3, ...: ``combinatorial_identity_check`` with the
+    odd product of each parity carried forward, odds(n) = odds(n-2)(n+d(n-1)-2),
+    instead of rebuilt for every n."""
+    odds = [1, 1]  # odds(n) of the last even and the last odd n
+    for n in count(2):
+        odds[n & 1] *= n + delta(n - 1) - 2
+        yield partial(_combinatorial_verdict, n, odds[n & 1])
+
+
+def _combinatorial_verdict(n: int, odds: int) -> bool:
+    return falling_factorial(n) == odds << (n // 2 - delta(n + 1))
 
 
 def _balanced_prod(terms: range) -> int:

@@ -20,17 +20,19 @@ fills X_r(k) = f(k+r) X_r(k-1) + g(r) X_{r+1}(k-1) from a seed row and the
 multipliers f = (2z-x) w, g = z w' of each table's int weights; the omega and
 lambda tables are both a ``Triangle``.  ``_unit_seed_top``, the top entry of
 a unit-seed triangle for ``omega_top`` and the Fibonacci companion, sums its
-paths in floor(n/2) steps with each multiplier formed in the loop; the two
-kernels are each other's reference.  ``psi_point`` powers the recurrence's
-two-step matrix by squaring, in O(log n) ring products; ``psi_rec`` steps it
-n times and is its reference.  All run in native bigint arithmetic on the
-point's integer lift (``_lift``): ints at a rational point, int pairs (u, v)
-for u + v sqrt(d) at a quadratic one, d = 0 marking the int path.  With a
-modulus m, ``_reduced_lift`` checks m and reduces the lift first, and tables
-and ``psi_point`` reduce as they go.  ``_unlift`` is where a value leaves the
-lift: it divides by the scale's power, exactly or mod m, and makes every
-modular value, ``psi_pow2``'s included, a QuadExt with int components in
-[0, m), d = 0 at a rational point.
+paths in floor(n/2) steps with each multiplier formed in the loop and one
+division, by floor(n/2)!, at the end; the two kernels are each other's
+reference.  ``psi_point`` powers the recurrence's two-step matrix by
+squaring, in O(log n) ring products; ``psi_rec`` steps it n times and is its
+reference.  All run in native bigint arithmetic on the point's integer lift
+(``_lift``): ints at a rational point, int pairs (u, v) for u + v sqrt(d) at
+a quadratic one, d = 0 marking the int path.  With a modulus m,
+``_reduced_lift`` checks m and reduces the lift first, and tables and
+``psi_point`` reduce as they go, as does ``_unit_seed_top`` when m is prime
+to floor(n/2)!.  ``_unlift`` is where a value leaves the lift: it divides by
+the scale's power, exactly or mod m, and makes every modular value,
+``psi_pow2``'s included, a QuadExt with int components in [0, m), d = 0 at a
+rational point.
 """
 
 from __future__ import annotations
@@ -357,33 +359,50 @@ def _triangle(seed: list[int], diag, coupling, d: int = 0, modulus=None):
     return levels
 
 
-def _unit_seed_top(t, z, diag_weights, coupling_weights, d: int = 0):
+def _unit_seed_top(t, z, diag_weights, coupling_weights, d: int = 0, modulus: int | None = None):
     """X_0(K) of ``_triangle`` from the all-ones seed row, in K steps and no
     list: diag[j] = t diag_weights[j] and coupling[r] = z coupling_weights[r]
     are formed in the loop from the lift's t = 2z - x and z (ints when d = 0,
     else pairs (u, v) for u + v sqrt(d)).  A path from seed cell (j, 0) to
     (0, K) picks up diag[j+1..K] and coupling[0..j-1] in any of the C(K, j)
     orders, all inside the triangle, so
-    X_0(K) = sum_j C(K, j) coupling[0]...coupling[j-1] diag[j+1]...diag[K],
-    summed in Horner form.  h = C(K, j) coupling[0]...coupling[j-1] stays
-    exact, as C(K, j) = C(K, j-1)(K-j+1)/j divides exactly; so does the sum,
-    which ``omega_top`` reduces mod m once.
+    X_0(K) = sum_j C(K, j) coupling[0]...coupling[j-1] diag[j+1]...diag[K].
+    Scaled by K!, the sum needs no division: with
+    g_j = g_{j-1} coupling[j-1] (K-j+1), the Horner steps
+    T_j = j diag[j] T_{j-1} + g_j end at T_K = K! X_0(K).  With a ``modulus``
+    m prime to K! (every emergence modulus p_{k+1} > K is), g and T are
+    reduced mod m at each step and X_0(K) = T_K (K!)^-1 mod m; for any other
+    m, T_K stays exact and the caller reduces the exact X_0(K) once.
     """
     K = len(diag_weights) - 1
+    m = modulus
+    if m is not None:
+        try:
+            finv = pow(factorial(K), -1, m)
+        except ValueError:  # m shares a factor with K!
+            m = None
     steps = zip(range(1, K + 1), range(K, 0, -1), coupling_weights, diag_weights[1:])
     if not d:
-        top = h = 1
+        top = g = 1
         for j, i, c, w in steps:  # i = K - j + 1
-            h = h * (z * c * i) // j
-            top = t * w * top + h
-        return top
+            g = g * (z * c * i)
+            top = t * (j * w) * top + g
+            if m:
+                top, g = top % m, g % m
+        return top * finv % m if m else top // factorial(K)
     (tu, tv), (zu, zv), tvd, zvd = t, z, t[1] * d, z[1] * d
-    u, v, hu, hv = 1, 0, 1, 0
+    u, v, gu, gv = 1, 0, 1, 0
     for j, i, c, w in steps:
         c *= i
-        hu, hv = (zu * hu + zvd * hv) * c // j, (zv * hu + zu * hv) * c // j
-        u, v = (tu * u + tvd * v) * w + hu, (tu * v + tv * u) * w + hv
-    return u, v
+        w *= j
+        gu, gv = (zu * gu + zvd * gv) * c, (zv * gu + zu * gv) * c
+        u, v = (tu * u + tvd * v) * w + gu, (tu * v + tv * u) * w + gv
+        if m:
+            u, v, gu, gv = u % m, v % m, gu % m, gv % m
+    if m:
+        return u * finv % m, v * finv % m
+    f = factorial(K)
+    return u // f, v // f
 
 
 class Triangle:
@@ -459,11 +478,15 @@ def omega_table(point: QPoint | tuple, n: int, modulus: int | None = None) -> Tr
 
 def omega_top(point: QPoint | tuple, n: int, modulus: int | None = None):
     """omega_0(floor(n/2)) as the path sum of ``_unit_seed_top``; builds no
-    table and equals ``omega_table(point, n, modulus).top()``."""
+    table and equals ``omega_table(point, n, modulus).top()``.  With a
+    ``modulus`` m the kernel runs on the lift reduced mod m and, when m is
+    prime to floor(n/2)!, reduces at every step, so the cost does not grow
+    with the point or with n beyond the K steps."""
     weights = _omega_weights(n)
     s, (zu, zv), (xu, xv), d = _reduced_lift(as_point(point), modulus)
     t, z = ((2 * zu - xu, 2 * zv - xv), (zu, zv)) if d else (2 * zu - xu, zu)
-    return _unlift(_unit_seed_top(t, z, *weights, d), pow(s, n // 2, modulus), d, modulus)
+    raw = _unit_seed_top(t, z, *weights, d, modulus)
+    return _unlift(raw, pow(s, n // 2, modulus), d, modulus)
 
 
 _CLOSED_FORMS = {(1, -2), (1, 2), (0, -1)}

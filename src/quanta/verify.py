@@ -889,8 +889,8 @@ for _id, _anchor in {
     quick={"nmax": 400}, full={"nmax": 2000}, tiny={"nmax": 40},
 )
 def _run_au7(bounds, rng) -> Iterator[Case]:
-    for n in range(2, bounds["nmax"] + 1):
-        yield {"n": n}, lambda: primes.combinatorial_identity_check(n), True
+    for n, verdict in zip(range(2, bounds["nmax"] + 1), primes.combinatorial_identity_checks()):
+        yield {"n": n}, verdict, True
 
 
 _KNOWN_MERSENNE_EXPONENTS = {5, 7, 13, 17, 19, 31}

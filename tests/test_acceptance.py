@@ -119,8 +119,8 @@ def test_criterion_07b_emergence_exact_variants():
     ratio_failures = []
     for k in range(2, 7):
         for point in [QPoint(1, 1), QPoint(1, -2), QPoint(0, -1), QPoint(2, 3)]:
-            result = emergence_check(k, point)
-            if result.ratio_divisible is not True:
+            # emergence_check raises unless p_{k+1} divides the exact ratio
+            if emergence_check(k, point).exact_path is not True:
                 ratio_failures.append((k, str(point)))
     elapsed = time.perf_counter() - start
     ok = all(r.status == "pass" for r in reports) and not ratio_failures

@@ -382,10 +382,10 @@ class TestEmergeCommand:
         assert err == f"error: k is capped at {cli.EMERGE_MAX_K}; got 20000\n"
 
     def test_cost_does_not_grow_with_the_point(self, capsys):
-        # the top entry runs on the lift reduced mod p_{k+1}
+        # the top entry runs on the lift reduced mod p_{k+1}, step by step
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "emerge", "2048", "--point", f"{10**60},1")
-        assert time.perf_counter() - start < 5
+        assert time.perf_counter() - start < 2
         assert (code, err) == (EXIT_OK, "")
         assert out == "p2049=17881 divides Omega0 (residue 0 mod 17881) : PASS\n"
 

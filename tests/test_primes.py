@@ -154,20 +154,19 @@ class TestEmergence:
         result = emergence_check(2, QPoint(1, 1))
         assert (result.p_k, result.p_next) == (3, 5)
         assert not self.top_residue(result)
-        assert result.ratio_divisible is True
+        assert result.exact_path is True  # it returned, so p_3 divides the ratio
         assert result.gen1_integer is True
 
     def test_closed_form_point(self):
         result = emergence_check(2, QPoint(1, -2))
         assert not self.top_residue(result)
-        assert result.ratio_divisible is True
+        assert result.exact_path is True
 
     def test_modular_only_for_large_k(self):
         result = emergence_check(15, QPoint(1, 0))  # p_15 = 47 > exact bound
         assert result.p_k > EXACT_EMERGENCE_MAX_P
         assert not self.top_residue(result)
         assert result.exact_path is False
-        assert result.ratio_divisible is None
 
     def test_kernel_point_skips_exact_path(self):
         # (1, 0) lies in the kernel at every level 2p for odd prime p
