@@ -243,7 +243,7 @@ class TestFirstOddPrimes:
 
 class TestMersenne:
     def test_classification(self):
-        expected = {5: True, 7: True, 11: False, 13: True}
+        expected = {5: True, 7: True, 11: False, 13: True, 2203: True, 2207: False}
         for p, want in expected.items():
             assert mersenne_test(p) is want
             assert lucas_lehmer(p) is want

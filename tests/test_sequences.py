@@ -3,6 +3,7 @@
 import json
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, gcd, prod
 
 import pytest
@@ -93,6 +94,21 @@ _LIFT_POINTS = [
     QPoint(Fraction(1, 3) + SQRT5 / 6, SQRT5),
 ]
 
+# n = c 2^s above the n <= 300 sweep, and 4097, 4098: at even n the half
+# n/2 ends in a run of zero bits, up to twelve of them
+_LARGE_N = [4097, 4098] + sorted(c << s for c in (1, 3, 5) for s in range(13) if c << s > 300)
+
+
+@cache
+def _psi_rec_at(point: QPoint) -> dict:
+    """psi_rec's values at every n in ``_LARGE_N``, read in one pass.  At a
+    rational point the pass runs at the integral point (sa, sb) and divides
+    by s^floor(n/2): Fraction steps take seconds at n = 20480, and that
+    scaling is checked against them for n <= 300."""
+    s = sequences._lift(point)[0] if point.is_rational else 1
+    values = sequences._psi_values(s * point.alpha, s * point.beta)
+    return {n: v / s ** (n // 2) for n, v in zip(range(max(_LARGE_N) + 1), values) if n in _LARGE_N}
+
 
 class TestPsiPointLift:
     # psi_point runs on the point's integer lift; the generic recurrence on
@@ -158,7 +174,7 @@ class TestPsiPointLift:
             assert type(got) is QuadExt and got.d in (0, point.d), n
             assert got == reduce_mod(psi_point(point, n), modulus), n
 
-    @pytest.mark.parametrize("modulus", [None, 13, 1000003])
+    @pytest.mark.parametrize("modulus", [None, 13, 31, 1000003])
     @pytest.mark.parametrize(
         "point",
         [
@@ -177,13 +193,17 @@ class TestPsiPointLift:
                 want = reduce_mod(want, modulus)
             assert psi_point(point, n, modulus) == want, n
 
-    @pytest.mark.parametrize("n", [4097, 4098])
-    @pytest.mark.parametrize("point", [QPoint(1, 4), QPoint(QuadExt(2), 3 * SQRT2 - 1)], ids=str)
+    @pytest.mark.parametrize("n", _LARGE_N)
+    @pytest.mark.parametrize(
+        "point",
+        [QPoint(1, 4), QPoint(QuadExt(2), 3 * SQRT2 - 1), QPoint(Fraction(1, 2), Fraction(-2, 3))],
+        ids=str,
+    )
     def test_step_by_step_reference_at_large_n(self, point, n):
-        m = 1000003
-        want = psi_rec(point.alpha, point.beta, n)
+        want = _psi_rec_at(point)[n]
         assert psi_point(point, n) == want
-        assert psi_point(point, n, m) == reduce_mod(want, m)
+        for m in (31, 1000003):
+            assert psi_point(point, n, m) == reduce_mod(want, m), m
 
     def test_lift_clears_every_denominator(self):
         point = QPoint(Fraction(1, 3) + SQRT5 / 6, Fraction(5, 4) * SQRT5)
