@@ -36,7 +36,7 @@ EXIT_USAGE = 2
 OMEGA_MAX_N = 1024
 PSI_MAX_N = 131072  # `quanta psi`: O(log n) products; (1, 4) takes about 0.03 s, printing included
 PSI_MAX_BITS = 2**18  # estimated size of an exact psi value; (1, 4) at PSI_MAX_N fits
-# p - 2 squarings of p-bit numbers, twice over; p = 11213 takes about 8 s
+# p - 2 p-bit squarings in psi_point's tail and in lucas_lehmer; p = 11213 takes about 7 s
 MERSENNE_MAX_P = 11213
 # the top entry at level 2 p_k, p_2048 = 17863; (10^9, 1) takes about 4 s
 EMERGE_MAX_K = 2048

@@ -26,7 +26,6 @@ from .sequences import (
     lucas,
     omega_top,
     psi_point,
-    psi_pow2,
     second_fundamental,
     second_fundamental_v2,
 )
@@ -370,16 +369,18 @@ def lucas_lehmer(p: int) -> bool:
 
 
 def mersenne_test(p: int) -> bool:
-    """Mersenne primality of 2^p - 1 by modular doubling of psi(1, 4, .).
+    """Mersenne primality of 2^p - 1: 2^p - 1 is prime iff it divides
+    psi(1, 4, 2^(p-1)).
 
-    The doubling chain reproduces the classical Lucas-Lehmer sequence, which
-    is recomputed independently as a guard; disagreement is a library bug and
-    raises TheoremViolationError.
+    ``psi_point`` computes that residue by p - 2 squarings of its even-n tail,
+    V <- V^2 - 2 from psi(1, 4, 2) = -4, which is the classical Lucas-Lehmer
+    sequence.  ``lucas_lehmer`` recomputes it independently as a guard;
+    disagreement is a library bug and raises TheoremViolationError.
     """
     if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5")
     m = (1 << p) - 1
-    verdict = not psi_pow2(1, 4, p - 1, modulus=m)
+    verdict = not psi_point(QPoint(1, 4), 1 << (p - 1), m)
     if verdict != lucas_lehmer(p):
         raise TheoremViolationError(f"doubling chain disagrees with classical test at p={p}")
     return verdict

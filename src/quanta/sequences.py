@@ -23,16 +23,17 @@ a unit-seed triangle for ``omega_top`` and the Fibonacci companion, sums its
 paths in floor(n/2) steps with each multiplier formed in the loop and one
 division, by floor(n/2)!, at the end; the two kernels are each other's
 reference.  ``psi_point`` powers the recurrence's two-step matrix by
-squaring, in O(log n) ring products; ``psi_rec`` steps it n times and is its
-reference.  All run in native bigint arithmetic on the point's integer lift
-(``_lift``): ints at a rational point, int pairs (u, v) for u + v sqrt(d) at
-a quadratic one, d = 0 marking the int path.  With a modulus m,
-``_reduced_lift`` checks m and reduces the lift first, and tables and
-``psi_point`` reduce as they go, as does ``_unit_seed_top`` when m is prime
-to floor(n/2)!.  ``_unlift`` is where a value leaves the lift: it divides by
-the scale's power, exactly or mod m, and makes every modular value,
-``psi_pow2``'s included, a QuadExt with int components in [0, m), d = 0 at a
-rational point.
+squaring, in O(log n) ring products, and on ints ends an even n in a chain
+of Lucas squarings, the Lucas-Lehmer chain at (1, 4); ``psi_rec`` steps the
+recurrence n times and is its reference.  All run in native bigint
+arithmetic on the point's integer lift (``_lift``): ints at a rational
+point, int pairs (u, v) for u + v sqrt(d) at a quadratic one, d = 0 marking
+the int path.  With a modulus m, ``_reduced_lift`` checks m and reduces the
+lift first, and tables and ``psi_point`` reduce as they go, as does
+``_unit_seed_top`` when m is prime to floor(n/2)!.  ``_unlift`` is where a
+value leaves the lift: it divides by the scale's power, exactly or mod m,
+and makes every modular value a QuadExt with int components in [0, m),
+d = 0 at a rational point.
 """
 
 from __future__ import annotations
@@ -209,14 +210,21 @@ def psi_point(point: QPoint | tuple, n: int, modulus: int | None = None):
     (psi(2j+1), psi(2j)) from (1, 2).  M^2 = -b M - a^2, so M^j = x M + y;
     squaring maps (x, y) to (x(2y - bx), (y - ax)(y + ax)), a step to
     (y - bx, -a^2 x), and psi(2j) = 2y - bx = V_j(-b, a^2), psi(2j+1) = y - (a+b)x.
+    On ints, an even n with j = n/2 = j' 2^e, e > 0, runs the ladder over j'
+    only and ends in e squarings V <- V^2 - 2Q, Q <- Q^2 from V = V_j' and
+    Q = a^(2j') = det M^j' = a^2 x^2 - bxy + y^2.  At (1, 4), n = 2^(p-1),
+    mod 2^p - 1, Q stays 1 and this tail is the Lucas-Lehmer chain: one
+    product a bit against the ladder's two.
     As psi_n(sa, sb) = s^floor(n/2) psi_n(a, b), this runs on the lift (ints,
-    or pairs u + v sqrt(d)), reduced mod m after each bit when given, and
+    or pairs u + v sqrt(d)), reduced mod m after each step when given, and
     ``_unlift`` divides once at the end.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     s, a, b, d = _reduced_lift(as_point(point), modulus)
-    m, q, bits = modulus, pow(s, n // 2, modulus), bin(n >> 1)[2:]
+    j, m, q = n >> 1, modulus, pow(s, n // 2, modulus)
+    e = (j & -j).bit_length() - 1 if j and not (n & 1 or d) else 0
+    bits = bin(j >> e)[2:]
     if not d:
         (a, _), (b, _), x, y = a, b, 0, 1
         for bit in bits:
@@ -225,7 +233,16 @@ def psi_point(point: QPoint | tuple, n: int, modulus: int | None = None):
                 x, y = y - b * x, -a * a * x
             if m:
                 x, y = x % m, y % m
-        return _unlift(y - (a + b) * x if n & 1 else 2 * y - b * x, q, 0, m)
+        if n & 1:
+            return _unlift(y - (a + b) * x, q, 0, m)
+        v = 2 * y - b * x
+        if e:
+            det = a * a * x * x - b * x * y + y * y
+            for _ in range(e):
+                v, det = v * v - 2 * det, det * det
+                if m:
+                    v, det = v % m, det % m
+        return _unlift(v, q, 0, m)
 
     def mul(p, r):
         return p[0] * r[0] + d * p[1] * r[1], p[0] * r[1] + p[1] * r[0]
@@ -264,30 +281,6 @@ def _psi_sum(coeffs: list, a, t):
         total = total * t + c * apow
         apow = apow * a
     return total
-
-
-def psi_pow2(a, b, s: int, modulus: int | None = None):
-    """psi(a, b, 2**s) by repeated doubling from psi(2) = -b.
-
-    With a modulus m the whole chain runs on ints reduced mod m (s-1 modular
-    squarings plus a squared power track for a) and ends in a residue
-    QuadExt, which is what the Mersenne criterion consumes.
-    """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    m = modulus
-    if m is None:
-        cur, apow = -(a * 0 + b), a * a
-    else:
-        ra, rb = reduce_mod(a, m), reduce_mod(b, m)  # raises for a modulus below 2
-        if ra.d or rb.d:
-            raise ValueError("modular doubling requires rational parameters")
-        cur, apow = -rb.a, ra.a * ra.a
-    for _ in range(s - 1):
-        cur, apow = cur * cur - 2 * apow, apow * apow
-        if m:
-            cur, apow = cur % m, apow % m
-    return cur if m is None else _unlift(cur, 1, 0, m)
 
 
 def product_identity_check(a, b, n: int, m: int) -> bool:

@@ -1,4 +1,4 @@
-"""Mutation matrix: seventeen faults injected at the boundaries of the integer
+"""Mutation matrix: sixteen faults injected at the boundaries of the integer
 lift, the expansion coefficients, the ratio denominator, polynomial
 evaluation, the modular values, the exact values at integral and quadratic
 points and the harmonic numbers, and the registered checks that catch each
@@ -85,18 +85,10 @@ def _falling_plus_one_at_n7(falling_factorial):
     return lambda n: falling_factorial(n) + 1 if n == 7 else falling_factorial(n)
 
 
-def _pow2_plus_one_with_modulus(psi_pow2):
-    def mutant(a, b, s, modulus=None):
-        value = psi_pow2(a, b, s, modulus)
-        return value if modulus is None else value + 1
-
-    return mutant
-
-
-def _plus_one_with_modulus(at_point):
+def _plus_one_with_modulus(original):
     # psi_point and omega_top share the signature (point, n, modulus=None)
     def mutant(point, n, modulus=None):
-        value = at_point(point, n, modulus)
+        value = original(point, n, modulus)
         return value if modulus is None else value + 1
 
     return mutant
@@ -145,7 +137,6 @@ MUTANTS = {
     "_expansion_coeff +1 at r=K-k": ("_expansion_coeff", _plus_one_at_last_r),
     "UniPoly.evaluate +1 when degree>5": ("UniPoly.evaluate", _plus_one_above_degree5),
     "falling_factorial +1 at n=7": ("falling_factorial", _falling_plus_one_at_n7),
-    "psi_pow2 +1 with a modulus": ("psi_pow2", _pow2_plus_one_with_modulus),
     "omega_top +1 with a modulus": ("omega_top", _plus_one_with_modulus),
     "omega_top +1 at an exact integral point": (
         "omega_top", _exact_top_plus_one_where(lambda point: point.is_integral)
@@ -160,12 +151,7 @@ MUTANTS = {
 }
 # The sweep decides sigma(n) < H_n + log(H_n) e^(H_n) with a margin far above
 # one unit in 2^-192, and no check at tiny bounds asks for H_k with k >= 1000.
-# No registered check calls psi_point with a modulus.
-KNOWN_GAPS = {
-    "_harmonic_brackets lower end one unit high",
-    "harmonic_number +1 at k>=1000",
-    "psi_point +1 with a modulus",
-}
+KNOWN_GAPS = {"_harmonic_brackets lower end one unit high", "harmonic_number +1 at k>=1000"}
 
 
 @contextmanager

@@ -45,7 +45,6 @@ from quanta.sequences import (
     psi_expansion_identity_check,
     psi_k_expand,
     psi_point,
-    psi_pow2,
     psi_rec,
     rising_product,
     second_fundamental,
@@ -95,7 +94,7 @@ _LIFT_POINTS = [
 ]
 
 # n = c 2^s above the n <= 300 sweep, and 4097, 4098: at even n the half
-# n/2 ends in a run of zero bits, up to twelve of them
+# n/2 ends in a run of zero bits, up to eleven of them
 _LARGE_N = [4097, 4098] + sorted(c << s for c in (1, 3, 5) for s in range(13) if c << s > 300)
 
 
@@ -121,6 +120,8 @@ class TestPsiPointLift:
             assert repr(got) == repr(want), n
         with pytest.raises(ValueError):
             psi_point(point, -1)
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            psi_point(point, 4, 1)
 
     @given(
         a=st.fractions(max_denominator=30),
@@ -242,14 +243,6 @@ class TestModularLift:
                 for r in range(n // 2 - k + 1):
                     want = reduce_mod(exact.entry(r, k), m)
                     assert self.residue(table.entry(r, k), m) == want, (n, r, k)
-        a, b = point.alpha, point.beta
-        for s in range(1, 8):
-            if not point.is_rational:
-                with pytest.raises(ValueError, match="rational parameters"):
-                    psi_pow2(a, b, s, m)
-                continue
-            want = reduce_mod(psi_pow2(a, b, s), m)
-            assert self.residue(psi_pow2(a, b, s, m), m) == want, s
 
 
 class TestPsiClosed:
@@ -267,27 +260,6 @@ class TestPsiClosed:
     @pytest.mark.parametrize("n", range(1, 40))
     def test_matches_recurrence(self, n):
         assert psi_closed(3, -5, n) == psi_rec(3, -5, n)
-
-
-class TestPsiPow2:
-    def test_doubling_chain(self):
-        assert psi_pow2(1, 4, 1) == -4
-        assert psi_pow2(1, 4, 4) == 37634
-
-    def test_modular_chain(self):
-        result = psi_pow2(1, 4, 4, modulus=31)
-        assert type(result) is QuadExt
-        assert result == reduce_mod(psi_pow2(1, 4, 4), 31) == 0
-
-    def test_agrees_with_recurrence(self):
-        for s in range(1, 7):
-            assert psi_pow2(3, -2, s) == psi_rec(3, -2, 1 << s)
-
-    def test_bad_modulus(self):
-        with pytest.raises(ValueError):
-            psi_pow2(1, 4, 3, modulus=1)
-        with pytest.raises(ValueError):
-            psi_pow2(1, 4, 0)
 
 
 class TestProductIdentity:
