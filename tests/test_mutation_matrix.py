@@ -1,8 +1,8 @@
-"""Mutation matrix: sixteen faults injected at the boundaries of the integer
-lift, the expansion coefficients, the ratio denominator, polynomial
-evaluation, the modular values, the exact values at integral and quadratic
-points and the harmonic numbers, and the registered checks that catch each
-one at tiny bounds.
+"""Mutation matrix: nineteen faults injected at the boundaries of the integer
+lift, the expansion coefficients, the ratio denominators, polynomial
+evaluation, the modular values, the exact values at integral, scaled
+rational and quadratic points and the harmonic numbers, and the registered
+checks that catch each one at tiny bounds.
 
 ``tests/mutation_matrix.json`` records mutant -> sorted ids of the checks
 whose status is not "pass" while it is active (gen1, which records genuine
@@ -85,11 +85,23 @@ def _falling_plus_one_at_n7(falling_factorial):
     return lambda n: falling_factorial(n) + 1 if n == 7 else falling_factorial(n)
 
 
+def _rising_plus_one_at_n5(rising_product):
+    return lambda n: rising_product(n) + 1 if n == 5 else rising_product(n)
+
+
 def _plus_one_with_modulus(original):
     # psi_point and omega_top share the signature (point, n, modulus=None)
     def mutant(point, n, modulus=None):
         value = original(point, n, modulus)
         return value if modulus is None else value + 1
+
+    return mutant
+
+
+def _psi_plus_one_with_modulus_at_odd_n(psi_point):
+    def mutant(point, n, modulus=None):
+        value = psi_point(point, n, modulus)
+        return value + 1 if modulus is not None and n & 1 else value
 
     return mutant
 
@@ -131,15 +143,20 @@ MUTANTS = {
     "psi_point +1 at n=7": ("psi_point", _plus_one_at_n7),
     "psi_point +1 at a quadratic point": ("psi_point", _psi_plus_one_at_a_quadratic_point),
     "psi_point +1 with a modulus": ("psi_point", _plus_one_with_modulus),
+    "psi_point +1 with a modulus at odd n": ("psi_point", _psi_plus_one_with_modulus_at_odd_n),
     "exact _unlift skips its division": ("_unlift", _exact_skips_division),
     "modular _unlift skips q^-1": ("_unlift", _modular_skips_inverse),
     "_expansion_coeff negated at k=1": ("_expansion_coeff", _negated_at_k1),
     "_expansion_coeff +1 at r=K-k": ("_expansion_coeff", _plus_one_at_last_r),
     "UniPoly.evaluate +1 when degree>5": ("UniPoly.evaluate", _plus_one_above_degree5),
     "falling_factorial +1 at n=7": ("falling_factorial", _falling_plus_one_at_n7),
+    "rising_product +1 at n=5": ("rising_product", _rising_plus_one_at_n5),
     "omega_top +1 with a modulus": ("omega_top", _plus_one_with_modulus),
     "omega_top +1 at an exact integral point": (
         "omega_top", _exact_top_plus_one_where(lambda point: point.is_integral)
+    ),
+    "omega_top +1 at an exact scaled rational point": (
+        "omega_top", _exact_top_plus_one_where(lambda point: point.is_rational and not point.is_integral)
     ),
     "omega_top +1 at an exact quadratic point": (
         "omega_top", _exact_top_plus_one_where(lambda point: point.d)
@@ -151,7 +168,13 @@ MUTANTS = {
 }
 # The sweep decides sigma(n) < H_n + log(H_n) e^(H_n) with a margin far above
 # one unit in 2^-192, and no check at tiny bounds asks for H_k with k >= 1000.
-KNOWN_GAPS = {"_harmonic_brackets lower end one unit high", "harmonic_number +1 at k>=1000"}
+# The only modular psi_point caller in a check, mersenne_test, asks for an
+# even n = 2^(p-1).
+KNOWN_GAPS = {
+    "_harmonic_brackets lower end one unit high",
+    "harmonic_number +1 at k>=1000",
+    "psi_point +1 with a modulus at odd n",
+}
 
 
 @contextmanager

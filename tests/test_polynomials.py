@@ -7,6 +7,7 @@ from math import comb, factorial
 
 import pytest
 
+from quanta import polynomials
 from quanta.sequences import QPoint, omega_table, psi_rec
 from quanta.polynomials import (
     BiPoly,
@@ -241,6 +242,20 @@ class TestDickson:
 
         verdicts = list(islice(_mirror_check(classical(), 1, 1, lambda n: 1), 8))
         assert [verdict() for verdict in verdicts] == [True] * 3 + [False] + [True] * 4
+
+    @pytest.mark.parametrize("checks", [chebyshev_checks, lambda: dickson_checks(2)])
+    def test_wrong_top_at_the_last_x_fails_the_verdict(self, monkeypatch, checks):
+        # omega_top one too high only at the point (alpha, 2 alpha - c x^2) of
+        # the last x of _EVAL_XS, c = 4 for Che and 1 for Dic
+        x2, omega_top = polynomials._EVAL_XS[-1] ** 2, polynomials.omega_top
+
+        def mutant(point, n, modulus=None):
+            value = omega_top(point, n, modulus)
+            return value + 1 if (2 * point.alpha - point.beta).a in (x2, 4 * x2) else value
+
+        assert all(verdict() for verdict in islice(checks(), 6))
+        monkeypatch.setattr(polynomials, "omega_top", mutant)
+        assert [verdict() for verdict in islice(checks(), 6)] == [False] * 6
 
     def test_negative_n_is_refused(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -613,6 +613,28 @@ class TestSecondFundamental:
             with pytest.raises(TheoremViolationError):
                 second_fundamental(QPoint(1, 1), 7)
 
+    def test_wrong_denominator_is_reported_by_its_branch(self, monkeypatch):
+        # falling_factorial one too high at n = 7: at an integral point the
+        # ratio is not an integer, at a rational one it is not psi
+        falling = sequences.falling_factorial
+        monkeypatch.setattr(
+            sequences, "falling_factorial", lambda n: falling(n) + 1 if n == 7 else falling(n)
+        )
+        with pytest.raises(TheoremViolationError, match="fundamental ratio not integral"):
+            second_fundamental(QPoint(1, 1), 7)
+        with pytest.raises(TheoremViolationError, match="fundamental ratio != psi"):
+            second_fundamental(QPoint(Fraction(1, 2), Fraction(-2, 3)), 7)
+        assert second_fundamental(QPoint(1, 1), 6) == psi_point(QPoint(1, 1), 6)
+
+    def test_v2_wrong_rising_product_is_reported(self, monkeypatch):
+        rising = sequences.rising_product
+        monkeypatch.setattr(
+            sequences, "rising_product", lambda n: rising(n) + 1 if n == 5 else rising(n)
+        )
+        with pytest.raises(TheoremViolationError, match="!= rising product"):
+            second_fundamental_v2(QPoint(1, 1), 5)
+        assert second_fundamental_v2(QPoint(1, 1), 4) == rising(4)
+
     def test_v2_unit_point(self):
         assert second_fundamental_v2(QPoint(1, 1), 3) == 60
         assert second_fundamental_v2(QPoint(1, 1), 3) == rising_product(3)

@@ -146,6 +146,21 @@ class TestReproducibility:
         blob = "\n".join(r.to_json(volatile=False) for r in run_all("quick", seed=seed))
         assert hashlib.sha256(blob.encode()).hexdigest() == expected
 
+    def test_full_sweep_bytes_match_recorded_digests(self):
+        # SHA-256 of each check's canonical report in run_all("full"): every
+        # check at seed 0, and at seed 12345 the checks that draw from rng
+        # (the _pairs users, G0 and infinite_params)
+        path = Path(__file__).with_name("full_report_digests.json")
+        expected = json.loads(path.read_text())
+        assert set(expected["0"]) == set(REGISTRY)
+        changed = []
+        for seed, digests in expected.items():
+            for report in run_all("full", seed=int(seed), ids=digests):
+                digest = hashlib.sha256(report.to_json(volatile=False).encode()).hexdigest()
+                if digest != digests[report.id]:
+                    changed.append(f"{report.id} (seed {seed})")
+        assert not changed, f"canonical full-profile report bytes changed for {changed}"
+
 
 class TestRunAll:
     def test_quick_profile_coverage(self):
