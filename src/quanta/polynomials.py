@@ -368,21 +368,28 @@ _EVAL_XS = tuple(Fraction(i, 4) for i in (-7, -5, -3, -1, 1, 3, 5, 7, 9, 11))
 def _mirror_check(classical: Iterator[UniPoly], alpha, c: int, scale, identity=None):
     """One verdict per n = 1, 2, ...: P_n of ``classical`` against x^(d(n)) psi(alpha,
     2 alpha - c x^2, n) / scale(n) coefficient-exactly, then ``identity(n, P_n)``
-    if given, then the omega ratio over scale(n) at each x of ``_EVAL_XS``."""
+    if given, then the omega ratio over scale(n) at each x of ``_EVAL_XS``.  The
+    ten points (alpha, 2 alpha - c x^2) are built once, and each ratio is
+    compared with P_n(x) by cross-multiplying numerators and denominators."""
     mirror = _psi_values(UniPoly.const(alpha), UniPoly([2 * alpha, 0, -c]))
+    points = tuple(QPoint(alpha, 2 * alpha - c * x0 * x0) for x0 in _EVAL_XS)
     for n, (poly, mirrored) in enumerate(islice(zip(classical, mirror), 1, None), 1):
-        yield partial(_mirror_verdict, n, poly, mirrored, alpha, c, scale(n), identity)
+        yield partial(_mirror_verdict, n, poly, mirrored, points, scale(n), identity)
 
 
-def _mirror_verdict(n, classical, mirrored, alpha, c, scale, identity) -> bool:
+def _mirror_verdict(n, classical, mirrored, points, scale, identity) -> bool:
     if n & 1:
         mirrored = mirrored.shifted(1)
     if mirrored != classical * scale or (identity is not None and not identity(n, classical)):
         return False
     ff = falling_factorial(n) * scale
-    for x0 in _EVAL_XS:
-        value = omega_top(QPoint(alpha, 2 * alpha - c * x0 * x0), n) / ff * x0 ** delta(n)
-        if value != QuadExt(classical.evaluate(x0)):
+    for x0, point in zip(_EVAL_XS, points):
+        # omega / ff * x0^d(n) == P_n(x0) on ints, x0 = p/q, every denominator > 0
+        top, value = omega_top(point, n).a, classical.evaluate(x0)
+        lhs, rhs = top.numerator * value.denominator, value.numerator * top.denominator * ff
+        if n & 1:
+            lhs, rhs = lhs * x0.numerator, rhs * x0.denominator
+        if lhs != rhs:
             return False
     return True
 

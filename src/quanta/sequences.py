@@ -92,10 +92,10 @@ def lucas(n: int) -> int:
 
 def _lucas_coeff(n: int, i: int) -> int:
     # n/(n-i) C(n-i, i); always an integer for 0 <= i <= floor(n/2)
-    c = Fraction(n, n - i) * comb(n - i, i)
-    if c.denominator != 1:
+    c, rem = divmod(n * comb(n - i, i), n - i)
+    if rem:
         raise TheoremViolationError(f"non-integral closed-form coefficient at n={n}, i={i}")
-    return c.numerator
+    return c
 
 
 class QPoint:
@@ -593,45 +593,37 @@ def psi_k_expand(a, b, table: Triangle, k: int) -> tuple[QuadExt, list[QuadExt]]
     return QuadExt._coerce(_psi_sum(coeffs, a, 2 * a - b)), [QuadExt._coerce(c) for c in coeffs]
 
 
-def _quotient(num: QuadExt, den: int | QuadExt) -> QuadExt:
-    """num / den, by ``divmod`` when both are ints and den divides num."""
-    q = QuadExt._coerce(den)
-    if not (num.d or q.d) and type(num.a) is type(q.a) is int and q.a:
-        c, rem = divmod(num.a, q.a)
-        if not rem:
-            return _result(c, 0, 0)
-    return num / den
-
-
 def second_fundamental(point: QPoint | tuple, n: int) -> QuadExt:
-    """omega_0(floor(n/2)) / (n-1)...(n-floor(n/2)); checked equal to psi.
+    """psi at the point, checked equal to omega_0(floor(n/2)) / (n-1)...(n-floor(n/2))
+    by comparing the top with psi times that product, with no division.
 
-    For integral points the quotient is additionally checked to be integral.
-    Failure of either check raises TheoremViolationError.
+    A failure raises TheoremViolationError: the ratio, divided out only then,
+    is reported as not integral at an integral point, else as != psi.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     point = as_point(point)
-    quotient = _quotient(omega_top(point, n), falling_factorial(n))
-    if point.is_integral and not quotient.is_integral:
-        raise TheoremViolationError(f"fundamental ratio not integral at point {point}, n={n}")
-    if quotient != psi_point(point, n):
+    top, ff, psi = omega_top(point, n), falling_factorial(n), psi_point(point, n)
+    if top != psi * ff:
+        if point.is_integral and not (top / ff).is_integral:
+            raise TheoremViolationError(f"fundamental ratio not integral at point {point}, n={n}")
         raise TheoremViolationError(f"fundamental ratio != psi at point {point}, n={n}")
-    return quotient
+    return psi
 
 
 def second_fundamental_v2(point: QPoint | tuple, n: int) -> QuadExt:
-    """omega_0(n | point | 2n) / psi(point, 2n); checked equal to n(n+1)...(2n-1)."""
+    """n(n+1)...(2n-1), checked equal to omega_0(n | point | 2n) / psi(point, 2n)
+    by comparing the top with psi times that product, with no division."""
     if n < 1:
         raise ValueError("n must be >= 1")
     point = as_point(point)
     psi = psi_point(point, 2 * n)
     if not psi:
         raise KernelPointError(f"psi({point}, {2 * n}) = 0")
-    ratio = _quotient(omega_top(point, 2 * n), psi)
-    if ratio != rising_product(n):
+    rising = rising_product(n)
+    if omega_top(point, 2 * n) != psi * rising:
         raise TheoremViolationError(f"psi-normalized top entry != rising product at {point}, n={n}")
-    return ratio
+    return _result(rising, 0, 0)
 
 
 def _power_sum_quotient(x: int, y: int, n: int) -> int | None:
