@@ -1,8 +1,9 @@
-"""Mutation matrix: nineteen faults injected at the boundaries of the integer
-lift, the expansion coefficients, the ratio denominators, polynomial
+"""Mutation matrix: twenty-two faults injected at the boundaries of the
+integer lift, the expansion coefficients, the ratio denominators, polynomial
 evaluation, the modular values, the exact values at integral, scaled
-rational and quadratic points and the harmonic numbers, and the registered
-checks that catch each one at tiny bounds.
+rational and quadratic points, the fundamental ratio, the classical Lucas
+and Fibonacci numbers and the harmonic numbers, and the registered checks
+that catch each one at tiny bounds.
 
 ``tests/mutation_matrix.json`` records mutant -> sorted ids of the checks
 whose status is not "pass" while it is active (gen1, which records genuine
@@ -81,12 +82,20 @@ def _plus_one_above_degree5(evaluate):
     return mutant
 
 
-def _falling_plus_one_at_n7(falling_factorial):
-    return lambda n: falling_factorial(n) + 1 if n == 7 else falling_factorial(n)
+def _plus_one_at(m):
+    # a function of n alone, +1 at n = m
+    def factory(original):
+        return lambda n: original(n) + 1 if n == m else original(n)
+
+    return factory
 
 
-def _rising_plus_one_at_n5(rising_product):
-    return lambda n: rising_product(n) + 1 if n == 5 else rising_product(n)
+def _ratio_plus_one_at_n7(second_fundamental):
+    def mutant(point, n):
+        value = second_fundamental(point, n)
+        return value + 1 if n == 7 else value
+
+    return mutant
 
 
 def _plus_one_with_modulus(original):
@@ -149,8 +158,11 @@ MUTANTS = {
     "_expansion_coeff negated at k=1": ("_expansion_coeff", _negated_at_k1),
     "_expansion_coeff +1 at r=K-k": ("_expansion_coeff", _plus_one_at_last_r),
     "UniPoly.evaluate +1 when degree>5": ("UniPoly.evaluate", _plus_one_above_degree5),
-    "falling_factorial +1 at n=7": ("falling_factorial", _falling_plus_one_at_n7),
-    "rising_product +1 at n=5": ("rising_product", _rising_plus_one_at_n5),
+    "falling_factorial +1 at n=7": ("falling_factorial", _plus_one_at(7)),
+    "rising_product +1 at n=5": ("rising_product", _plus_one_at(5)),
+    "second_fundamental +1 at n=7": ("second_fundamental", _ratio_plus_one_at_n7),
+    "lucas +1 at n=8": ("lucas", _plus_one_at(8)),
+    "fibonacci +1 at n=7": ("fibonacci", _plus_one_at(7)),
     "omega_top +1 with a modulus": ("omega_top", _plus_one_with_modulus),
     "omega_top +1 at an exact integral point": (
         "omega_top", _exact_top_plus_one_where(lambda point: point.is_integral)

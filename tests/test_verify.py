@@ -161,6 +161,30 @@ class TestReproducibility:
                     changed.append(f"{report.id} (seed {seed})")
         assert not changed, f"canonical full-profile report bytes changed for {changed}"
 
+    def test_rng_draws_match_recorded_digests(self, monkeypatch):
+        # a passing report records only cases_run, so the reports above show
+        # what a check drew from rng only when it fails; this pins the params
+        # of every case of the checks that draw, in the full profile, as the
+        # SHA-256 of their JSON list
+        path = Path(__file__).with_name("rng_draw_digests.json")
+        expected = json.loads(path.read_text())
+        changed = []
+        for seed, digests in expected.items():
+            for id, want in digests.items():
+                check, drawn = REGISTRY[id], []
+
+                def collecting(bounds, rng, runner=check.runner):
+                    for case in runner(bounds, rng):
+                        drawn.append(case[0])
+                        yield case
+
+                with monkeypatch.context() as patch:
+                    patch.setitem(REGISTRY, id, dataclasses.replace(check, runner=collecting))
+                    assert run_check(id, profile="full", seed=int(seed)).status == "pass"
+                if hashlib.sha256(json.dumps(drawn).encode()).hexdigest() != want:
+                    changed.append(f"{id} (seed {seed})")
+        assert not changed, f"params drawn from rng changed for {changed}"
+
 
 class TestRunAll:
     def test_quick_profile_coverage(self):
