@@ -23,7 +23,6 @@ from .sequences import (
     falling_factorial,
     fib_lambda_table,
     fibonacci,
-    lucas,
     omega_top,
     psi_point,
     second_fundamental,
@@ -386,16 +385,6 @@ def mersenne_test(p: int) -> bool:
     return verdict
 
 
-def mersenne_representation(p: int) -> int:
-    """2^p - 1 recovered as the fundamental ratio at the point (-2, -5)."""
-    if p < 3 or p % 2 == 0:
-        raise ValueError("p must be odd and >= 3")
-    value = _as_int(second_fundamental(MERSENNE_POINT, p))
-    if value != (1 << p) - 1:
-        raise TheoremViolationError(f"ratio != 2^{p} - 1")
-    return value
-
-
 def mersenne_divisibility_equiv(p: int) -> bool:
     """Exact divisibility criteria for Mersenne primality: the (-2, -5) ratio
     dividing the (1, 4) ratio at n = 2^(p-1), and the equivalent product form
@@ -450,9 +439,10 @@ def perfect_number_check(N: int) -> bool:
 
 
 def fermat_representation(n: int) -> int:
-    """2^(2^n) + 1 recovered as the normalized top of the doubled-power
-    triangle; the transcribed recurrence is checked against the generic
-    engine at the point (-2, -5)."""
+    """The fundamental ratio at the point (-2, -5) and N = 2^n, which is
+    2^(2^n) + 1 (registry check G4 compares the two).  The top of the
+    transcribed doubled-power triangle is checked against the generic
+    engine's ratio times (N-1)...(N-N/2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > FERMAT_MAX_N:
@@ -468,24 +458,7 @@ def fermat_representation(n: int) -> int:
     value = _as_int(second_fundamental(MERSENNE_POINT, N))
     if prev[0] != value * falling_factorial(N):
         raise TheoremViolationError(f"transcribed recurrence disagrees with engine at n={n}")
-    if value != (1 << N) + 1:
-        raise TheoremViolationError(f"ratio != 2^(2^{n}) + 1")
     return value
-
-
-def lucas_fib_representations(n: int) -> tuple[int, int]:
-    """The fundamental ratios at (-1, -3) and (1, -3): the Lucas number L(n),
-    and the sequence oscillating between F(n) (odd n) and L(n) (even n)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    lucas_val = _as_int(second_fundamental(QPoint(-1, -3), n))
-    if lucas_val != lucas(n):
-        raise TheoremViolationError(f"(-1,-3) ratio != L({n})")
-    osc = _as_int(second_fundamental(QPoint(1, -3), n))
-    expected = fibonacci(n) if n & 1 else lucas(n)
-    if osc != expected:
-        raise TheoremViolationError(f"(1,-3) ratio mismatch at n={n}")
-    return lucas_val, osc
 
 
 # -- classical identities --------------------------------------------------------

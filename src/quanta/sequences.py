@@ -681,7 +681,9 @@ def psi_expansion_identity_check(a, b, table: Triangle, x: int, y: int) -> bool:
 def fib_lambda_table(n: int) -> tuple[int, int]:
     """Top entry L_0(K), K = floor((n-1)/2), of the companion triangle
     L_r(k) = (n-r-k) L_r(k-1) + 2(n-1-2r-d(n)) L_{r+1}(k-1) with unit seeds,
-    and its normalized value, checked equal to F(n)."""
+    and its normalized value L_0(K) / (n-1)...(n-K), which is F(n) (registry
+    check G6X compares the two).  A top not divisible by that product
+    raises TheoremViolationError."""
     if n < 2:
         raise ValueError("n must be >= 2")
     K = (n - 1) // 2
@@ -690,6 +692,4 @@ def fib_lambda_table(n: int) -> tuple[int, int]:
     value, rem = divmod(top, prod(range(n - K, n)))
     if rem:
         raise TheoremViolationError(f"companion top entry not divisible at n={n}")
-    if value != fibonacci(n):
-        raise TheoremViolationError(f"companion ratio != F({n})")
     return top, value

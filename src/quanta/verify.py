@@ -73,7 +73,6 @@ from .primes import (
     emergence_combination_check,
     first_odd_primes_check,
     lambda_emergence_check,
-    lucas_fib_representations,
     omega_space_probe,
 )
 from .scalars import divides_int, reduce_mod
@@ -856,9 +855,13 @@ _register(
 )(_closed_form_runner((0, -1)))
 
 
-def _table_runner(table_id: str) -> Callable:
+def _ratio_runner(point: QPoint, expected: Callable[[int], object]) -> Callable:
+    """Runner of a ratio-table check: for n in [2, nmax], the fundamental
+    ratio second_fundamental(point, n) against expected(n), the classical
+    value.  expected is called as each case is made, so a lambda that names
+    lucas or fibonacci reads the name as it is bound then."""
+
     def run(bounds, rng) -> Iterator[Case]:
-        point, _, expected = SPECIAL_TABLES[table_id]
         for n in range(2, bounds["nmax"] + 1):
             yield {"n": n}, lambda: second_fundamental(point, n), expected(n)
 
@@ -877,10 +880,11 @@ for _id, _anchor in {
     "root3": "period-24 value table at (1, sqrt 3)",
     "FL": "Fibonacci/Lucas value table at (1, sqrt 5) mod 4",
 }.items():
+    _point, _, _expected = SPECIAL_TABLES[_id]
     _register(
         _id, _anchor, "n in [2, nmax]", touches_omega=True,
         quick={"nmax": 60}, full={"nmax": 200}, tiny={"nmax": 16},
-    )(_table_runner(_id))
+    )(_ratio_runner(_point, _expected))
 
 
 @_register(
@@ -947,7 +951,7 @@ def _run_u18(bounds, rng) -> Iterator[Case]:
 )
 def _run_g2f(bounds, rng) -> Iterator[Case]:
     for p in range(3, bounds["pmax"] + 1, 2):
-        yield {"p": p}, lambda: primes.mersenne_representation(p) == (1 << p) - 1, True
+        yield {"p": p}, lambda: second_fundamental(primes.MERSENNE_POINT, p), (1 << p) - 1
 
 
 @_register(
@@ -976,35 +980,20 @@ def _equiv_runner(bounds, rng) -> Iterator[Case]:
     quick={"nmax": 5}, full={"nmax": 5}, tiny={"nmax": 3},
 )
 def _run_g4(bounds, rng) -> Iterator[Case]:
-    expected = {1: 5, 2: 17, 3: 257, 4: 65537, 5: 4294967297}
     for n in range(1, bounds["nmax"] + 1):
-        yield (
-            {"n": n},
-            lambda: primes.fermat_representation(n)
-            == expected.get(n, (1 << (1 << n)) + 1),
-            True,
-        )
+        yield {"n": n}, lambda: primes.fermat_representation(n), (1 << (1 << n)) + 1
 
 
-@_register(
+_register(
     "G6", "Lucas numbers as fundamental ratios at (-1, -3)",
     "n in [2, nmax]", touches_omega=True,
     quick={"nmax": 60}, full={"nmax": 100}, tiny={"nmax": 12},
-)
-def _run_g6(bounds, rng) -> Iterator[Case]:
-    for n in range(2, bounds["nmax"] + 1):
-        yield {"n": n}, lambda: lucas_fib_representations(n)[0] == lucas(n), True
-
-
-@_register(
+)(_ratio_runner(QPoint(-1, -3), lambda n: lucas(n)))
+_register(
     "G7", "Fibonacci/Lucas oscillation as fundamental ratios at (1, -3)",
     "n in [2, nmax]", touches_omega=True,
     quick={"nmax": 60}, full={"nmax": 100}, tiny={"nmax": 12},
-)
-def _run_g7(bounds, rng) -> Iterator[Case]:
-    for n in range(2, bounds["nmax"] + 1):
-        expected = fibonacci(n) if n & 1 else lucas(n)
-        yield {"n": n}, lambda: lucas_fib_representations(n)[1] == expected, True
+)(_ratio_runner(QPoint(1, -3), lambda n: fibonacci(n) if n & 1 else lucas(n)))
 
 
 @_register(
@@ -1043,7 +1032,7 @@ def _run_dic(bounds, rng) -> Iterator[Case]:
 )
 def _run_g6x(bounds, rng) -> Iterator[Case]:
     for n in range(2, bounds["nmax"] + 1):
-        yield {"n": n}, lambda: fib_lambda_table(n)[1] == fibonacci(n), True
+        yield {"n": n}, lambda: fib_lambda_table(n)[1], fibonacci(n)
 
 
 @_register(

@@ -14,7 +14,13 @@ from mpmath.libmp import to_rational
 
 import quanta
 from quanta.scalars import QuadExt, SQRT2, reduce_mod
-from quanta.sequences import KernelPointError, QPoint, TheoremViolationError, omega_top
+from quanta.sequences import (
+    KernelPointError,
+    QPoint,
+    TheoremViolationError,
+    omega_top,
+    second_fundamental,
+)
 from quanta import primes
 from quanta.primes import (
     EXACT_EMERGENCE_MAX_P,
@@ -32,10 +38,8 @@ from quanta.primes import (
     lagarias_check,
     lagarias_sweep,
     lambda_emergence_check,
-    lucas_fib_representations,
     lucas_lehmer,
     mersenne_divisibility_equiv,
-    mersenne_representation,
     mersenne_test,
     nth_prime,
     omega_space_probe,
@@ -255,9 +259,9 @@ class TestMersenne:
             mersenne_test(3)
 
     def test_representation_hand_values(self):
-        assert mersenne_representation(3) == 7
-        assert mersenne_representation(5) == 31
-        assert mersenne_representation(7) == 127
+        assert second_fundamental(primes.MERSENNE_POINT, 3) == 7
+        assert second_fundamental(primes.MERSENNE_POINT, 5) == 31
+        assert second_fundamental(primes.MERSENNE_POINT, 7) == 127
 
     def test_representation_triangle_levels(self):
         # hand recurrence at (-2, -5), p=5: level one is (24, 15), top is 372
@@ -266,10 +270,6 @@ class TestMersenne:
         table = omega_table(QPoint(-2, -5), 5)
         assert [table.entry(r, 1) for r in range(2)] == [24, 15]
         assert table.top() == 372
-
-    def test_representation_precondition(self):
-        with pytest.raises(ValueError):
-            mersenne_representation(4)
 
     def test_divisibility_equiv_small(self):
         assert mersenne_divisibility_equiv(5) is True
@@ -310,9 +310,10 @@ class TestFermat:
 
 class TestLucasFib:
     def test_hand_values(self):
-        assert lucas_fib_representations(4) == (7, 7)
-        assert lucas_fib_representations(5) == (11, 5)
-        assert lucas_fib_representations(2) == (3, 3)
+        # the ratios at (-1, -3) and (1, -3): L(n), and F(n) or L(n) by parity
+        for n, lucas_n, oscillating in [(4, 7, 7), (5, 11, 5), (2, 3, 3)]:
+            assert second_fundamental(QPoint(-1, -3), n) == lucas_n
+            assert second_fundamental(QPoint(1, -3), n) == oscillating
 
 
 class TestCombinatorialIdentity:
