@@ -1,8 +1,8 @@
-"""Mutation matrix: twenty-two faults injected at the boundaries of the
+"""Mutation matrix: twenty-three faults injected at the boundaries of the
 integer lift, the expansion coefficients, the ratio denominators, polynomial
-evaluation, the modular values, the exact values at integral, scaled
-rational and quadratic points, the fundamental ratio, the classical Lucas
-and Fibonacci numbers and the harmonic numbers, and the registered checks
+evaluation, the directional derivative, the modular values, the exact values
+at integral, scaled rational and quadratic points, the fundamental ratio, the
+classical Lucas and Fibonacci numbers and the harmonic numbers, and the registered checks
 that catch each one at tiny bounds.
 
 ``tests/mutation_matrix.json`` records mutant -> sorted ids of the checks
@@ -70,6 +70,14 @@ def _plus_one_at_last_r(expansion_coeff):
     def mutant(table, r, k):
         value = expansion_coeff(table, r, k)
         return value + 1 if r == table.K - k else value
+
+    return mutant
+
+
+def _plus_one_at_one_step(dir_derivative):
+    def mutant(poly, point, times=1):
+        value = dir_derivative(poly, point, times)
+        return value + 1 if times == 1 else value
 
     return mutant
 
@@ -158,6 +166,7 @@ MUTANTS = {
     "_expansion_coeff negated at k=1": ("_expansion_coeff", _negated_at_k1),
     "_expansion_coeff +1 at r=K-k": ("_expansion_coeff", _plus_one_at_last_r),
     "UniPoly.evaluate +1 when degree>5": ("UniPoly.evaluate", _plus_one_above_degree5),
+    "dir_derivative +1 at times=1": ("dir_derivative", _plus_one_at_one_step),
     "falling_factorial +1 at n=7": ("falling_factorial", _plus_one_at(7)),
     "rising_product +1 at n=5": ("rising_product", _plus_one_at(5)),
     "second_fundamental +1 at n=7": ("second_fundamental", _ratio_plus_one_at_n7),

@@ -8,7 +8,7 @@ from math import comb, factorial
 import pytest
 
 from quanta import polynomials
-from quanta.sequences import QPoint, omega_table, psi_rec
+from quanta.sequences import QPoint, _psi_values, omega_table, psi_rec
 from quanta.polynomials import (
     BiPoly,
     UniPoly,
@@ -128,6 +128,23 @@ class TestDirectionalDerivative:
 
         with pytest.raises(ValueError):
             dir_derivative(psi_bipoly(4), QPoint(QuadExt(1), SQRT2))
+
+    def test_taylor_coefficient_matches_derivative(self):
+        # Taylor: the k-fold derivative along (alpha, beta) at (1, 4) is k!
+        # times the t^k coefficient of psi(1 + alpha t, 4 + beta t, n); over
+        # F1100's quick grid, points in [-2, 2]^2, n <= 14 and every k
+        for alpha in range(-2, 3):
+            for beta in range(-2, 3):
+                if (alpha, beta) == (0, 0):
+                    continue
+                taylor = list(islice(_psi_values(UniPoly([1, alpha]), UniPoly([4, beta])), 15))
+                for n in range(2, 15):
+                    deriv, coeffs = psi_bipoly(n), taylor[n].coeffs
+                    for k in range(n // 2 + 1):
+                        if k:
+                            deriv = dir_derivative(deriv, QPoint(alpha, beta))
+                        expected = coeffs[k] * factorial(k) if k < len(coeffs) else 0
+                        assert deriv.evaluate(1, 4) == expected, (alpha, beta, n, k)
 
 
 class TestFundamentalCollapse:
