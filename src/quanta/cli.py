@@ -205,9 +205,12 @@ def _cmd_verify(args) -> int:
                 f"(its bounds: {', '.join(sorted(valid)) or 'none'})"
             )
             return EXIT_USAGE
-        reports = [
-            run_check(args.id, overrides, profile=args.profile, seed=args.seed)
-        ]
+        report = run_check(args.id, overrides, profile=args.profile, seed=args.seed)
+        # bounds the sieve refuses are a usage error, as at the other caps
+        refused = f"{primes.FeasibilityError.__name__}: "
+        if report.status == "error" and report.failures[0]["actual"].startswith(refused):
+            raise primes.FeasibilityError(report.failures[0]["actual"].removeprefix(refused))
+        reports = [report]
     payload = [r.to_dict() for r in reports]
     if args.format == "json":
         print(json.dumps(payload, separators=(",", ":")))

@@ -2,8 +2,9 @@
 
 ``BiPoly`` holds the psi polynomial in the parameters (a, b) so the
 directional-derivative identities can be verified coefficient-exactly;
-``UniPoly`` carries the Chebyshev and Dickson comparisons, where the psi
-recurrence is simply run with polynomial ring elements.
+``UniPoly`` carries the Chebyshev and Dickson comparisons and F1100's Taylor
+coefficients, where the psi recurrence is simply run with polynomial ring
+elements.
 
 Coefficients are exact rationals in the scalar layer's canonical form: an
 ``int`` when integral, a ``Fraction`` otherwise (``scalars._canon``).
@@ -341,25 +342,6 @@ def _three_term(p0: int, mult: UniPoly, alpha) -> Iterator[UniPoly]:
         prev, cur = cur, mult * cur - alpha * prev
 
 
-def chebyshev_polynomial(n: int) -> UniPoly:
-    """T_n by the classical three-term recurrence."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return next(islice(_three_term(1, UniPoly([0, 2]), 1), n, None))
-
-
-def dickson_polynomial(n: int, alpha) -> UniPoly:
-    """D_n(x, alpha) by the recurrence D_{m+1} = x D_m - alpha D_{m-1}.
-
-    This is the recurrence consistent with the coefficient formula and the
-    functional identity D_n(y + alpha/y) = y^n + (alpha/y)^n; a sometimes
-    quoted 2x-coefficient variant is not (it belongs to the Chebyshev family).
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return next(islice(_three_term(2, UniPoly.var(), Fraction(alpha)), n, None))
-
-
 # Che and Dic evaluate the omega ratio at these ten x; none is 0, so every
 # evaluation point (alpha, 2 alpha - c x^2) is a nonzero point.
 _EVAL_XS = tuple(Fraction(i, 4) for i in (-7, -5, -3, -1, 1, 3, 5, 7, 9, 11))
@@ -401,7 +383,11 @@ def chebyshev_checks() -> Iterator[Callable[[], bool]]:
 
 def dickson_checks(alpha) -> Iterator[Callable[[], bool]]:
     """Dic's verdicts, n = 1, 2, ...: D_n(x, alpha) against psi(alpha, 2 alpha
-    - x^2, n), scale 1, and D_n(y + alpha/y) = y^n + (alpha/y)^n at y = 1, 2, 1/2."""
+    - x^2, n), scale 1, and D_n(y + alpha/y) = y^n + (alpha/y)^n at y = 1, 2, 1/2.
+
+    D_n steps D_{m+1} = x D_m - alpha D_{m-1}, the recurrence consistent with
+    the coefficient formula and that functional identity; a sometimes quoted
+    2x-coefficient variant is not (it belongs to the Chebyshev family)."""
     alpha = Fraction(alpha)
 
     def identity(n: int, classical: UniPoly) -> bool:

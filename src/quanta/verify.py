@@ -28,6 +28,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -36,7 +37,10 @@ from .sequences import (
     KernelPointError,
     QPoint,
     TheoremViolationError,
+    _expansion_column,
     _lucas_coeff,
+    _psi_sum,
+    _psi_values,
     delta,
     falling_factorial,
     fib_lambda_table,
@@ -51,7 +55,6 @@ from .sequences import (
     product_identity_check,
     psi_closed,
     psi_expansion_identity_check,
-    psi_k_expand,
     psi_point,
     psi_rec,
     second_fundamental,
@@ -59,9 +62,9 @@ from .sequences import (
     sums_of_powers_check,
 )
 from .polynomials import (
+    UniPoly,
     chebyshev_checks,
     dickson_checks,
-    dir_derivative,
     psi_bipoly,
     verify_derivative_expansion,
     verify_diff_ladder,
@@ -586,22 +589,25 @@ def _run_h2(bounds, rng) -> Iterator[Case]:
     tiny={"nmax": 8, "coord": 1},
 )
 def _run_f1100(bounds, rng) -> Iterator[Case]:
-    scalar_a, scalar_b = 1, 4
-    bipolys = {n: psi_bipoly(n) for n in range(2, bounds["nmax"] + 1)}
+    # On ints at (a, b) = (1, 4): the k-fold derivative of psi along the point
+    # is k! times the t^k coefficient of psi(1 + alpha t, 4 + beta t, n), read
+    # from one pass of psi's recurrence over Z[t] per point (Taylor's theorem).
+    a, b, nmax = 1, 4, bounds["nmax"]
     for point in _int_points(bounds["coord"]):
-        if not (point.beta * scalar_a - point.alpha * scalar_b):
+        al, be = point.alpha.a, point.beta.a
+        if be * a == al * b:
             continue
         label = str(point)
-        for n in range(2, bounds["nmax"] + 1):
+        taylor = islice(_psi_values(UniPoly([a, al]), UniPoly([b, be])), 2, nmax + 1)
+        for n, poly in enumerate(taylor, 2):
             otable = omega_table(point, n)
             ltable = lambda_table(point, n)
-            deriv, signed = bipolys[n], 1  # signed = (-1)^k k!
+            signed = 1  # (-1)^k k!
             for k in range(n // 2 + 1):
                 if k:
-                    deriv = dir_derivative(deriv, point)
                     signed *= -k
                 try:
-                    value, coeffs = psi_k_expand(scalar_a, scalar_b, otable, k)
+                    coeffs = _expansion_column(otable, k)
                 except TheoremViolationError as exc:
                     yield (
                         {"point": label, "n": n, "k": k},
@@ -611,7 +617,7 @@ def _run_f1100(bounds, rng) -> Iterator[Case]:
                     continue
                 for r, c in enumerate(coeffs):
                     # c_r (-1)^k k! = lambda_r(k), lambda from its own triangle
-                    lam = ltable.entry(r, k)
+                    lam = ltable.entry(r, k).a
                     yield (
                         {"point": label, "n": n, "k": k, "r": r, "path": "bridge"},
                         lambda: c * signed,
@@ -619,13 +625,13 @@ def _run_f1100(bounds, rng) -> Iterator[Case]:
                     )
                     yield (
                         {"point": label, "n": n, "k": k, "r": r, "path": "k!|lam"},
-                        lambda: lam.a % signed == 0,
+                        lambda: lam % signed == 0,
                         True,
                     )
                 yield (
                     {"point": label, "n": n, "k": k, "path": "derivative"},
-                    lambda: value * signed,
-                    deriv.evaluate(scalar_a, scalar_b),
+                    lambda: _psi_sum(coeffs, a, 2 * a - b) * signed,
+                    poly.coeffs[k] * factorial(k) if k <= poly.degree else 0,
                 )
 
 

@@ -289,16 +289,29 @@ class TestVerifyCommand:
         assert report["status"] == "error"
         assert report["failures"][0]["actual"].startswith("ZeroDivisionError: ")
 
-    def test_pretty_error_row_shows_the_exception(self, capsys):
-        # one above the sieve cap: the check errors before sieving anything
-        nmax = str(primes.SIEVE_MAX_LIMIT + 1)
-        code, out, err = run_cli(capsys, "verify", "lagarias", "--nmax", nmax)
-        assert (code, err) == (EXIT_VIOLATION, "")
-        assert out.startswith("ERROR   lagarias ")
-        assert out.endswith(
-            f"first: {{'stage': 'sweep'}}  FeasibilityError: {nmax} is beyond "
-            f"the sieve cap {primes.SIEVE_MAX_LIMIT}\n"
+    def test_pretty_error_row_shows_the_exception(self, capsys, monkeypatch):
+        # a ValueError that is not a refused bound is a defect of the check
+        def crashing(bounds, rng):
+            raise ValueError("bad grid")
+            yield
+
+        monkeypatch.setitem(
+            REGISTRY, "G4", dataclasses.replace(REGISTRY["G4"], runner=crashing)
         )
+        code, out, err = run_cli(capsys, "verify", "G4")
+        assert (code, err) == (EXIT_VIOLATION, "")
+        assert out.startswith("ERROR   G4 ")
+        assert out.endswith("first: {'stage': 'sweep'}  ValueError: bad grid\n")
+
+    def test_bound_beyond_the_sieve_cap_exits_with_usage(self, capsys):
+        # one above the sieve cap: refused before sieving anything, as the
+        # other caps are; run_check itself still reports it as an error
+        nmax = str(primes.SIEVE_MAX_LIMIT + 1)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "lagarias", "--nmax", nmax)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: {nmax} is beyond the sieve cap {primes.SIEVE_MAX_LIMIT}\n"
 
     def test_violation_exit_code(self, capsys):
         # gen1 carries a genuine counterexample at k=2

@@ -15,9 +15,7 @@ from quanta.polynomials import (
     _mirror_check,
     _three_term,
     chebyshev_checks,
-    chebyshev_polynomial,
     dickson_checks,
-    dickson_polynomial,
     dir_derivative,
     psi_bipoly,
     psi_k_poly,
@@ -194,6 +192,16 @@ class TestDiffLadder:
         assert top.constant_value() == -psi_rec(1, 1, 7)
 
 
+def _chebyshev(count):
+    """T_0, ..., T_(count-1), as Che steps them."""
+    return list(islice(_three_term(1, UniPoly([0, 2]), 1), count))
+
+
+def _dickson(count, alpha):
+    """D_0(x, alpha), ..., D_(count-1)(x, alpha), as Dic steps them."""
+    return list(islice(_three_term(2, UniPoly.var(), Fraction(alpha)), count))
+
+
 def _chebyshev_formula(n):
     """T_n = (n/2) sum_k (-1)^k (n-k-1)!/(k! (n-2k)!) (2x)^(n-2k), n >= 1."""
     coeffs = [Fraction(0)] * (n + 1)
@@ -213,14 +221,13 @@ def _dickson_formula(n, alpha):
 
 class TestChebyshev:
     def test_classical_values(self):
-        assert chebyshev_polynomial(3) == UniPoly([0, -3, 0, 4])
-        assert chebyshev_polynomial(2) == UniPoly([-1, 0, 2])
-        assert chebyshev_polynomial(1) == UniPoly([0, 1])
-        assert chebyshev_polynomial(0) == UniPoly([1])
+        assert _chebyshev(4) == [
+            UniPoly([1]), UniPoly([0, 1]), UniPoly([-1, 0, 2]), UniPoly([0, -3, 0, 4])
+        ]
 
     def test_explicit_coefficients(self):
-        for n in range(1, 65):
-            assert chebyshev_polynomial(n) == _chebyshev_formula(n), n
+        for n, poly in enumerate(_chebyshev(65)[1:], 1):
+            assert poly == _chebyshev_formula(n), n
 
     @pytest.mark.parametrize("n", range(1, 24))
     def test_check(self, n):
@@ -231,21 +238,20 @@ class TestChebyshev:
 
 class TestDickson:
     def test_classical_values(self):
-        assert dickson_polynomial(3, 1) == UniPoly([0, -3, 0, 1])
-        assert dickson_polynomial(2, 2) == UniPoly([-4, 0, 1])
-        assert dickson_polynomial(1, 9) == UniPoly([0, 1])
-        assert dickson_polynomial(0, 9) == UniPoly([2])
+        assert _dickson(4, 1)[3] == UniPoly([0, -3, 0, 1])
+        assert _dickson(3, 2)[2] == UniPoly([-4, 0, 1])
+        assert _dickson(2, 9) == [UniPoly([2]), UniPoly([0, 1])]
 
     def test_functional_identity(self):
         # D_n(y + alpha/y) = y^n + (alpha/y)^n
-        d5 = dickson_polynomial(5, 3)
+        d5 = _dickson(6, 3)[5]
         y = Fraction(2)
         assert d5.evaluate(y + 3 / y) == y**5 + (Fraction(3) / y) ** 5
 
     @pytest.mark.parametrize("alpha", [1, -1, 2, -2, 3])
     def test_explicit_coefficients(self, alpha):
-        for n in range(1, 65):
-            assert dickson_polynomial(n, alpha) == _dickson_formula(n, alpha), n
+        for n, poly in enumerate(_dickson(65, alpha)[1:], 1):
+            assert poly == _dickson_formula(n, alpha), n
 
     @pytest.mark.parametrize("alpha", [1, -1, 2, -2, 3])
     def test_check(self, alpha):
@@ -273,9 +279,3 @@ class TestDickson:
         assert all(verdict() for verdict in islice(checks(), 6))
         monkeypatch.setattr(polynomials, "omega_top", mutant)
         assert [verdict() for verdict in islice(checks(), 6)] == [False] * 6
-
-    def test_negative_n_is_refused(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            dickson_polynomial(-1, 1)
-        with pytest.raises(ValueError, match="nonnegative"):
-            chebyshev_polynomial(-1)
