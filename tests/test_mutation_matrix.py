@@ -2,8 +2,8 @@
 integer lift, the expansion coefficients, the ratio denominators, polynomial
 evaluation, the directional derivative, the modular values, the exact values
 at integral, scaled rational and quadratic points, the fundamental ratio, the
-classical Lucas and Fibonacci numbers and the harmonic numbers, and the registered checks
-that catch each one at tiny bounds.
+classical Lucas and Fibonacci numbers and the harmonic numbers, and the
+registered checks that catch each one at tiny bounds.
 
 ``tests/mutation_matrix.json`` records mutant -> sorted ids of the checks
 whose status is not "pass" while it is active (gen1, which records genuine
