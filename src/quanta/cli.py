@@ -210,6 +210,10 @@ def _cmd_verify(args) -> int:
         refused = f"{primes.FeasibilityError.__name__}: "
         if report.status == "error" and report.failures[0]["actual"].startswith(refused):
             raise primes.FeasibilityError(report.failures[0]["actual"].removeprefix(refused))
+        # an empty grid finds no violation: a fail with no failure ran no case
+        if report.status == "fail" and not report.failures:
+            _print_progress(f"error: {args.id} runs no case: {report.grid}")
+            return EXIT_USAGE
         reports = [report]
     payload = [r.to_dict() for r in reports]
     if args.format == "json":

@@ -312,11 +312,10 @@ def verify_fundamental_psi(n: int, point: QPoint | tuple) -> bool:
     return collapsed.constant_value() == psi_point(point, n).as_fraction()
 
 
-def verify_derivative_expansion(table: Triangle, k: int, base: BiPoly | None = None) -> bool:
+def verify_derivative_expansion(table: Triangle, k: int, base: BiPoly) -> bool:
     """Expansion polynomial from the exact omega ``table`` == (-1)^k/k! times
-    the k-fold directional derivative of the psi polynomial ``base`` (by
-    default ``psi_bipoly`` of the table's n) along the table's point."""
-    base = psi_bipoly(table.n) if base is None else base
+    the k-fold directional derivative of the psi polynomial ``base``
+    (``psi_bipoly`` of the table's n) along the table's point."""
     rhs = dir_derivative(base, table.point, k) / factorial(k)
     if k & 1:
         rhs = -rhs

@@ -6,6 +6,7 @@ inequality."""
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -59,7 +60,6 @@ class PrimeCache:
             raise FeasibilityError(f"limit {limit} is beyond the sieve cap {SIEVE_MAX_LIMIT}")
         self._limit = 0
         self._primes: list[int] = []
-        self._members: frozenset[int] = frozenset()
         self._rebuild(max(limit, 16))
 
     def _rebuild(self, limit: int) -> None:
@@ -77,7 +77,6 @@ class PrimeCache:
                 raise DataIntegrityError(f"no prime strictly between {p} and {2 * p}")
         self._limit = limit
         self._primes = primes
-        self._members = frozenset(primes)
 
     @property
     def limit(self) -> int:
@@ -100,18 +99,14 @@ class PrimeCache:
 
     def upto(self, x: int) -> list[int]:
         self._cover(x)
-        out = []
-        for p in self._primes:
-            if p > x:
-                break
-            out.append(p)
-        return out
+        return self._primes[: bisect_right(self._primes, x)]
 
     def is_prime(self, n: int) -> bool:
         """Sieve lookup up to the limit, deterministic Miller-Rabin above it;
         a query never grows the sieve."""
         if n <= self._limit:
-            return n in self._members
+            i = bisect_left(self._primes, n)
+            return i < len(self._primes) and self._primes[i] == n
         return _miller_rabin(n)
 
 

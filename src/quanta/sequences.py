@@ -520,13 +520,6 @@ def lambda_table(point: QPoint | tuple, n: int) -> Triangle:
     return Triangle(point, n, _triangle(seed, diag, coupling, d), scale)
 
 
-def lambda_from_omega(table: Triangle, r: int, k: int) -> QuadExt:
-    """lambda_r(k) at the point and n of the exact omega ``table``, recovered
-    by the factorial bridge: (-1)^k k! times the expansion coefficient of
-    ``_expansion_coeff``."""
-    return QuadExt._coerce(_expansion_coeff(table, r, k) * (-1) ** k * factorial(k))
-
-
 # -- fundamental expansions ---------------------------------------------------
 
 
@@ -563,34 +556,6 @@ def _expansion_column(table: Triangle, k: int) -> list:
                 )
         table._columns[k] = column
     return table._columns[k]
-
-
-def _expansion_ring(a, b, table: Triangle) -> tuple:
-    """The point's alpha, beta and the arguments a, b in one ring: ints at an
-    integral point with int a and b, else QuadExt; beta*a == alpha*b raises."""
-    point = table.point
-    if point.is_integral and type(a) is int and type(b) is int:
-        al, be = point.alpha.a, point.beta.a
-    else:
-        al, be = point.alpha, point.beta
-        a, b = (x if isinstance(x, QuadExt) else QuadExt(x) for x in (a, b))
-    if not (be * a - al * b):
-        raise DegeneratePointError(f"beta*a == alpha*b for point {point}")
-    return al, be, a, b
-
-
-def psi_k_expand(a, b, table: Triangle, k: int) -> tuple[QuadExt, list[QuadExt]]:
-    """Value and coefficient list of the k-th expansion of psi(a, b, n)
-    along the point, with the point and n of the exact omega ``table``.
-
-    The value equals (-1)^k / k! times the k-fold directional derivative of
-    the psi polynomial in (a, b); at k = 0 it is psi(a, b, n) and at
-    k = floor(n/2) it is (-1)^k psi at the point.  For integral points every
-    coefficient is checked to be a rational integer.
-    """
-    _, _, a, b = _expansion_ring(a, b, table)
-    coeffs = _expansion_column(table, k)
-    return QuadExt._coerce(_psi_sum(coeffs, a, 2 * a - b)), [QuadExt._coerce(c) for c in coeffs]
 
 
 def second_fundamental(point: QPoint | tuple, n: int) -> QuadExt:
@@ -637,6 +602,15 @@ def _power_sum_quotient(x: int, y: int, n: int) -> int | None:
     return None if rem else val
 
 
+def _power_sum_expansion(x: int, y: int, n: int) -> int:
+    """x^n + y^n expanded in xy and x+y: sum_i (-1)^i n/(n-i) C(n-i, i)
+    (xy)^i (x+y)^(n-2i)."""
+    return sum(
+        (-1) ** i * _lucas_coeff(n, i) * (x * y) ** i * (x + y) ** (n - 2 * i)
+        for i in range(n // 2 + 1)
+    )
+
+
 def sums_of_powers_check(x: int, y: int, n: int) -> bool:
     """(x^n + y^n)/(x+y)^(n mod 2) against psi, the omega ratio, and the
     explicit power-sum expansion."""
@@ -650,19 +624,25 @@ def sums_of_powers_check(x: int, y: int, n: int) -> bool:
         return False
     if n >= 2 and omega_top(point, n) != falling_factorial(n) * val:
         return False
-    expansion = sum(
-        (-1) ** i * _lucas_coeff(n, i) * (x * y) ** i * (x + y) ** (n - 2 * i)
-        for i in range(n // 2 + 1)
-    )
-    return expansion == x**n + y**n
+    return _power_sum_expansion(x, y, n) == x**n + y**n
 
 
 def psi_expansion_identity_check(a, b, table: Triangle, x: int, y: int) -> bool:
     """The degree-floor(n/2) expansion of (beta a - alpha b)^K (x^n+y^n)/(x+y)^d
     into the two quadratic forms, at the point and n of the exact omega
-    ``table``, with the expansions of psi_k_expand."""
-    n, K = table.n, table.K
-    al, be, a, b = _expansion_ring(a, b, table)
+    ``table``, each form's coefficient summed from ``_expansion_column``.
+
+    The point and a, b share one ring: ints at an integral point with int a
+    and b, else QuadExt.  beta*a == alpha*b raises DegeneratePointError.
+    """
+    n, K, point = table.n, table.K, table.point
+    if point.is_integral and type(a) is int and type(b) is int:
+        al, be = point.alpha.a, point.beta.a
+    else:
+        al, be = point.alpha, point.beta
+        a, b = (v if isinstance(v, QuadExt) else QuadExt(v) for v in (a, b))
+    if not (be * a - al * b):
+        raise DegeneratePointError(f"beta*a == alpha*b for point {point}")
     val = _power_sum_quotient(x, y, n)
     if val is None:
         return False

@@ -37,8 +37,9 @@ from .sequences import (
     KernelPointError,
     QPoint,
     TheoremViolationError,
+    _expansion_coeff,
     _expansion_column,
-    _lucas_coeff,
+    _power_sum_expansion,
     _psi_sum,
     _psi_values,
     delta,
@@ -46,7 +47,6 @@ from .sequences import (
     fib_lambda_table,
     fibonacci,
     flipped_omega_coupling,
-    lambda_from_omega,
     lambda_seed,
     lambda_table,
     lucas,
@@ -352,13 +352,7 @@ def _run_00(bounds, rng) -> Iterator[Case]:
         for n in range(1, bounds["nmax"] + 1):
             yield (
                 {"x": x, "y": y, "n": n},
-                lambda: sum(
-                    (-1) ** i
-                    * _lucas_coeff(n, i)
-                    * (x * y) ** i
-                    * (x + y) ** (n - 2 * i)
-                    for i in range(n // 2 + 1)
-                ),
+                lambda: _power_sum_expansion(x, y, n),
                 x**n + y**n,
             )
 
@@ -572,10 +566,11 @@ def _run_h2(bounds, rng) -> Iterator[Case]:
             ltable = lambda_table(point, n)
             K = n // 2
             for k in range(K + 1):
+                signed = (-1) ** k * factorial(k)
                 for r in range(K - k + 1):
                     yield (
                         {"point": label, "n": n, "r": r, "k": k},
-                        lambda: lambda_from_omega(otable, r, k),
+                        lambda: _expansion_coeff(otable, r, k) * signed,
                         ltable.entry(r, k),
                     )
 

@@ -12,7 +12,7 @@ from quanta import cli, primes
 from quanta.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main, parse_point
 from quanta.scalars import QuadExt, SQRT2, ScalarParseError, parse_scalar, reduce_mod
 from quanta.sequences import QPoint, omega_table, psi_point
-from quanta.verify import REGISTRY
+from quanta.verify import REGISTRY, run_check
 
 
 def run_cli(capsys, *argv):
@@ -312,6 +312,23 @@ class TestVerifyCommand:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: {nmax} is beyond the sieve cap {primes.SIEVE_MAX_LIMIT}\n"
+
+    @pytest.mark.parametrize(
+        "id, flag, value",
+        [
+            ("AU7", "--nmax", "1"),
+            ("k00", "--coord", "0"),
+            ("gen2", "--kmax", "1"),
+            ("lagarias", "--nmax", "-1"),
+        ],
+    )
+    def test_empty_grid_exits_with_usage(self, capsys, id, flag, value):
+        # no case ran, so no violation was found; run_check still says fail
+        assert run_check(id, {flag[2:]: int(value)}).status == "fail"
+        code, out, err = run_cli(capsys, "verify", id, flag, value)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: {id} runs no case: ")
+        assert f"{flag[2:]!r}: {value}" in err
 
     def test_violation_exit_code(self, capsys):
         # gen1 carries a genuine counterexample at k=2

@@ -172,17 +172,18 @@ class TestDiffLadder:
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_sweep_with_expansion(self, n):
+        base = psi_bipoly(n)
         for point in (QPoint(-1, 2), QPoint(Fraction(1, 2), Fraction(-3, 4))):
             table = omega_table(point, n)
             for r in range(n // 2):
                 assert verify_diff_ladder(table, r)
             for k in range(n // 2 + 1):
-                assert verify_derivative_expansion(table, k)
+                assert verify_derivative_expansion(table, k, base)
 
     def test_second_derivative_matches_expansion_poly(self):
         # two derivative steps of the degree-5 psi polynomial along (1, 1),
         # scaled by 1/2!, reproduce the k=2 expansion coefficient map
-        assert verify_derivative_expansion(omega_table(QPoint(1, 1), 5), 2)
+        assert verify_derivative_expansion(omega_table(QPoint(1, 1), 5), 2, psi_bipoly(5))
 
     def test_k_poly_top_is_constant(self):
         # top expansion polynomial is the signed psi value at the point

@@ -23,7 +23,9 @@ from quanta.scalars import (
 )
 from quanta.sequences import (
     DegeneratePointError,
+    _expansion_coeff,
     _expansion_column,
+    _psi_sum,
     _triangle,
     _unit_seed_top,
     KernelPointError,
@@ -33,7 +35,6 @@ from quanta.sequences import (
     fib_lambda_table,
     fibonacci,
     flipped_omega_coupling,
-    lambda_from_omega,
     lambda_seed,
     lambda_table,
     lucas,
@@ -43,7 +44,6 @@ from quanta.sequences import (
     product_identity_check,
     psi_closed,
     psi_expansion_identity_check,
-    psi_k_expand,
     psi_point,
     psi_rec,
     rising_product,
@@ -451,11 +451,14 @@ class TestLambdaTable:
                 otable = omega_table(point, n)
                 for k in range(n // 2 + 1):
                     for r in range(n // 2 - k + 1):
-                        assert lambda_from_omega(otable, r, k) == table.entry(r, k)
+                        bridged = _expansion_coeff(otable, r, k) * (-1) ** k * factorial(k)
+                        assert bridged == table.entry(r, k)
 
     def test_bridge_level_one_explicit(self):
         # factor 1/2 times omega_0(1) = -2 alpha - 4 beta
-        assert lambda_from_omega(omega_table(QPoint(1, 1), 5), 0, 1) == -3
+        k = 1
+        coeff = _expansion_coeff(omega_table(QPoint(1, 1), 5), 0, k)
+        assert coeff * (-1) ** k * factorial(k) == -3
 
     @pytest.mark.parametrize(
         "point",
@@ -508,46 +511,50 @@ class TestLambdaTable:
         assert counts == [counts[0]] * 3, counts
 
 
-class TestPsiKExpand:
+def _expansion_sum(a, b, table, k):
+    """The k-th expansion of psi(a, b, n) at the point and n of ``table``."""
+    return _psi_sum(_expansion_column(table, k), a, 2 * a - b)
+
+
+class TestExpansionSum:
     def test_k0_reduces_to_psi(self):
-        value, _ = psi_k_expand(1, 4, omega_table(QPoint(1, 1), 9), 0)
-        assert value == psi_rec(1, 4, 9)
+        assert _expansion_sum(1, 4, omega_table(QPoint(1, 1), 9), 0) == psi_rec(1, 4, 9)
 
     def test_top_k_reduces_to_point_psi(self):
         for n in (6, 9):
             K = n // 2
-            value, _ = psi_k_expand(1, 4, omega_table(QPoint(1, 1), n), K)
+            value = _expansion_sum(1, 4, omega_table(QPoint(1, 1), n), K)
             expected = psi_point(QPoint(1, 1), n)
             assert value == (expected if K % 2 == 0 else -expected)
 
     def test_matches_directional_derivative(self):
         n, k = 5, 1
         point = QPoint(1, 1)
-        value, _ = psi_k_expand(1, 4, omega_table(point, n), k)
+        value = _expansion_sum(1, 4, omega_table(point, n), k)
         deriv = dir_derivative(psi_bipoly(n), point, k)
         expected = -deriv.evaluate(Fraction(1), Fraction(4))
         assert value == expected
 
     def test_integral_coefficients(self):
-        _, coeffs = psi_k_expand(1, 4, omega_table(QPoint(-2, 3), 11), 2)
-        assert all(c.is_integral for c in coeffs)
+        column = _expansion_column(omega_table(QPoint(-2, 3), 11), 2)
+        assert all(type(c) is int for c in column)
 
     def test_degenerate_point_rejected(self):
         with pytest.raises(DegeneratePointError):
-            psi_k_expand(1, 2, omega_table(QPoint(1, 2), 6), 1)
+            psi_expansion_identity_check(1, 2, omega_table(QPoint(1, 2), 6), 2, 1)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            psi_k_expand(1, 4, omega_table(QPoint(1, 1), 6), 4)
+            _expansion_column(omega_table(QPoint(1, 1), 6), 4)
 
     def test_modular_table_refused(self):
         # an expansion coefficient divides by factorials, which a residue
         # table cannot honour
         table = omega_table(QPoint(1, SQRT2), 9, modulus=7)
         with pytest.raises(ValueError):
-            psi_k_expand(1, 4, table, 1)
+            _expansion_column(table, 1)
         with pytest.raises(ValueError):
-            lambda_from_omega(table, 0, 1)
+            _expansion_coeff(table, 0, 1)
 
 
 class TestExpansionColumn:
@@ -591,9 +598,10 @@ class TestExpansionColumn:
         for n in range(2, 13):
             table = omega_table(point, n)
             for k in range(n // 2 + 1):
-                got = psi_k_expand(1, 4, table, k)
-                assert got == psi_k_expand(QuadExt(1), QuadExt(4), table, k)
-                assert all(type(x) is QuadExt for x in [got[0], *got[1]])
+                on_ints = _expansion_sum(1, 4, table, k)
+                on_quadext = _expansion_sum(QuadExt(1), QuadExt(4), table, k)
+                assert on_ints == on_quadext
+                assert (type(on_ints), type(on_quadext)) == (int, QuadExt)
             assert psi_expansion_identity_check(QuadExt(1), Fraction(4), table, 2, 1)
 
 
