@@ -1,5 +1,6 @@
 """Prime machinery and arithmetic applications."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -421,6 +422,29 @@ class TestLagarias:
     def test_sweep_matches_per_n_check(self):
         undecided = [n for n in range(1, 2001) if lagarias_check(n) == "undecided"]
         assert lagarias_sweep(2000) == undecided
+
+    def test_full_sweep_interval_builds(self, monkeypatch):
+        # the 74 n above the running threshold, and the exact brackets they
+        # get, recorded from the per-n loop before the sweep skipped in C
+        built, escalated = [], []
+        interval, check = primes._harmonic_interval, primes.lagarias_check
+
+        def spy_interval(lo, hi, bits):
+            built.append((lo, hi, bits))
+            return interval(lo, hi, bits)
+
+        def spy_check(n):
+            escalated.append(n)
+            return check(n)
+
+        monkeypatch.setattr(primes, "_harmonic_interval", spy_interval)
+        monkeypatch.setattr(primes, "lagarias_check", spy_check)
+        assert lagarias_sweep(100000) == []
+        assert len(built) == 74
+        assert hashlib.sha256(repr(built).encode()).hexdigest() == (
+            "5fe5849fa2602dee170019de3f4cbd6d9ef395a32c655642af46f9026b24cfe1"
+        )
+        assert escalated == [1]
 
 
 class TestLambdaEmergence:
