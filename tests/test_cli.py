@@ -5,6 +5,7 @@ import hashlib
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# argv (split on spaces) -> stdout, or the SHA-256 of a long stdout, stderr
+# and exit code, recorded from the tree before a change that should keep them.
+# An entry changed on purpose is named in CHANGES.md, never regenerated.
+CLI_PROBES = json.loads(Path(__file__).with_name("cli_probes.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_PROBES))
+def test_cli_probe(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    want = CLI_PROBES[argv]
+    if "stdout_sha256" in want:
+        assert hashlib.sha256(out.encode()).hexdigest() == want["stdout_sha256"]
+    else:
+        assert out == want["stdout"]
+    assert (err, code) == (want["stderr"], want["exit"])
 
 
 class TestPointParsing:
