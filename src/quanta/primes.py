@@ -10,9 +10,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import count
+from itertools import compress, count
 from math import factorial, isqrt, prod
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .scalars import QuadExt
 from .sequences import (
@@ -548,19 +548,20 @@ def lagarias_check(n: int) -> str:
     return "undecided"
 
 
-def _harmonic_brackets(nmax: int, bits: int) -> Iterator[tuple[int, int, int]]:
-    """(n, lo, hi) for n = 1..nmax with lo / 2^bits <= H_n <= hi / 2^bits.
+def _harmonic_brackets(ns: Iterable[int], bits: int) -> Iterator[tuple[int, int, int]]:
+    """(n, lo, hi) for each n < 2^bits of the increasing `ns`, with
+    lo / 2^bits <= H_n <= hi / 2^bits by exact integer outward rounding.
 
-    Each term 2^bits / n is rounded down into lo and up into hi, so the
-    enclosure is exact integer outward rounding and widens by at most one
-    unit per term: hi - lo <= n.
+    lo adds floor(2^bits / k) over each span of k between requested n in one
+    `sum`.  Each ceiling exceeds its floor by one except at the bit_length(n)
+    powers of two k <= n, so the sum of ceilings is hi = lo + n - bit_length(n).
     """
     one = 1 << bits
-    lo = hi = 0
-    for n in range(1, nmax + 1):
-        lo += one // n
-        hi -= -one // n
-        yield n, lo, hi
+    lo = done = 0
+    for n in ns:
+        lo += sum(map(one.__floordiv__, range(done + 1, n + 1)))
+        done = n
+        yield n, lo, lo + n - n.bit_length()
 
 
 def _harmonic_interval(lo: int, hi: int, bits: int):
@@ -574,32 +575,33 @@ def _harmonic_interval(lo: int, hi: int, bits: int):
 def lagarias_sweep(nmax: int) -> list[int]:
     """All n in [1, nmax] failing to resolve as holds/holds_strict.
 
-    H_n is carried as the integer enclosure of `_harmonic_brackets` with
-    ``_SWEEP_BITS`` fractional bits; sigma(n) is read from the `_divisor_sums` sieve.
-    The right side grows with n, so once it is known to exceed an integer
-    threshold every later n with sigma(n) at or below that threshold holds.
-    Only an n above the threshold gets the iv interval of its bracket and
-    the transcendental right side; an n that does not then hold strictly
-    escalates to the exact per-n `lagarias_check`.
+    The right side grows with n, so once it exceeds an integer threshold every
+    later n with sigma(n) (from the `_divisor_sums` sieve) at or below it holds.
+    A scan in C finds each next n above the threshold; only that n gets its H_n
+    bracket (`_harmonic_brackets`, ``_SWEEP_BITS`` fractional bits), the iv
+    interval and the right side, and escalates to the exact per-n
+    `lagarias_check` if it does not hold strictly.
     """
     import mpmath
-    sums = _divisor_sums(nmax)
+    sums = memoryview(_divisor_sums(nmax))
     iv = mpmath.iv
     failures: list[int] = []
+    threshold = -1
+
+    def above() -> Iterator[int]:
+        n = 0
+        while n := next(compress(range(n + 1, nmax + 1), map(threshold.__lt__, sums[n + 1 :])), 0):
+            yield n
+
     saved = iv.prec
     try:
         iv.prec = _SWEEP_BITS
-        threshold = -1
-        for n, lo, hi in _harmonic_brackets(nmax, _SWEEP_BITS):
-            s = sums[n]
-            if s <= threshold:
-                continue
+        for n, lo, hi in _harmonic_brackets(above(), _SWEEP_BITS):
             h = _harmonic_interval(lo, hi, _SWEEP_BITS)
             rhs = h + iv.log(h) * iv.exp(h)
-            if s < rhs.a:
+            if sums[n] < rhs.a:
                 threshold = int(mpmath.floor(rhs.a)) - 1
-                continue
-            if lagarias_check(n) == "undecided":
+            elif lagarias_check(n) == "undecided":
                 failures.append(n)
     finally:
         iv.prec = saved

@@ -1065,12 +1065,9 @@ def _run_harmonic(bounds, rng) -> Iterator[Case]:
 )
 def _run_lagarias(bounds, rng) -> Iterator[Case]:
     offenders = set(primes.lagarias_sweep(bounds["nmax"]))
+    holds, offends = "holds".__str__, "undecided or violated".__str__
     for n in range(1, bounds["nmax"] + 1):
-        yield (
-            {"n": n},
-            lambda: "undecided or violated" if n in offenders else "holds",
-            "holds",
-        )
+        yield {"n": n}, offends if n in offenders else holds, "holds"
 
 
 OMEGA_TOUCHING_IDS = frozenset(c.id for c in REGISTRY.values() if c.touches_omega)

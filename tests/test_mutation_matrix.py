@@ -143,8 +143,8 @@ def _modular_skips_inverse(unlift):
 
 
 def _lower_end_one_unit_high(harmonic_brackets):
-    def mutant(nmax, bits):
-        return ((n, lo + 1, hi) for n, lo, hi in harmonic_brackets(nmax, bits))
+    def mutant(ns, bits):
+        return ((n, lo + 1, hi) for n, lo, hi in harmonic_brackets(ns, bits))
 
     return mutant
 

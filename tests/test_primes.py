@@ -382,12 +382,27 @@ class TestLagarias:
         bits = 192
         one = 1 << bits
         h = Fraction(0)
-        for n, lo, hi in primes._harmonic_brackets(2000, bits):
+        for n, lo, hi in primes._harmonic_brackets(range(1, 2001), bits):
             h += Fraction(1, n)
             assert Fraction(lo, one) <= h <= Fraction(hi, one), n
             assert hi - lo <= n, n
         assert n == 2000
         assert h == harmonic_number(2000)
+
+    @pytest.mark.parametrize(
+        "ns",
+        [[1, 2, 3, 4, 5, 7, 8, 9, 1023, 1024, 1025, 2000], [2000], []],
+        ids=["sparse", "one-jump", "empty"],
+    )
+    def test_sparse_brackets_match_dense(self, ns):
+        bits = 192
+        one = 1 << bits
+        dense = {n: (lo, hi) for n, lo, hi in primes._harmonic_brackets(range(1, 2001), bits)}
+        sparse = list(primes._harmonic_brackets(ns, bits))
+        assert [n for n, _, _ in sparse] == ns
+        for n, lo, hi in sparse:
+            assert (lo, hi) == dense[n], n
+            assert hi == sum(-(-one // k) for k in range(1, n + 1)), n
 
     def test_interval_contains_harmonic_number(self):
         # the endpoints have more bits than the precision, so a conversion
@@ -396,7 +411,7 @@ class TestLagarias:
         h = Fraction(0)
         saved, mpmath.iv.prec = mpmath.iv.prec, bits
         try:
-            for n, lo, hi in primes._harmonic_brackets(2000, bits):
+            for n, lo, hi in primes._harmonic_brackets(range(1, 2001), bits):
                 h += Fraction(1, n)
                 a, b = primes._harmonic_interval(lo, hi, bits)._mpi_
                 assert Fraction(*to_rational(a)) <= h <= Fraction(*to_rational(b)), n
