@@ -71,6 +71,33 @@ class TestRegistryCoverage:
             assert all(set(bounds) == set(check.full) for bounds in profiles), id
 
 
+# id -> point, residue period, SHA-256 of the newline-joined str(expected(n))
+# for n in [0, 240]: the ratio checks read n <= 200, S1 and S11 n <= 240
+_SPECIAL_TABLE_RECORD = {
+    "PP00": ("QPoint(1, 1)", 6, "632f3ef794c9398ed43f201b9c1d2a3d19996528ab6eb25345d800e72a637fa0"),
+    "PP00Q": ("QPoint(1, 0)", 8, "c9bd60e55f98fbf44410f3ca003e3f38177606b691f799dd51390045a0f60c9c"),
+    "PP1A": ("QPoint(1, -1)", 12, "d739fc0caa25b782145425126ff94b5a8c1eebc8394991ccf31e890f07cb2b96"),
+    "ABAB": ("QPoint(1, -2)", 2, "f87841c4aec12bb2aa989a602795039455dd29f88db12f7963ad2a2440928f7c"),
+    "DA": ("QPoint(1, 2)", 4, "48fe58edaa9f3bb0047768e8743fd700a24698a2225174cc3b4715baf9fb2e46"),
+    "root2": ("QPoint(1, 1*sqrt(2))", 16, "aab6b9949f62354c76aa58fa82d002134631d9b644103fdcf8340c72cfb58615"),
+    "phi": ("QPoint(1, -1/2+1/2*sqrt(5))", 20, "f27be479c129466bc684fd7dcb4d99e2f6bdc1c6970b0d53ccce48b8ddb2cc61"),
+    "root3": ("QPoint(1, 1*sqrt(3))", 24, "c90b926890f682324a3b7b590606f37665492d3dea4808ab839bb84d6d82735a"),
+    "FL": ("QPoint(1, 1*sqrt(5))", 4, "83f158ed491330725032459e93caec91aad6cbff9bd09edfc8ea4ac61f8b7a37"),
+}
+
+
+class TestSpecialTables:
+    def test_ids_match_record(self):
+        assert list(SPECIAL_TABLES) == list(_SPECIAL_TABLE_RECORD)
+
+    @pytest.mark.parametrize("id", sorted(_SPECIAL_TABLE_RECORD))
+    def test_table_matches_record(self, id):
+        point, period, expected = SPECIAL_TABLES[id]
+        values = "\n".join(str(expected(n)) for n in range(241))
+        digest = hashlib.sha256(values.encode()).hexdigest()
+        assert (repr(point), period, digest) == _SPECIAL_TABLE_RECORD[id]
+
+
 class TestRunCheck:
     def test_au7_sweep(self):
         report = run_check("AU7", {"nmax": 2000})
