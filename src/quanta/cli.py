@@ -31,9 +31,12 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 # `quanta omega` builds the whole triangle even for one entry, and its JSON
-# grows as about n^3 (58 MB at n = 1000); `quanta table` computes one top per
-# n up to nmax.  Larger n is refused by both.
+# grows as about n^3 (73 MB at (1, 4), n = 1000); `quanta table` computes one
+# top per n up to nmax.  Larger n is refused by both.
 OMEGA_MAX_N = 1024
+# estimated size of a whole exact triangle: (n//2 + 1)(n//2 + 2)/2 entries of
+# about _psi_bits each; (1, 4) at OMEGA_MAX_N, about 2.7e8, fits
+OMEGA_MAX_BITS = 300_000_000
 PSI_MAX_N = 131072  # `quanta psi`: O(log n) products; (1, 4) takes about 0.03 s, printing included
 PSI_MAX_BITS = 2**18  # estimated size of an exact psi value; (1, 4) at PSI_MAX_N fits
 # p - 2 p-bit squarings in psi_point's tail and in lucas_lehmer; p = 11213 takes about 7 s
@@ -48,6 +51,13 @@ def _psi_bits(point: QPoint, n: int) -> int:
     _, z, x, d = _lift(point)
     width = max(abs(c).bit_length() for c in (*z, *x))
     return (n // 2) * (width + 1 + (d.bit_length() + 1) // 2)
+
+
+def _refuse_large_psi(point: QPoint, n: int) -> None:
+    if (bits := _psi_bits(point, n)) > PSI_MAX_BITS:
+        raise primes.FeasibilityError(
+            f"exact psi would have about {bits} bits; the cap is {PSI_MAX_BITS}"
+        )
 
 
 def parse_point(text: str) -> QPoint:
@@ -85,10 +95,8 @@ def _cmd_psi(args) -> int:
         raise primes.FeasibilityError(f"--n is capped at {PSI_MAX_N}; got {args.n}")
     point = parse_point(args.point)
     # residues stay below --mod; only an exact value can outgrow memory
-    if args.mod is None and (bits := _psi_bits(point, args.n)) > PSI_MAX_BITS:
-        raise primes.FeasibilityError(
-            f"exact psi would have about {bits} bits; the cap is {PSI_MAX_BITS}"
-        )
+    if args.mod is None:
+        _refuse_large_psi(point, args.n)
     print(psi_point(point, args.n, args.mod))
     return EXIT_OK
 
@@ -97,12 +105,18 @@ def _cmd_omega(args) -> int:
     if args.n > OMEGA_MAX_N:
         raise primes.FeasibilityError(f"--n is capped at {OMEGA_MAX_N}; got {args.n}")
     point = parse_point(args.point)
+    K = args.n // 2
+    if args.mod is None and (
+        bits := (K + 1) * (K + 2) // 2 * _psi_bits(point, args.n)
+    ) > OMEGA_MAX_BITS:
+        raise primes.FeasibilityError(
+            f"the exact triangle would have about {bits} bits; the cap is {OMEGA_MAX_BITS}"
+        )
     if args.k is not None and args.r is None:
         args.r = 0  # stable column by default
     if args.r is not None and args.k is None:
         raise ScalarParseError("--r requires --k", 0)
     if args.r is not None:
-        K = args.n // 2
         if args.r < 0 or args.k < 0 or args.r + args.k > K:
             _print_progress(f"error: (r, k) outside triangle for n={args.n}")
             return EXIT_USAGE
@@ -153,6 +167,7 @@ def _cmd_table(args) -> int:
     if args.nmax < 2:
         raise ValueError(f"--nmax must be >= 2; got {args.nmax}")
     point = parse_point(args.point)
+    _refuse_large_psi(point, args.nmax)
     period = _special_period(point)
     rows = []
     for n in range(2, args.nmax + 1):

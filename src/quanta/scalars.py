@@ -55,9 +55,16 @@ class ScalarParseError(ValueError):
         self.pos = pos
 
 
+# is_square_free trial-divides up to sqrt(d); a square-free d near 2^40 takes about 0.3 s
+RADICAND_MAX = 2**40
+
+
 def is_square_free(d: int) -> bool:
+    """Whether d >= 0 has no square factor; ValueError above RADICAND_MAX."""
     if d < 0:
         return False
+    if d > RADICAND_MAX:
+        raise ValueError(f"radicand of {d.bit_length()} bits is above the cap {RADICAND_MAX}")
     f = 2
     while f * f <= d:
         if d % (f * f) == 0:

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .scalars import GOLDEN, QuadExt, SQRT2, SQRT3, SQRT5
@@ -167,80 +167,18 @@ def _register(
 # -- special-point expectation tables -------------------------------------------
 
 
-def _pm(n: int, period: int) -> int:
-    return min(n % period, (-n) % period)
-
-
-def _table_1_1(n: int) -> QuadExt:
-    return QuadExt({0: 2, 1: 1, 2: -1, 3: -2}[_pm(n, 6)])
-
-
-def _table_1_0(n: int) -> QuadExt:
-    return QuadExt({0: 2, 1: 1, 2: 0, 3: -1, 4: -2}[_pm(n, 8)])
-
-
-def _table_1_m1(n: int) -> QuadExt:
-    return QuadExt({0: 2, 1: 1, 2: 1, 3: 0, 4: -1, 5: -1, 6: -2}[_pm(n, 12)])
-
-
-def _table_1_m2(n: int) -> QuadExt:
-    return QuadExt(2 ** delta(n + 1))
+def _mirrored(point: QPoint, *values) -> tuple[QPoint, int, Callable[[int], QuadExt]]:
+    """The SPECIAL_TABLES entry of a point where psi is periodic and even in n:
+    period P = 2 (len(values) - 1) and psi(n) = values[min(n mod P, -n mod P)]."""
+    period = 2 * (len(values) - 1)
+    values = [v if isinstance(v, QuadExt) else QuadExt(v) for v in values]
+    cycle = [values[min(r, -r % period)] for r in range(period)]
+    return point, period, lambda n: cycle[n % period]
 
 
 def _table_1_2(n: int) -> QuadExt:
     value = 2 ** delta(n - 1) * n ** delta(n)
     return QuadExt(-value if (n // 2) & 1 else value)
-
-
-def _table_sqrt2(n: int) -> QuadExt:
-    one = QuadExt(1)
-    return {
-        0: 2 * one,
-        1: one,
-        2: -SQRT2,
-        3: -one - SQRT2,
-        4: 0 * one,
-        5: one + SQRT2,
-        6: SQRT2,
-        7: -one,
-        8: -2 * one,
-    }[_pm(n, 16)]
-
-
-def _table_golden(n: int) -> QuadExt:
-    one = QuadExt(1)
-    return {
-        0: 2 * one,
-        1: one,
-        2: one - GOLDEN,
-        3: -GOLDEN,
-        4: -GOLDEN,
-        5: 0 * one,
-        6: GOLDEN,
-        7: GOLDEN,
-        8: GOLDEN - one,
-        9: -one,
-        10: -2 * one,
-    }[_pm(n, 20)]
-
-
-def _table_sqrt3(n: int) -> QuadExt:
-    one = QuadExt(1)
-    return {
-        0: 2 * one,
-        1: one,
-        2: -SQRT3,
-        3: -one - SQRT3,
-        4: one,
-        5: 2 + SQRT3,
-        6: 0 * one,
-        7: -2 - SQRT3,
-        8: -one,
-        9: one + SQRT3,
-        10: SQRT3,
-        11: -one,
-        12: -2 * one,
-    }[_pm(n, 24)]
 
 
 def _table_sqrt5(n: int) -> QuadExt:
@@ -256,15 +194,23 @@ def _table_sqrt5(n: int) -> QuadExt:
 
 # check id -> (point, residue period, expected psi value as a function of n)
 SPECIAL_TABLES: dict[str, tuple[QPoint, int, Callable[[int], QuadExt]]] = {
-    "PP00": (QPoint(1, 1), 6, _table_1_1),
-    "PP00Q": (QPoint(1, 0), 8, _table_1_0),
-    "PP1A": (QPoint(1, -1), 12, _table_1_m1),
-    "ABAB": (QPoint(1, -2), 2, _table_1_m2),
+    "PP00": _mirrored(QPoint(1, 1), 2, 1, -1, -2),
+    "PP00Q": _mirrored(QPoint(1, 0), 2, 1, 0, -1, -2),
+    "PP1A": _mirrored(QPoint(1, -1), 2, 1, 1, 0, -1, -1, -2),
+    "ABAB": _mirrored(QPoint(1, -2), 2, 1),
     "DA": (QPoint(1, 2), 4, _table_1_2),
-    "root2": (QPoint(QuadExt(1), SQRT2), 16, _table_sqrt2),
-    "phi": (QPoint(QuadExt(1), GOLDEN - 1), 20, _table_golden),
-    "root3": (QPoint(QuadExt(1), SQRT3), 24, _table_sqrt3),
-    "FL": (QPoint(QuadExt(1), SQRT5), 4, _table_sqrt5),
+    "root2": _mirrored(
+        QPoint(1, SQRT2), 2, 1, -SQRT2, -1 - SQRT2, 0, 1 + SQRT2, SQRT2, -1, -2
+    ),
+    "phi": _mirrored(
+        QPoint(1, GOLDEN - 1),
+        2, 1, 1 - GOLDEN, -GOLDEN, -GOLDEN, 0, GOLDEN, GOLDEN, GOLDEN - 1, -1, -2,
+    ),
+    "root3": _mirrored(
+        QPoint(1, SQRT3),
+        2, 1, -SQRT3, -1 - SQRT3, 1, 2 + SQRT3, 0, -2 - SQRT3, -1, 1 + SQRT3, SQRT3, -1, -2,
+    ),
+    "FL": (QPoint(1, SQRT5), 4, _table_sqrt5),
 }
 
 
@@ -804,7 +750,13 @@ def _run_gen5(bounds, rng) -> Iterator[Case]:
             )
 
 
-def _closed_form_runner(point_id: tuple[int, int]) -> Callable:
+def _closed_form_runner(
+    point_id: tuple[int, int], top: tuple[str, Callable[[int], int]] | None = None
+) -> Callable:
+    """Runner of a closed-form triangle check: every entry against
+    omega_closed, then, when `top` = (label, value of n) is given, the top
+    entry against that claim."""
+
     def run(bounds, rng) -> Iterator[Case]:
         point = QPoint(*point_id)
         label = str(point)
@@ -818,22 +770,11 @@ def _closed_form_runner(point_id: tuple[int, int]) -> Callable:
                         lambda: table.entry(r, k),
                         QuadExt(omega_closed(point_id, r, k, n)),
                     )
-            if point_id == (0, -1):
+            if top is not None:
                 yield (
-                    {"point": label, "n": n, "claim": "top=ff"},
+                    {"point": label, "n": n, "claim": top[0]},
                     lambda: table.top(),
-                    QuadExt(falling_factorial(n)),
-                )
-            if point_id == (1, -2):
-                explicit = 2 ** K
-                term = n + delta(n - 1) - 2
-                while term >= 1:
-                    explicit *= term
-                    term -= 2
-                yield (
-                    {"point": label, "n": n, "claim": "descending-odds"},
-                    lambda: table.top(),
-                    QuadExt(explicit),
+                    QuadExt(top[1](n)),
                 )
 
     return run
@@ -843,7 +784,10 @@ _register(
     "AU5", "closed product form of the triangle at (1, -2)",
     "n up to nmax; all entries", touches_omega=True,
     quick={"nmax": 24}, full={"nmax": 40}, tiny={"nmax": 10},
-)(_closed_form_runner((1, -2)))
+)(_closed_form_runner(
+    (1, -2),
+    ("descending-odds", lambda n: 2 ** (n // 2) * prod(range(n + delta(n - 1) - 2, 0, -2))),
+))
 _register(
     "AU9", "closed product form of the triangle at (1, 2)",
     "n up to nmax; all entries", touches_omega=True,
@@ -853,7 +797,10 @@ _register(
     "AU11", "falling-factorial closed form of the triangle at (0, -1)",
     "n up to nmax; all entries", touches_omega=True,
     quick={"nmax": 24}, full={"nmax": 40}, tiny={"nmax": 10},
-)(_closed_form_runner((0, -1)))
+)(
+    # a lambda, not falling_factorial itself: the name is looked up per call
+    _closed_form_runner((0, -1), ("top=ff", lambda n: falling_factorial(n)))
+)
 
 
 def _ratio_runner(point: QPoint, expected: Callable[[int], object]) -> Callable:

@@ -8,6 +8,7 @@ from quanta.scalars import (
     GOLDEN,
     LocalizationError,
     QuadExt,
+    RADICAND_MAX,
     RingMismatchError,
     SQRT2,
     SQRT5,
@@ -47,6 +48,18 @@ class TestQuadExt:
             QuadExt(0, 1, 12)
         assert is_square_free(30)
         assert not is_square_free(18)
+
+    def test_radicand_above_cap_refused(self):
+        # trial division up to sqrt(d) would not finish for d near 10^30
+        big = 10**30 + 1
+        assert not is_square_free(RADICAND_MAX)  # 2^40, checked at once
+        for build in (
+            lambda: is_square_free(RADICAND_MAX + 1),
+            lambda: QuadExt(0, 1, big),
+            lambda: parse_scalar(f"1*sqrt({big})"),
+        ):
+            with pytest.raises(ValueError, match=f"cap {RADICAND_MAX}"):
+                build()
 
     def test_radicand_mismatch(self):
         with pytest.raises(RingMismatchError):
