@@ -18,10 +18,10 @@ from .sequences import (
     QPoint,
     TheoremViolationError,
     _lift,
-    falling_factorial,
     omega_table,
     omega_top,
     psi_point,
+    second_fundamental,
 )
 from . import primes
 from .verify import REGISTRY, SPECIAL_TABLES, reports_to_csv, run_all, run_check
@@ -35,7 +35,8 @@ EXIT_USAGE = 2
 # top per n up to nmax.  Larger n is refused by both.
 OMEGA_MAX_N = 1024
 # estimated size of a whole exact triangle: (n//2 + 1)(n//2 + 2)/2 entries of
-# about _psi_bits each; (1, 4) at OMEGA_MAX_N, about 2.7e8, fits
+# about _psi_bits each; (1, 4) at OMEGA_MAX_N, about 2.7e8, fits.  With --mod
+# each entry counts _residue_bits instead.
 OMEGA_MAX_BITS = 300_000_000
 PSI_MAX_N = 131072  # `quanta psi`: O(log n) products; (1, 4) takes about 0.03 s, printing included
 PSI_MAX_BITS = 2**18  # estimated size of an exact psi value; (1, 4) at PSI_MAX_N fits
@@ -51,6 +52,18 @@ def _psi_bits(point: QPoint, n: int) -> int:
     _, z, x, d = _lift(point)
     width = max(abs(c).bit_length() for c in (*z, *x))
     return (n // 2) * (width + 1 + (d.bit_length() + 1) // 2)
+
+
+def _residue_bits(point: QPoint, modulus: int) -> int:
+    """Estimated weight of one triangle entry mod m, m w bits wide: each
+    residue counts w + w^2 / 2^11 bits, because reducing and printing it take
+    time quadratic in w (long division, int-to-decimal conversion).  An entry
+    is one residue, two at a quadratic point; at a point with denominators
+    each entry also inverts a power of the scale mod m, which costs about as
+    much as 32 residues."""
+    s, _, _, d = _lift(point)
+    w = modulus.bit_length()
+    return (w + w * w // 2**11) * ((2 if d else 1) + (32 if s != 1 else 0))
 
 
 def _refuse_large_psi(point: QPoint, n: int) -> None:
@@ -106,16 +119,17 @@ def _cmd_omega(args) -> int:
         raise primes.FeasibilityError(f"--n is capped at {OMEGA_MAX_N}; got {args.n}")
     point = parse_point(args.point)
     K = args.n // 2
-    if args.mod is None and (
-        bits := (K + 1) * (K + 2) // 2 * _psi_bits(point, args.n)
-    ) > OMEGA_MAX_BITS:
+    exact = args.mod is None
+    width = _psi_bits(point, args.n) if exact else _residue_bits(point, args.mod)
+    if (bits := (K + 1) * (K + 2) // 2 * width) > OMEGA_MAX_BITS:
         raise primes.FeasibilityError(
-            f"the exact triangle would have about {bits} bits; the cap is {OMEGA_MAX_BITS}"
+            f"the {'exact' if exact else 'residue'} triangle would have about {bits} bits;"
+            f" the cap is {OMEGA_MAX_BITS}"
         )
     if args.k is not None and args.r is None:
         args.r = 0  # stable column by default
     if args.r is not None and args.k is None:
-        raise ScalarParseError("--r requires --k", 0)
+        raise ValueError("--r requires --k")
     if args.r is not None:
         if args.r < 0 or args.k < 0 or args.r + args.k > K:
             _print_progress(f"error: (r, k) outside triangle for n={args.n}")
@@ -171,11 +185,9 @@ def _cmd_table(args) -> int:
     period = _special_period(point)
     rows = []
     for n in range(2, args.nmax + 1):
-        psi = format_scalar(psi_point(point, n))
-        ratio = format_scalar(omega_top(point, n) / falling_factorial(n))
-        rows.append({"n": n, "psi": psi, "ratio": ratio, "class": n % period if period else n})
-        if psi != ratio:
-            _print_progress(f"warning: ratio != psi at n={n}")
+        # the ratio column is psi once second_fundamental has checked it
+        psi = format_scalar(second_fundamental(point, n))
+        rows.append({"n": n, "psi": psi, "ratio": psi, "class": n % period if period else n})
     if args.format == "json":
         print(json.dumps(rows, separators=(",", ":")))
     elif args.format == "csv":

@@ -1,7 +1,8 @@
 """Prime machinery and the arithmetic applications of the sequence engines:
 emergence divisibility, Mersenne / Fermat / perfect-number criteria, the
 combinatorial identity, the harmonic congruence and the divisor-sum
-inequality."""
+inequality.  The emergence checks read the psi-normalized ratio at level
+2p through ``_normalized_ratio``, checked by ``sequences.second_fundamental``."""
 
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from .sequences import (
     omega_top,
     psi_point,
     second_fundamental,
-    second_fundamental_v2,
 )
 
 
@@ -223,6 +223,15 @@ def _as_int(x: QuadExt) -> int:
 EXACT_EMERGENCE_MAX_P = 31
 
 
+def _normalized_ratio(point: QPoint | tuple, p: int) -> int:
+    """omega_0(p | point | 2p) / psi(point, 2p) = p(p+1)...(2p-1), checked by
+    ``second_fundamental`` at level 2p; KernelPointError where psi(point, 2p) = 0."""
+    point = as_point(point)
+    if not second_fundamental(point, 2 * p):
+        raise KernelPointError(f"psi({point}, {2 * p}) = 0")
+    return falling_factorial(2 * p)
+
+
 @dataclass(frozen=True)
 class EmergenceResult:
     """Outcome of one emergence check at (k, point), which ``emergence_check``
@@ -269,7 +278,7 @@ def emergence_check(k: int, point: QPoint | tuple) -> EmergenceResult:
     took_exact = False
     if p <= EXACT_EMERGENCE_MAX_P:
         try:
-            ratio = _as_int(second_fundamental_v2(point, p))
+            ratio = _normalized_ratio(point, p)
         except KernelPointError:
             pass
         else:
@@ -310,7 +319,7 @@ def emergence_combination_check(
     p, q = nth_prime(k), nth_prime(k + 1)
     total = 0
     for point, coeff in zip(points, coeffs):
-        total += coeff * _as_int(second_fundamental_v2(as_point(point), p))
+        total += coeff * _normalized_ratio(point, p)
     return total % q == 0
 
 
@@ -319,7 +328,7 @@ def first_odd_primes_check(k: int, point: QPoint | tuple) -> bool:
     if k < 2:
         raise ValueError("k must be >= 2")
     p = nth_prime(k)
-    ratio = _as_int(second_fundamental_v2(as_point(point), p))
+    ratio = _normalized_ratio(point, p)
     modulus = prod(nth_prime(i) for i in range(2, k + 2))
     return ratio % modulus == 0
 

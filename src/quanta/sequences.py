@@ -12,7 +12,8 @@ and the omega table is the double-indexed triangle
 for a point (z, x), filled by k-levels for 0 <= r+k <= floor(n/2).  The top
 entry omega_0(floor(n/2)) divided by the falling-factorial product
 (n-1)(n-2)...(n-floor(n/2)) recovers psi at the point; that quotient is the
-single most exercised identity in the verification suite.
+single most exercised identity in the verification suite, and
+``second_fundamental`` is the one place that checks it, at level 2n too.
 
 The recurrence runners are generic over any ring whose elements support
 arithmetic with ints (exact scalars, residues, polynomials).  ``_triangle``
@@ -67,13 +68,9 @@ def delta(n: int) -> int:
 
 
 def falling_factorial(n: int) -> int:
-    """(n-1)(n-2)...(n - floor(n/2)), the universal ratio denominator (1 for n <= 0)."""
+    """(n-1)(n-2)...(n - floor(n/2)), the universal ratio denominator (1 for n <= 0);
+    at 2n it is n(n+1)...(2n-1)."""
     return perm(n - 1, n // 2) if n > 0 else 1
-
-
-def rising_product(n: int) -> int:
-    """n(n+1)...(2n-1)."""
-    return prod(range(n, 2 * n))
 
 
 def fibonacci(n: int) -> int:
@@ -562,8 +559,11 @@ def second_fundamental(point: QPoint | tuple, n: int) -> QuadExt:
     """psi at the point, checked equal to omega_0(floor(n/2)) / (n-1)...(n-floor(n/2))
     by comparing the top with psi times that product, with no division.
 
-    A failure raises TheoremViolationError: the ratio, divided out only then,
-    is reported as not integral at an integral point, else as != psi.
+    This is the one comparison of a top with psi times ``falling_factorial``.
+    At level 2n it is also the paper's second form, omega_0(n | point | 2n) /
+    psi(point, 2n) = n(n+1)...(2n-1), wherever psi(point, 2n) != 0.  A failure
+    raises TheoremViolationError: the ratio, divided out only then, is
+    reported as not integral at an integral point, else as != psi.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -574,21 +574,6 @@ def second_fundamental(point: QPoint | tuple, n: int) -> QuadExt:
             raise TheoremViolationError(f"fundamental ratio not integral at point {point}, n={n}")
         raise TheoremViolationError(f"fundamental ratio != psi at point {point}, n={n}")
     return psi
-
-
-def second_fundamental_v2(point: QPoint | tuple, n: int) -> QuadExt:
-    """n(n+1)...(2n-1), checked equal to omega_0(n | point | 2n) / psi(point, 2n)
-    by comparing the top with psi times that product, with no division."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    point = as_point(point)
-    psi = psi_point(point, 2 * n)
-    if not psi:
-        raise KernelPointError(f"psi({point}, {2 * n}) = 0")
-    rising = rising_product(n)
-    if omega_top(point, 2 * n) != psi * rising:
-        raise TheoremViolationError(f"psi-normalized top entry != rising product at {point}, n={n}")
-    return _result(rising, 0, 0)
 
 
 def _power_sum_quotient(x: int, y: int, n: int) -> int | None:
@@ -620,9 +605,7 @@ def sums_of_powers_check(x: int, y: int, n: int) -> bool:
     if val is None:
         return False
     point = QPoint(x * y, -x * x - y * y)
-    if psi_point(point, n) != val:
-        return False
-    if n >= 2 and omega_top(point, n) != falling_factorial(n) * val:
+    if (second_fundamental(point, n) if n >= 2 else psi_point(point, n)) != val:
         return False
     return _power_sum_expansion(x, y, n) == x**n + y**n
 

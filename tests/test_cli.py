@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quanta import cli, primes
+from quanta import cli, primes, sequences
 from quanta.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main, parse_point
 from quanta.scalars import QuadExt, SQRT2, ScalarParseError, parse_scalar, reduce_mod
 from quanta.sequences import QPoint, omega_table, psi_point
@@ -256,6 +256,21 @@ class TestOmegaCommand:
         assert out == ""
         assert err.startswith("error: --n is capped at 1024")
 
+    @pytest.mark.parametrize("n, modulus", [(64, "1" + "0" * 100_000), (1024, "7" * 100_000)])
+    def test_wide_modulus_is_refused(self, capsys, n, modulus):
+        # residues as wide as the modulus: n = 64 with 10^100000 once printed 27 MB in 45 s
+        argv = ["omega", "--point", "1,4", "--n", str(n), "--mod", modulus]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: the residue triangle would have about")
+
+    def test_residue_weight_counts_components_and_inverses(self):
+        m = 10**300
+        weight = cli._residue_bits(parse_point("1,4"), m)
+        assert weight == 997 + 997 * 997 // 2**11
+        assert cli._residue_bits(parse_point("1,1*sqrt(2)"), m) == 2 * weight
+        assert cli._residue_bits(parse_point("1/3,1"), m) == 33 * weight
+
     def test_cap_is_inclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "OMEGA_MAX_N", 7)
         argv = ["omega", "--point", "1,1", "--k", "3", "--n"]
@@ -467,6 +482,19 @@ class TestTableCommand:
         )
         assert out.splitlines()[0] == "n,psi,ratio,class"
         assert all(line.split(",")[1] == "1" for line in out.splitlines()[1:])
+
+    def test_wrong_ratio_is_a_violation(self, capsys, monkeypatch):
+        # omega_top one too high at n = 5: the ratio there is not psi
+        top = sequences.omega_top
+
+        def mutant(point, n, modulus=None):
+            return top(point, n, modulus) + (n == 5)
+
+        for module in (sequences, cli):
+            monkeypatch.setattr(module, "omega_top", mutant)
+        code, out, err = run_cli(capsys, "table", "--point", "1,4", "--nmax", "8")
+        assert (code, out) == (EXIT_VIOLATION, "")
+        assert err.startswith("violation: fundamental ratio")
 
     def test_nmax_above_cap_is_refused(self, capsys, monkeypatch):
         code, out, err = run_cli(capsys, "table", "--point", "1,4", "--nmax", "1025")

@@ -1,4 +1,4 @@
-"""Mutation matrix: twenty-four faults injected at the boundaries of the
+"""Mutation matrix: twenty-three faults injected at the boundaries of the
 integer lift, the expansion coefficients, the ratio denominators, polynomial
 evaluation, the directional derivative, the modular values, the exact values
 at integral, scaled rational and quadratic points, the fundamental ratio, the
@@ -169,7 +169,6 @@ MUTANTS = {
     "dir_derivative +1 at times=1": ("dir_derivative", _plus_one_at_one_step),
     "falling_factorial +1 at n=7": ("falling_factorial", _plus_one_at(7)),
     "falling_factorial +1 at n=10": ("falling_factorial", _plus_one_at(10)),
-    "rising_product +1 at n=5": ("rising_product", _plus_one_at(5)),
     "second_fundamental +1 at n=7": ("second_fundamental", _ratio_plus_one_at_n7),
     "lucas +1 at n=8": ("lucas", _plus_one_at(8)),
     "fibonacci +1 at n=7": ("fibonacci", _plus_one_at(7)),

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quanta import sequences
+from quanta.primes import _normalized_ratio
 from quanta.scalars import (
     GOLDEN,
     LocalizationError,
@@ -46,9 +47,7 @@ from quanta.sequences import (
     psi_expansion_identity_check,
     psi_point,
     psi_rec,
-    rising_product,
     second_fundamental,
-    second_fundamental_v2,
     sums_of_powers_check,
 )
 from quanta.polynomials import dir_derivative, psi_bipoly
@@ -634,25 +633,30 @@ class TestSecondFundamental:
             second_fundamental(QPoint(Fraction(1, 2), Fraction(-2, 3)), 7)
         assert second_fundamental(QPoint(1, 1), 6) == psi_point(QPoint(1, 1), 6)
 
-    def test_v2_wrong_rising_product_is_reported(self, monkeypatch):
-        rising = sequences.rising_product
+    def test_level_2n_wrong_normalizer_is_reported(self, monkeypatch):
+        # falling_factorial one too high at 2n = 10: the level-2n normalizer
+        # n(n+1)...(2n-1) is wrong at n = 5
+        falling = sequences.falling_factorial
         monkeypatch.setattr(
-            sequences, "rising_product", lambda n: rising(n) + 1 if n == 5 else rising(n)
+            sequences, "falling_factorial", lambda n: falling(n) + 1 if n == 10 else falling(n)
         )
-        with pytest.raises(TheoremViolationError, match="!= rising product"):
-            second_fundamental_v2(QPoint(1, 1), 5)
-        assert second_fundamental_v2(QPoint(1, 1), 4) == rising(4)
+        with pytest.raises(TheoremViolationError, match="fundamental ratio"):
+            _normalized_ratio(QPoint(1, 1), 5)
+        assert _normalized_ratio(QPoint(1, 1), 4) == falling(8)
 
-    def test_v2_unit_point(self):
-        assert second_fundamental_v2(QPoint(1, 1), 3) == 60
-        assert second_fundamental_v2(QPoint(1, 1), 3) == rising_product(3)
+    def test_level_2n_unit_point(self):
+        # the paper's second form at n = 3: omega_0(3 | 1,1 | 6) / psi(1,1,6) = 3*4*5
+        assert omega_top(QPoint(1, 1), 6) == 60 * second_fundamental(QPoint(1, 1), 6)
+        assert _normalized_ratio(QPoint(1, 1), 3) == 60
+        assert _normalized_ratio(QPoint(1, 1), 3) == falling_factorial(6)
 
-    def test_v2_trivial_point(self):
-        assert second_fundamental_v2(QPoint(0, -1), 2) == 6
+    def test_level_2n_trivial_point(self):
+        assert _normalized_ratio(QPoint(0, -1), 2) == 6
 
-    def test_v2_kernel_point(self):
+    def test_level_2n_kernel_point(self):
+        assert second_fundamental(QPoint(1, 0), 2) == 0  # psi(1,0,2) = 0
         with pytest.raises(KernelPointError):
-            second_fundamental_v2(QPoint(1, 0), 1)  # psi(1,0,2) = 0
+            _normalized_ratio(QPoint(1, 0), 1)
 
 
 class TestSumsOfPowers:
@@ -720,8 +724,10 @@ class TestHelpers:
         assert falling_factorial(7) == 6 * 5 * 4
         assert falling_factorial(1) == 1
 
-    def test_rising_product(self):
-        assert rising_product(3) == 3 * 4 * 5
+    def test_falling_factorial_at_2n(self):
+        # (2n-1)...(2n-n) is the rising product n(n+1)...(2n-1)
+        assert falling_factorial(6) == 3 * 4 * 5
+        assert all(falling_factorial(2 * n) == prod(range(n, 2 * n)) for n in range(1, 40))
 
     def test_fib_lucas(self):
         assert [fibonacci(n) for n in range(7)] == [0, 1, 1, 2, 3, 5, 8]
