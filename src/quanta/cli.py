@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import log, log2
 from pathlib import Path
 
 from .scalars import ScalarParseError, format_scalar, is_square_free, parse_scalar
@@ -30,47 +31,48 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-# `quanta omega` builds the whole triangle even for one entry, and its JSON
-# grows as about n^3 (73 MB at (1, 4), n = 1000); `quanta table` computes one
-# top per n up to nmax.  Larger n is refused by both.
-OMEGA_MAX_N = 1024
-# estimated size of a whole exact triangle: (n//2 + 1)(n//2 + 2)/2 entries of
-# about _psi_bits each; (1, 4) at OMEGA_MAX_N, about 2.7e8, fits.  With --mod
-# each entry counts _residue_bits instead.
-OMEGA_MAX_BITS = 300_000_000
-PSI_MAX_N = 131072  # `quanta psi`: O(log n) products; (1, 4) takes about 0.03 s, printing included
-PSI_MAX_BITS = 2**18  # estimated size of an exact psi value; (1, 4) at PSI_MAX_N fits
-# p - 2 p-bit squarings in psi_point's tail and in lucas_lehmer; p = 11213 takes about 7 s
-MERSENNE_MAX_P = 11213
-# the top entry at level 2 p_k, p_2048 = 17863; (10^9, 1) takes about 4 s
-EMERGE_MAX_K = 2048
+BUDGET_S = 6.8  # seconds; `mersenne 11213`, kept until shift-add reduction, is estimated at 6.74
 
 
-def _psi_bits(point: QPoint, n: int) -> int:
-    """Estimated bit length of the exact psi(point, n): n // 2 steps, each
-    about one lifted component long, sqrt(d) counted as half of d's bits."""
-    _, z, x, d = _lift(point)
-    width = max(abs(c).bit_length() for c in (*z, *x))
-    return (n // 2) * (width + 1 + (d.bit_length() + 1) // 2)
-
-
-def _residue_bits(point: QPoint, modulus: int) -> int:
-    """Estimated weight of one triangle entry mod m, m w bits wide: each
-    residue counts w + w^2 / 2^11 bits, because reducing and printing it take
-    time quadratic in w (long division, int-to-decimal conversion).  An entry
-    is one residue, two at a quadratic point; at a point with denominators
-    each entry also inverts a power of the scale mod m, which costs about as
-    much as 32 residues."""
-    s, _, _, d = _lift(point)
-    w = modulus.bit_length()
-    return (w + w * w // 2**11) * ((2 if d else 1) + (32 if s != 1 else 0))
-
-
-def _refuse_large_psi(point: QPoint, n: int) -> None:
-    if (bits := _psi_bits(point, n)) > PSI_MAX_BITS:
+def _refuse_over_budget(command: str, *ops: tuple) -> None:
+    """Raise FeasibilityError, before a command computes, when ``ops``, each
+    (count, bit width, kind), are estimated past BUDGET_S.  An op costs c0 plus
+    c1 w^1.585 for a "product" (Karatsuba) or c2 w^2 for a "reduction" (%, //,
+    gcd, to decimal; pow(x, -1, m) is 45); a pair (w, v), w bits by v fewer, costs
+    c1 w v^0.585 or c2 w max(v, 1000).  Python 3.11.7, 2-core x86-64 VM: c0 = 1e-6
+    (`emerge 2048`'s 17,863 small steps 0.015-0.019 s), c1 = 3e-11 (2^20-bit product
+    0.105 s), c2 = 1.75e-12 (% of 2^21 by 2^20 bits 1.92 s, str of 2^20 bits 1.58 s,
+    % of 400,000 by 332 bits 0.5 ms); pow(x, -1, m) 35-47 % at 2^14-2^17 bits."""
+    seconds = 0.0
+    for count, width, kind in ops:  # clamped: a negative n is the engine's error
+        w, v = (min(max(b, 0), 1e30) for b in (width if isinstance(width, tuple) else (width,) * 2))
+        cost = 3e-11 * w * v**0.585 if kind == "product" else 1.75e-12 * w * max(v, 1000)
+        seconds += min(max(count, 0), 1e30) * (1e-6 + cost)
+    if seconds > BUDGET_S:
         raise primes.FeasibilityError(
-            f"exact psi would have about {bits} bits; the cap is {PSI_MAX_BITS}"
+            f"{command} would take about {seconds:.3g} s; the budget is {BUDGET_S:g} s"
         )
+
+
+def _value_ops(point: QPoint, n: int, modulus=None, tops=0, entries=0) -> list:
+    """Ops of psi(point, n) and ``tops`` omega tops, one value printed, or of a
+    triangle of ``entries``, all printed; the README derives each count."""
+    s, z, x, d = _lift(point)
+    u = max(abs(c).bit_length() for c in (s, *z, *x)) + 1 + (d.bit_length() + 1) // 2
+    parts, scaled, K, printed = 1 + (d > 0), int(s > 1), max(n, 0) // 2, entries or 1
+    if modulus is not None:
+        w, steps = modulus.bit_length(), K.bit_length()
+        work = (6 * parts**2 + 2 * parts + 2) * steps + 2 * parts * (parts + 1) * entries
+        unlift = printed * (parts + scaled * (45 + steps))
+        return [(work + unlift, w, "reduction"), (7 + scaled * printed, (u, w), "reduction")]
+    v = u + n.bit_length() * (tops + entries > 0)
+    w = K * v
+    printing = printed * (parts + (3 * parts + 2) * scaled) + parts * scaled * tops
+    return [
+        (2 * parts**2 * (K * tops + entries), (w // 2, v), "product"),
+        (6 * parts**2 + (parts + 2 * scaled) * (tops + 1), w, "product"),
+        (printing, w // 2 if entries else w, "reduction"),
+    ]
 
 
 def parse_point(text: str) -> QPoint:
@@ -104,56 +106,51 @@ def _print_progress(message: str) -> None:
 
 
 def _cmd_psi(args) -> int:
-    if args.n > PSI_MAX_N:
-        raise primes.FeasibilityError(f"--n is capped at {PSI_MAX_N}; got {args.n}")
     point = parse_point(args.point)
-    # residues stay below --mod; only an exact value can outgrow memory
-    if args.mod is None:
-        _refuse_large_psi(point, args.n)
+    _refuse_over_budget("psi", *_value_ops(point, args.n, args.mod))
     print(psi_point(point, args.n, args.mod))
     return EXIT_OK
 
 
 def _cmd_omega(args) -> int:
-    if args.n > OMEGA_MAX_N:
-        raise primes.FeasibilityError(f"--n is capped at {OMEGA_MAX_N}; got {args.n}")
     point = parse_point(args.point)
-    K = args.n // 2
-    exact = args.mod is None
-    width = _psi_bits(point, args.n) if exact else _residue_bits(point, args.mod)
-    if (bits := (K + 1) * (K + 2) // 2 * width) > OMEGA_MAX_BITS:
-        raise primes.FeasibilityError(
-            f"the {'exact' if exact else 'residue'} triangle would have about {bits} bits;"
-            f" the cap is {OMEGA_MAX_BITS}"
-        )
+    K = max(args.n, 0) // 2  # the whole triangle is built, even for one entry
+    entries = (K + 1) * (K + 2) // 2
+    _refuse_over_budget("omega", *_value_ops(point, args.n, args.mod, entries=entries))
     if args.k is not None and args.r is None:
         args.r = 0  # stable column by default
     if args.r is not None and args.k is None:
         raise ValueError("--r requires --k")
-    if args.r is not None:
-        if args.r < 0 or args.k < 0 or args.r + args.k > K:
-            _print_progress(f"error: (r, k) outside triangle for n={args.n}")
-            return EXIT_USAGE
-        table = omega_table(point, args.n, modulus=args.mod)
-        print(table.entry(args.r, args.k))
-        return EXIT_OK
+    if args.r is not None and (args.r < 0 or args.k < 0 or args.r + args.k > K):
+        _print_progress(f"error: (r, k) outside triangle for n={args.n}")
+        return EXIT_USAGE
     table = omega_table(point, args.n, modulus=args.mod)
-    print(json.dumps(table.to_dict(), separators=(",", ":")))
+    if args.r is not None:
+        print(table.entry(args.r, args.k))
+    else:
+        print(json.dumps(table.to_dict(), separators=(",", ":")))
     return EXIT_OK
 
 
 def _cmd_mersenne(args) -> int:
-    if args.p > MERSENNE_MAX_P:
-        raise primes.FeasibilityError(f"p is capped at {MERSENNE_MAX_P}; got {args.p}")
+    # p - 2 squarings in each of psi_point's tail and lucas_lehmer, each reduced by %
+    steps = 2 * (args.p - 2)
+    _refuse_over_budget("mersenne", (steps, args.p, "product"), (steps, args.p, "reduction"))
     verdict = primes.mersenne_test(args.p)
     print("prime" if verdict else "composite")
     return EXIT_OK
 
 
 def _cmd_emerge(args) -> int:
-    if args.k > EMERGE_MAX_K:
-        raise primes.FeasibilityError(f"k is capped at {EMERGE_MAX_K}; got {args.k}")
     point = parse_point(args.point)
+    # p_k steps mod p_{k+1} after p_k!, which took 2.0-2.4 times one product of
+    # its halves; above the first primes p_k < k (ln k + ln ln k), so no sieve runs
+    k = min(args.k, 10**30)  # past any budget, and a float below
+    p = primes.nth_prime(k) if 2 <= k <= 31 else k * (log(k) + log(log(k))) if k > 31 else 2
+    steps = [((4 if point.d else 1) * p, log2(p) + 1, "product"), (2.5, p * log2(p) / 2, "product")]
+    # emergence_check's exact ratio, and the top computed again and printed
+    exact = _value_ops(point, 2 * p, tops=2) if p <= primes.EXACT_EMERGENCE_MAX_P else []
+    _refuse_over_budget("emerge", *steps, *exact)
     try:
         result = primes.emergence_check(args.k, point)
     except TheoremViolationError as exc:
@@ -168,21 +165,14 @@ def _cmd_emerge(args) -> int:
     return EXIT_OK
 
 
-def _special_period(point: QPoint) -> int | None:
-    for table_point, period, _ in SPECIAL_TABLES.values():
-        if table_point == point:
-            return period
-    return None
-
-
 def _cmd_table(args) -> int:
-    if args.nmax > OMEGA_MAX_N:
-        raise primes.FeasibilityError(f"--nmax is capped at {OMEGA_MAX_N}; got {args.nmax}")
+    point = parse_point(args.point)
+    # rows cost at least linearly more with n, so sum to under nmax / 2 of the last
+    ops = _value_ops(point, args.nmax, tops=1)
+    _refuse_over_budget("table", *[(c * args.nmax // 2, w, kind) for c, w, kind in ops])
     if args.nmax < 2:
         raise ValueError(f"--nmax must be >= 2; got {args.nmax}")
-    point = parse_point(args.point)
-    _refuse_large_psi(point, args.nmax)
-    period = _special_period(point)
+    period = next((period for q, period, _ in SPECIAL_TABLES.values() if q == point), None)
     rows = []
     for n in range(2, args.nmax + 1):
         # the ratio column is psi once second_fundamental has checked it
@@ -224,16 +214,8 @@ def _cmd_verify(args) -> int:
         if args.id not in REGISTRY:
             _print_progress(f"error: unknown check id {args.id!r}")
             return EXIT_USAGE
-        valid = REGISTRY[args.id].full
-        foreign = [f"--{key}" for key in overrides if key not in valid]
-        if foreign:
-            _print_progress(
-                f"error: {', '.join(foreign)} is not a bound of {args.id} "
-                f"(its bounds: {', '.join(sorted(valid)) or 'none'})"
-            )
-            return EXIT_USAGE
         report = run_check(args.id, overrides, profile=args.profile, seed=args.seed)
-        # bounds the sieve refuses are a usage error, as at the other caps
+        # a bound that a case refuses is a usage error, as the override rule is
         refused = f"{primes.FeasibilityError.__name__}: "
         if report.status == "error" and report.failures[0]["actual"].startswith(refused):
             raise primes.FeasibilityError(report.failures[0]["actual"].removeprefix(refused))

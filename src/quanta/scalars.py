@@ -292,6 +292,19 @@ def divides_int(m: int, x: RationalLike) -> bool:
     return not reduce_mod(x, m)
 
 
+def _localized(x: RationalLike, m: int) -> tuple[QuadExt, int]:
+    """x and the lcm q of its denominators, with ``reduce_mod``'s checks of m."""
+    if m < 2:
+        raise ValueError("modulus must be >= 2")
+    xq = QuadExt._coerce(x)
+    if xq is None:
+        raise TypeError(f"cannot reduce {type(x).__name__}")
+    q = lcm(xq.a.denominator, xq.b.denominator)
+    if gcd(q, m) != 1:
+        raise LocalizationError(f"denominator {q} shares a factor with {m}")
+    return xq, q
+
+
 def reduce_mod(x: RationalLike, m: int) -> QuadExt:
     """The residue of x mod m: a QuadExt with int components in [0, m), and
     d = 0 when the sqrt(d) part vanishes mod m.
@@ -301,17 +314,9 @@ def reduce_mod(x: RationalLike, m: int) -> QuadExt:
     of q mod m.  It is computed from x alone, not through the lift that
     every modular kernel shares, so it is their independent reference.
     """
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    xq = QuadExt._coerce(x)
-    if xq is None:
-        raise TypeError(f"cannot reduce {type(x).__name__}")
-    a, b = xq.a, xq.b
-    q = lcm(a.denominator, b.denominator)
-    if gcd(q, m) != 1:
-        raise LocalizationError(f"denominator {q} shares a factor with {m}")
+    xq, q = _localized(x, m)
     qinv = pow(q, -1, m)
-    u, v = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+    u, v = (c.numerator * (q // c.denominator) for c in (xq.a, xq.b))
     return _result(u * qinv % m, v * qinv % m, xq.d)
 
 

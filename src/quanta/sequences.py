@@ -45,7 +45,7 @@ from itertools import islice
 from math import comb, factorial, lcm, perm, prod
 from typing import Iterator, Union
 
-from .scalars import QuadExt, _result, format_scalar, reduce_mod
+from .scalars import QuadExt, _localized, _result, format_scalar
 
 Scalar = Union[int, Fraction, QuadExt]
 
@@ -160,8 +160,8 @@ def _reduced_lift(point: QPoint, modulus: int | None):
     is refused with ``reduce_mod``'s error.  psi and every triangle start here."""
     if modulus is None:
         return _lift(point)
-    reduce_mod(point.alpha, modulus)
-    reduce_mod(point.beta, modulus)
+    _localized(point.alpha, modulus)
+    _localized(point.beta, modulus)
     s, z, x, d = _lift(point)
     return s, tuple(c % modulus for c in z), tuple(c % modulus for c in x), d
 

@@ -126,6 +126,8 @@ class TheoremReport:
 
 
 MAX_FAILURES_RECORDED = 10
+# run_check's cap on prod(max(1, override / full bound)); k00 at 4x took 5.6 s
+OVERRIDE_MAX_SCALE = 4
 
 
 # (params, fn, expected): the case passes when fn() == expected
@@ -867,7 +869,9 @@ def _run_u14(bounds, rng) -> Iterator[Case]:
     quick={"pset": [5, 7]}, full={"pset": [5, 7, 11]}, tiny={"pset": [5]},
 )
 def _run_u16(bounds, rng) -> Iterator[Case]:
-    for p in bounds["pset"]:
+    for p in bounds["pset"]:  # bounded as ABCD12's: the tables grow as 2^p
+        if p > (cap := primes.MERSENNE_EXACT_MAX_P):
+            raise primes.FeasibilityError(f"exact path is bounded at p <= {cap}")
         n = 1 << (p - 1)
         yield (
             {"p": p},
@@ -1089,7 +1093,8 @@ def run_check(
     """Run one registered check with profile bounds plus overrides.
 
     An override key must be a bound of the check's profiles; any other key
-    raises ValueError, as does a profile other than quick or full.
+    raises ValueError, as does a profile other than quick or full, and
+    overrides past OVERRIDE_MAX_SCALE raise FeasibilityError.
     """
     if id not in REGISTRY:
         raise KeyError(f"unknown check id {id!r}")
@@ -1101,6 +1106,14 @@ def run_check(
         raise ValueError(
             f"{', '.join(foreign)} is not a bound of {id} "
             f"(its bounds: {', '.join(sorted(allowed)) or 'none'})"
+        )
+
+    def largest(bound):  # a list bound compares its largest element
+        return max(bound, default=0) if isinstance(bound, list) else bound
+    scale = prod(max(1, largest(v) / largest(check.full[k])) for k, v in (overrides or {}).items())
+    if scale > OVERRIDE_MAX_SCALE:
+        raise primes.FeasibilityError(
+            f"{id}: product of max(1, override / full bound) is {scale:.3g} > {OVERRIDE_MAX_SCALE}"
         )
     base = check.quick if profile == "quick" else check.full
     bounds = dict(base or check.full)

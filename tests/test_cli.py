@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +21,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def estimate(capsys, *argv):
+    """The seconds a command is estimated to take, read from its refusal;
+    the caller sets ``cli.BUDGET_S`` to 0 first."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    return float(err.split(" would take about ")[1].split(" s; ")[0])
 
 
 # argv (split on spaces) -> stdout, or the SHA-256 of a long stdout, stderr
@@ -98,28 +107,20 @@ class TestPsiCommand:
         assert code == EXIT_OK, err
         assert len(out.strip().lstrip("-")) > 4300
 
-    @pytest.mark.parametrize(
-        "point, extra, bits",
-        [
-            ("1000000000,1", (), 2031616),
-            ("1000000000,1*sqrt(2)", (), 2097152),
-        ],
-    )
-    def test_value_above_bit_cap_is_refused(self, capsys, point, extra, bits):
-        # n is within PSI_MAX_N, but each of the n steps would multiply
-        # numbers of about a million bits
+    @pytest.mark.parametrize("point", ["1000000000,1", "1000000000,1*sqrt(2)"])
+    def test_value_over_budget_is_refused(self, capsys, point):
+        # the exact value has about two million bits, and printing it alone
+        # would take seconds
         start = time.perf_counter()
-        argv = ["psi", "--point", point, "--n", str(cli.PSI_MAX_N), *extra]
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, "psi", "--point", point, "--n", "131072")
         assert time.perf_counter() - start < 1
         assert (code, out) == (EXIT_USAGE, "")
-        cap = cli.PSI_MAX_BITS
-        assert err == f"error: exact psi would have about {bits} bits; the cap is {cap}\n"
+        assert err.startswith("error: psi would take about ")
+        assert err.endswith(f" s; the budget is {cli.BUDGET_S:g} s\n")
 
-    def test_bit_cap_spares_residues_and_small_points(self, capsys):
-        # with --mod, rational and quadratic points run on residues and keep
-        # only the --n cap
-        argv = ["psi", "--point", "1000000000,1", "--n", str(cli.PSI_MAX_N), "--mod", "1000003"]
+    def test_budget_spares_residues_and_small_points(self, capsys):
+        # with --mod, rational and quadratic points run on residues
+        argv = ["psi", "--point", "1000000000,1", "--n", "131072", "--mod", "1000003"]
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert out.strip().isdigit()
@@ -127,12 +128,11 @@ class TestPsiCommand:
         start = time.perf_counter()
         assert run_cli(capsys, *argv) == (EXIT_OK, "16689\n", "")
         assert time.perf_counter() - start < 1
-        assert cli._psi_bits(QPoint(1, 4), cli.PSI_MAX_N) == cli.PSI_MAX_BITS
 
     def test_quadratic_residue_at_the_cap_is_fast(self, capsys):
         # the exact value has about 327680 bits; its residue needs none of them
         start = time.perf_counter()
-        argv = ["psi", "--point", "3,7*sqrt(2)", "--n", str(cli.PSI_MAX_N), "--mod", "1000003"]
+        argv = ["psi", "--point", "3,7*sqrt(2)", "--n", "131072", "--mod", "1000003"]
         assert run_cli(capsys, *argv) == (EXIT_OK, "799832\n", "")
         assert time.perf_counter() - start < 1
 
@@ -140,7 +140,7 @@ class TestPsiCommand:
         # the lift is reduced mod m first, so a 3000-digit alpha costs what a
         # small one does; 746411 was checked by a hand loop over pairs mod m
         start = time.perf_counter()
-        argv = ["psi", "--point", f"{10**3000},1*sqrt(2)", "--n", str(cli.PSI_MAX_N)]
+        argv = ["psi", "--point", f"{10**3000},1*sqrt(2)", "--n", "131072"]
         assert run_cli(capsys, *argv, "--mod", "1000003") == (EXIT_OK, "746411\n", "")
         assert time.perf_counter() - start < 1
 
@@ -157,21 +157,15 @@ class TestPsiCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: denominator 7 shares a factor with 7\n"
 
-    @pytest.mark.parametrize("extra", [(), ("--mod", "1000003")])
-    def test_n_above_cap_is_refused(self, capsys, extra):
+    def test_large_n_is_refused_only_when_exact(self, capsys):
+        # a residue takes O(log n) steps of the modulus' width
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "psi", "--point", "1,4", "--n", "100000000", *extra)
+        code, out, err = run_cli(capsys, "psi", "--point", "1,4", "--n", "100000000")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: psi would take about ")
+        code, out, _ = run_cli(capsys, "psi", "--point", "1,4", "--n", "100000000", "--mod", "1000003")
+        assert code == EXIT_OK and out.strip().isdigit()
         assert time.perf_counter() - start < 1
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err.startswith(f"error: --n is capped at {cli.PSI_MAX_N}")
-
-    def test_cap_is_inclusive(self, capsys):
-        argv = ["psi", "--point", "1,4", "--mod", "1000003", "--n"]
-        code, out, _ = run_cli(capsys, *argv, str(cli.PSI_MAX_N))
-        assert code == EXIT_OK
-        assert out.strip().isdigit()
-        assert run_cli(capsys, *argv, str(cli.PSI_MAX_N + 1))[0] == EXIT_USAGE
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "psi", "--point", "1,,2", "--n", "3")
@@ -249,12 +243,13 @@ class TestOmegaCommand:
         assert code == EXIT_USAGE
 
     @pytest.mark.parametrize("extra", [(), ("--r", "0", "--k", "3")])
-    def test_n_above_cap_is_refused(self, capsys, extra):
-        argv = ["omega", "--point", "1,1", "--n", "1025", *extra]
+    def test_large_n_is_refused(self, capsys, extra):
+        # the whole triangle is built even for one entry
+        argv = ["omega", "--point", "1,1", "--n", "8192", *extra]
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.startswith("error: --n is capped at 1024")
+        assert err.startswith("error: omega would take about ")
 
     @pytest.mark.parametrize("n, modulus", [(64, "1" + "0" * 100_000), (1024, "7" * 100_000)])
     def test_wide_modulus_is_refused(self, capsys, n, modulus):
@@ -262,22 +257,17 @@ class TestOmegaCommand:
         argv = ["omega", "--point", "1,4", "--n", str(n), "--mod", modulus]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, "")
-        assert err.startswith("error: the residue triangle would have about")
+        assert err.startswith("error: omega would take about ")
 
-    def test_residue_weight_counts_components_and_inverses(self):
-        m = 10**300
-        weight = cli._residue_bits(parse_point("1,4"), m)
-        assert weight == 997 + 997 * 997 // 2**11
-        assert cli._residue_bits(parse_point("1,1*sqrt(2)"), m) == 2 * weight
-        assert cli._residue_bits(parse_point("1/3,1"), m) == 33 * weight
-
-    def test_cap_is_inclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "OMEGA_MAX_N", 7)
-        argv = ["omega", "--point", "1,1", "--k", "3", "--n"]
-        assert run_cli(capsys, *argv, "7")[:2] == (EXIT_OK, "120\n")
-        code, _, err = run_cli(capsys, *argv, "8")
-        assert code == EXIT_USAGE
-        assert "capped at 7" in err
+    def test_estimate_counts_components_and_inverses(self, capsys, monkeypatch):
+        # a quadratic entry is two residues; at a point with denominators
+        # every entry also inverts a power of the scale mod m
+        monkeypatch.setattr(cli, "BUDGET_S", 0.0)
+        estimates = [
+            estimate(capsys, "omega", "--point", point, "--n", "64", "--mod", str(10**300))
+            for point in ("1,4", "1,1*sqrt(2)", "1/3,1")
+        ]
+        assert estimates == sorted(estimates) and len(set(estimates)) == 3
 
 
 class TestVerifyCommand:
@@ -307,7 +297,7 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: ")
-        assert flag in err and valid in err
+        assert flag[2:] in err and valid in err
 
     def test_crashing_check_exits_with_violation(self, capsys, monkeypatch):
         def crashing(bounds, rng):
@@ -336,15 +326,23 @@ class TestVerifyCommand:
         assert out.startswith("ERROR   G4 ")
         assert out.endswith("first: {'stage': 'sweep'}  ValueError: bad grid\n")
 
-    def test_bound_beyond_the_sieve_cap_exits_with_usage(self, capsys):
-        # one above the sieve cap: refused before sieving anything, as the
-        # other caps are; run_check itself still reports it as an error
+    def test_override_past_the_rule_exits_with_usage(self, capsys):
+        # one above the sieve cap is 168 times lagarias' full nmax: refused
+        # by run_check's override rule before anything runs
         nmax = str(primes.SIEVE_MAX_LIMIT + 1)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", "lagarias", "--nmax", nmax)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == f"error: {nmax} is beyond the sieve cap {primes.SIEVE_MAX_LIMIT}\n"
+        assert err == "error: lagarias: product of max(1, override / full bound) is 168 > 4\n"
+
+    def test_bound_refused_inside_the_run_exits_with_usage(self, capsys, monkeypatch):
+        # a FeasibilityError raised by a case is a usage error too; unpatched,
+        # G4 --nmax 13 computes for seconds before it reaches this bound
+        monkeypatch.setattr(primes, "FERMAT_MAX_N", 3)
+        code, out, err = run_cli(capsys, "verify", "G4", "--nmax", "4")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: exact path is bounded at n <= 3\n"
 
     @pytest.mark.parametrize(
         "id, flag, value",
@@ -408,17 +406,12 @@ class TestMersenneCommand:
         code, _, _ = run_cli(capsys, "mersenne", "9")
         assert code == EXIT_USAGE
 
-    def test_p_above_cap_is_refused(self, capsys):
+    def test_p_over_budget_is_refused(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "mersenne", "44497")
         assert time.perf_counter() - start < 1
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == f"error: p is capped at {cli.MERSENNE_MAX_P}; got 44497\n"
-
-    def test_cap_is_inclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MERSENNE_MAX_P", 13)
-        assert run_cli(capsys, "mersenne", "13")[:2] == (EXIT_OK, "prime\n")
-        assert run_cli(capsys, "mersenne", "17")[0] == EXIT_USAGE
+        assert err.startswith("error: mersenne would take about ")
 
 
 class TestEmergeCommand:
@@ -437,12 +430,14 @@ class TestEmergeCommand:
         out = "p61=283 divides Omega0 (residue 0 mod 283) : PASS\n"
         assert run_cli(capsys, "emerge", "60", "--point", "1/2,3") == (EXIT_OK, out, "")
 
-    def test_k_above_cap_is_refused(self, capsys):
+    def test_k_over_budget_is_refused_before_the_sieve(self, capsys):
+        limit = primes._CACHE.limit
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "emerge", "20000", "--point", "2,3")
+        code, out, err = run_cli(capsys, "emerge", "1000000", "--point", "2,3")
         assert time.perf_counter() - start < 1
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == f"error: k is capped at {cli.EMERGE_MAX_K}; got 20000\n"
+        assert err.startswith("error: emerge would take about ")
+        assert primes._CACHE.limit == limit
 
     def test_cost_does_not_grow_with_the_point(self, capsys):
         # the top entry runs on the lift reduced mod p_{k+1}, step by step
@@ -451,11 +446,6 @@ class TestEmergeCommand:
         assert time.perf_counter() - start < 2
         assert (code, err) == (EXIT_OK, "")
         assert out == "p2049=17881 divides Omega0 (residue 0 mod 17881) : PASS\n"
-
-    def test_cap_is_inclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "EMERGE_MAX_K", 15)
-        assert run_cli(capsys, "emerge", "15", "--point", "1,1")[0] == EXIT_OK
-        assert run_cli(capsys, "emerge", "16", "--point", "1,1")[0] == EXIT_USAGE
 
 
 class TestTableCommand:
@@ -496,15 +486,10 @@ class TestTableCommand:
         assert (code, out) == (EXIT_VIOLATION, "")
         assert err.startswith("violation: fundamental ratio")
 
-    def test_nmax_above_cap_is_refused(self, capsys, monkeypatch):
-        code, out, err = run_cli(capsys, "table", "--point", "1,4", "--nmax", "1025")
+    def test_nmax_over_budget_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--point", "1,4", "--nmax", "4096")
         assert (code, out) == (EXIT_USAGE, "")
-        assert err.startswith("error: --nmax is capped at 1024")
-        monkeypatch.setattr(cli, "OMEGA_MAX_N", 7)
-        argv = ["table", "--point", "1,1", "--format", "csv", "--nmax"]
-        code, out, _ = run_cli(capsys, *argv, "7")
-        assert code == EXIT_OK and len(out.splitlines()) == 7  # header + n in [2, 7]
-        assert run_cli(capsys, *argv, "8")[0] == EXIT_USAGE
+        assert err.startswith("error: table would take about ")
 
     def test_nmax_below_two_is_refused_in_every_format(self, capsys):
         for fmt in ("pretty", "json", "csv"):
@@ -513,3 +498,104 @@ class TestTableCommand:
                 code, out, err = run_cli(capsys, *argv)
                 assert (code, out) == (EXIT_USAGE, "")
                 assert err == f"error: --nmax must be >= 2; got {nmax}\n"
+
+
+class _Admitted(Exception):
+    """Raised by a stubbed engine: the command passed its estimate."""
+
+
+def _admitted(*args, **kwargs):
+    raise _Admitted
+
+
+class TestBudget:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify k00 --nmax 1000000",
+            "verify AU7 --nmax 20000",
+            "verify gen2 --kmax 100000",
+            "emerge 3 --point 1/2^400000,7",
+            "psi --point 1/2^400000,7 --n 4 --mod 9x131000",
+            "omega --point 10^1000,1 --n 110",
+        ],
+    )
+    def test_slow_input_is_refused_at_once(self, capsys, argv):
+        # each once ran for 10-26 s; 2^400000, 10^1000 and 9x131000 (131,000
+        # nines) stand for their decimal digits
+        sys.set_int_max_str_digits(0)
+        digits = {"2^400000": str(2**400000), "10^1000": str(10**1000), "9x131000": "9" * 131000}
+        words = argv.split()
+        for short, long in digits.items():
+            words = [word.replace(short, long) for word in words]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *words)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_USAGE, "")
+        if words[0] == "verify":
+            assert err.startswith(f"error: {words[1]}: product of max(1, override / full bound) is ")
+        else:
+            assert err.startswith(f"error: {words[0]} would take about ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "emerge {big} --point 1,4",
+            "table --point 1,4 --nmax {big}",
+            "mersenne {big}",
+            "omega --point 1,4 --n {big}",
+        ],
+    )
+    def test_huge_input_is_refused(self, capsys, argv):
+        # argparse takes any int; the estimate clamps it instead of overflowing a float
+        code, out, err = run_cli(capsys, *argv.format(big=10**400).split())
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: {argv.split()[0]} would take about ")
+
+    @pytest.mark.parametrize(
+        "argv, module, engine",
+        [
+            ("psi --point 1,4 --n 131072", cli, "psi_point"),
+            ("psi --point 1,4 --n 131071 --mod 1000003", cli, "psi_point"),
+            ("psi --point 1,4 --n 16 --mod 31", cli, "psi_point"),
+            ("omega --point 1,4 --n 1024 --k 3", cli, "omega_table"),
+            ("omega --point 1,1 --n 6 --k 3 --mod 5", cli, "omega_table"),
+            (f"emerge 2048 --point {10**60},1", primes, "emergence_check"),
+            ("mersenne 13", primes, "mersenne_test"),
+            ("mersenne 4423", primes, "mersenne_test"),
+            ("mersenne 4447", primes, "mersenne_test"),
+            ("mersenne 11213", primes, "mersenne_test"),
+        ],
+    )
+    def test_pinned_input_is_admitted(self, monkeypatch, argv, module, engine):
+        # CI runs these; mersenne 11213 stays until the chains reduce by shift-add
+        monkeypatch.setattr(module, engine, _admitted)
+        with pytest.raises(_Admitted):
+            main(argv.split())
+
+    @pytest.mark.parametrize(
+        "small, large",
+        [
+            ("psi --point 1,4 --n 16", "psi --point 1,4 --n 4096"),
+            ("psi --point 1/2,3 --n 9 --mod 7", "psi --point 1/2,3 --n 9 --mod 1" + "0" * 40 + "1"),
+            ("omega --point 1,1 --k 3 --n 7", "omega --point 1,1 --k 3 --n 8"),
+            ("mersenne 13", "mersenne 17"),
+            ("emerge 15 --point 1,1", "emerge 16 --point 1,1"),
+            ("table --point 1,1 --format csv --nmax 7", "table --point 1,1 --format csv --nmax 8"),
+        ],
+    )
+    def test_budget_admits_below_and_refuses_above(self, capsys, monkeypatch, small, large):
+        monkeypatch.setattr(cli, "BUDGET_S", 0.0)
+        low, high = estimate(capsys, *small.split()), estimate(capsys, *large.split())
+        monkeypatch.setattr(cli, "BUDGET_S", (low * high) ** 0.5)
+        assert run_cli(capsys, *small.split())[0] == EXIT_OK
+        code, out, err = run_cli(capsys, *large.split())
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith(f" s; the budget is {cli.BUDGET_S:g} s\n")
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        # one op on a 0-bit int costs c0 = 1e-6 s, the interpreter's step
+        monkeypatch.setattr(cli, "BUDGET_S", 1e-6)
+        cli._refuse_over_budget("psi", (1, 0, "product"))
+        with pytest.raises(primes.FeasibilityError, match="^psi would take about 2e-06 s; the budget is 1e-06 s$"):
+            cli._refuse_over_budget("psi", (2, 0, "reduction"))

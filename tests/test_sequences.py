@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quanta import sequences
+from quanta import scalars, sequences
 from quanta.primes import _normalized_ratio
 from quanta.scalars import (
     GOLDEN,
@@ -242,6 +242,22 @@ class TestModularLift:
                 for r in range(n // 2 - k + 1):
                     want = reduce_mod(exact.entry(r, k), m)
                     assert self.residue(table.entry(r, k), m) == want, (n, r, k)
+
+    def test_residue_at_a_scaled_point_inverts_once(self, monkeypatch):
+        # the lift checks m against the denominators without inverting them;
+        # only _unlift inverts the scale power
+        inverses = []
+
+        def counting_pow(base, exp, mod=None):
+            inverses.extend([base] * (exp == -1))
+            return pow(base, exp, mod)
+
+        for module in (sequences, scalars):
+            monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+        point, m = QPoint(Fraction(1, 2**64), 7), 10**40 + 1
+        residue = psi_point(point, 4, m)
+        assert inverses == [2**128]
+        assert residue == reduce_mod(psi_point(point, 4), m)
 
 
 class TestPsiClosed:

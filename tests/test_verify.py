@@ -3,11 +3,13 @@
 import dataclasses
 import hashlib
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from quanta.primes import FeasibilityError
 from quanta.scalars import SQRT2, SQRT3
 from quanta.verify import (
     MAX_FAILURES_RECORDED,
@@ -131,6 +133,39 @@ class TestRunCheck:
     def test_override_must_name_a_bound(self, id, overrides, key):
         with pytest.raises(ValueError, match=f"{key} is not a bound of {id}"):
             run_check(id, overrides)
+
+    @pytest.mark.parametrize(
+        "id, overrides, admitted",
+        [
+            ("k00", {"nmax": 800}, True),  # 4x
+            ("k00", {"nmax": 400, "coord": 6}, True),  # 2x 2x
+            ("k00", {"nmax": 100, "coord": 12}, True),  # below full counts 1x
+            ("k00", {"nmax": 801}, False),
+            ("k00", {"nmax": 800, "coord": 4}, False),  # 4x 1.33x
+            ("gen2", {"kmax": 60}, True),  # perfbench's prime-sweep
+            ("ABCD12", {"pset": [5, 47]}, True),  # a list compares its largest, 47 / 13
+            ("ABCD12", {"pset": [53]}, False),
+        ],
+    )
+    def test_overrides_scale_the_full_bounds_at_most_4_fold(self, monkeypatch, id, overrides, admitted):
+        def no_cases(bounds, rng):
+            return iter(())
+
+        monkeypatch.setitem(REGISTRY, id, dataclasses.replace(REGISTRY[id], runner=no_cases))
+        if admitted:
+            assert run_check(id, overrides).cases_run == 0
+        else:
+            with pytest.raises(FeasibilityError, match="product of max.1, override / full bound. is .* > 4$"):
+                run_check(id, overrides)
+
+    @pytest.mark.parametrize("id", ["ABCD12", "U16"])
+    def test_bound_refused_by_a_case_reports_an_error_at_once(self, id):
+        # p = 17 is within the rule, but beyond the exact Mersenne path
+        start = time.perf_counter()
+        report = run_check(id, {"pset": [17]})
+        assert time.perf_counter() - start < 1
+        assert report.status == "error"
+        assert report.failures[0]["actual"].startswith("FeasibilityError: exact path is bounded")
 
     def test_schema_keys(self):
         report = run_check("G4", {"nmax": 2})
