@@ -62,7 +62,7 @@ def _value_ops(point: QPoint, n: int, modulus=None, tops=0, entries=0) -> list:
     parts, scaled, K, printed = 1 + (d > 0), int(s > 1), max(n, 0) // 2, entries or 1
     if modulus is not None:
         w, steps = modulus.bit_length(), K.bit_length()
-        work = (6 * parts**2 + 2 * parts + 2) * steps + 2 * parts * (parts + 1) * entries
+        work = 2 * parts * (parts + 1) * entries or (6 * parts**2 + 2 * parts + 2) * steps
         unlift = printed * (parts + scaled * (45 + steps))
         return [(work + unlift, w, "reduction"), (7 + scaled * printed, (u, w), "reduction")]
     v = u + n.bit_length() * (tops + entries > 0)
