@@ -138,8 +138,15 @@ def _exact_skips_division(unlift):
     return lambda raw, q, d, modulus=None: unlift(raw, 1 if modulus is None else q, d, modulus)
 
 
-def _modular_skips_inverse(unlift):
-    return lambda raw, q, d, modulus=None: unlift(raw, q if modulus is None else 1, d, modulus)
+def _modular_lift_keeps_the_scale(reduced_lift):
+    def mutant(point, modulus):
+        s, z, x, d = reduced_lift(point, modulus)
+        if modulus is None:
+            return s, z, x, d
+        scale = sequences._lift(point)[0]
+        return s, tuple(c * scale % modulus for c in z), tuple(c * scale % modulus for c in x), d
+
+    return mutant
 
 
 def _lower_end_one_unit_high(harmonic_brackets):
@@ -162,7 +169,7 @@ MUTANTS = {
     "psi_point +1 with a modulus": ("psi_point", _plus_one_with_modulus),
     "psi_point +1 with a modulus at odd n": ("psi_point", _psi_plus_one_with_modulus_at_odd_n),
     "exact _unlift skips its division": ("_unlift", _exact_skips_division),
-    "modular _unlift skips q^-1": ("_unlift", _modular_skips_inverse),
+    "modular lift keeps the scale": ("_reduced_lift", _modular_lift_keeps_the_scale),
     "_expansion_coeff negated at k=1": ("_expansion_coeff", _negated_at_k1),
     "_expansion_coeff +1 at r=K-k": ("_expansion_coeff", _plus_one_at_last_r),
     "UniPoly.evaluate +1 when degree>5": ("UniPoly.evaluate", _plus_one_above_degree5),
