@@ -29,12 +29,12 @@ of Lucas squarings, the Lucas-Lehmer chain at (1, 4); ``psi_rec`` steps the
 recurrence n times and is its reference.  All run in native bigint
 arithmetic on the point's integer lift (``_lift``): ints at a rational
 point, int pairs (u, v) for u + v sqrt(d) at a quadratic one, d = 0 marking
-the int path.  With a modulus m, ``_reduced_lift`` checks m and reduces the
-lift first, and tables and ``psi_point`` reduce as they go, as does
-``_unit_seed_top`` when m is prime to floor(n/2)!.  ``_unlift`` is where a
-value leaves the lift: it divides by the scale's power, exactly or mod m,
-and makes every modular value a QuadExt with int components in [0, m),
-d = 0 at a rational point.
+the int path.  With a modulus m, ``_reduced_lift`` checks m and gives the
+point's residues at scale 1, and tables and ``psi_point`` reduce as they go,
+as does ``_unit_seed_top`` when m is prime to floor(n/2)!.  ``_unlift`` is
+where a value leaves the lift: it divides an exact value by the scale's
+power and reduces a modular one, which needs no division, to a QuadExt
+with int components in [0, m), d = 0 at a rational point.
 """
 
 from __future__ import annotations
@@ -154,8 +154,9 @@ def _lift(point: QPoint) -> tuple[int, tuple[int, int], tuple[int, int], int]:
 
 
 def _reduced_lift(point: QPoint, modulus: int | None):
-    """``_lift(point)``, with a ``modulus`` m its four point components
-    reduced mod m, so modular work costs the same at any point.  m is checked
+    """``_lift(point)``, or with a ``modulus`` m the residues of alpha and beta
+    at scale 1, the lifted components times s^-1 mod m, so modular work costs
+    the same at any point and no modular value is divided.  m is checked
     first: below 2, or sharing a factor with a denominator of the point, it
     is refused with ``reduce_mod``'s error.  psi and every triangle start here."""
     if modulus is None:
@@ -163,18 +164,18 @@ def _reduced_lift(point: QPoint, modulus: int | None):
     _localized(point.alpha, modulus)
     _localized(point.beta, modulus)
     s, z, x, d = _lift(point)
-    return s, tuple(c % modulus for c in z), tuple(c % modulus for c in x), d
+    sinv = pow(s, -1, modulus)
+    return 1, tuple(c * sinv % modulus for c in z), tuple(c * sinv % modulus for c in x), d
 
 
 def _unlift(raw, q: int, d: int, modulus: int | None = None):
     """The lifted value ``raw`` (an int when d = 0, else a pair (u, v) for
-    u + v sqrt(d)) divided by q: an exact QuadExt, or with a ``modulus`` its
-    residue, a QuadExt with int components in [0, m) (d = 0 at a rational point)."""
+    u + v sqrt(d)) divided by q: an exact QuadExt, or with a ``modulus`` (q = 1,
+    the lift's scale) its residue, int components in [0, m), d = 0 at a rational point."""
     u, v = raw if d else (raw, 0)
-    if modulus is None:
-        return _result(u, v, d) if q == 1 else _result(Fraction(u, q), v and Fraction(v, q), d)
-    qinv = pow(q, -1, modulus)
-    return _result(u * qinv % modulus, v * qinv % modulus, d)
+    if modulus is not None:
+        return _result(u % modulus, v % modulus, d)
+    return _result(u, v, d) if q == 1 else _result(Fraction(u, q), v and Fraction(v, q), d)
 
 
 # -- psi --------------------------------------------------------------------
@@ -213,13 +214,13 @@ def psi_point(point: QPoint | tuple, n: int, modulus: int | None = None):
     mod 2^p - 1, Q stays 1 and this tail is the Lucas-Lehmer chain: one
     product a bit against the ladder's two.
     As psi_n(sa, sb) = s^floor(n/2) psi_n(a, b), this runs on the lift (ints,
-    or pairs u + v sqrt(d)), reduced mod m after each step when given, and
-    ``_unlift`` divides once at the end.
+    or pairs u + v sqrt(d)), or mod m on the point's residues at scale 1, reduced
+    after each step, and ``_unlift`` divides an exact value once at the end.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     s, a, b, d = _reduced_lift(as_point(point), modulus)
-    j, m, q = n >> 1, modulus, pow(s, n // 2, modulus)
+    j, m, q = n >> 1, modulus, s ** (n // 2)
     e = (j & -j).bit_length() - 1 if j and not (n & 1 or d) else 0
     bits = bin(j >> e)[2:]
     if not d:
@@ -401,7 +402,7 @@ class Triangle:
 
     A raw entry of level k is homogeneous of degree k in the lifted
     multipliers, so ``entry`` unlifts it by scale^k: an exact QuadExt, or
-    with a ``modulus`` its residue QuadExt (``_unlift``).
+    with a ``modulus`` its residue QuadExt, at scale 1 (``_reduced_lift``).
     """
 
     def __init__(self, point: QPoint, n: int, levels: list, scale: int, modulus: int | None = None):
@@ -418,7 +419,7 @@ class Triangle:
             raise IndexError(f"(r={r}, k={k}) outside triangle for n={self.n}")
         level, d = self._levels[k], self.point.d
         raw = (level[0][r], level[1][r]) if d else level[r]
-        return _unlift(raw, pow(self._scale, k, self.modulus), d, self.modulus)
+        return _unlift(raw, self._scale**k, d, self.modulus)
 
     def top(self):
         """X_0(floor(n/2)); for omega, the numerator of the fundamental ratio."""
@@ -469,14 +470,14 @@ def omega_table(point: QPoint | tuple, n: int, modulus: int | None = None) -> Tr
 def omega_top(point: QPoint | tuple, n: int, modulus: int | None = None):
     """omega_0(floor(n/2)) as the path sum of ``_unit_seed_top``; builds no
     table and equals ``omega_table(point, n, modulus).top()``.  With a
-    ``modulus`` m the kernel runs on the lift reduced mod m and, when m is
+    ``modulus`` m the kernel runs on the point's residues and, when m is
     prime to floor(n/2)!, reduces at every step, so the cost does not grow
     with the point or with n beyond the K steps."""
     weights = _omega_weights(n)
     s, (zu, zv), (xu, xv), d = _reduced_lift(as_point(point), modulus)
     t, z = ((2 * zu - xu, 2 * zv - xv), (zu, zv)) if d else (2 * zu - xu, zu)
     raw = _unit_seed_top(t, z, *weights, d, modulus)
-    return _unlift(raw, pow(s, n // 2, modulus), d, modulus)
+    return _unlift(raw, s ** (n // 2), d, modulus)
 
 
 _CLOSED_FORMS = {(1, -2), (1, 2), (0, -1)}

@@ -846,7 +846,7 @@ def _run_au7(bounds, rng) -> Iterator[Case]:
         yield {"n": n}, verdict, True
 
 
-_KNOWN_MERSENNE_EXPONENTS = {5, 7, 13, 17, 19, 31}
+_KNOWN_MERSENNE_EXPONENTS = {5, 7, 13, 17, 19, 31, 61, 89, 107}  # all in [5, 124], U14's p cap
 
 
 @_register(

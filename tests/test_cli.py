@@ -203,8 +203,8 @@ class TestOmegaCommand:
         ],
     )
     def test_modular_entry_at_scaled_point(self, capsys, point, n, mod, r, k, want):
-        # the entry carries the point's scale to the power k; its inverse mod m
-        # must be applied, so the residue matches reduce_mod of the exact entry
+        # the table runs on the point's residues, not on its scaled lift, so
+        # the entry matches reduce_mod of the exact entry
         argv = ["omega", "--point", point, "--n", n, "--mod", mod, "--r", r, "--k", k]
         assert run_cli(capsys, *argv)[:2] == (EXIT_OK, want + "\n")
         exact = omega_table(parse_point(point), int(n)).entry(int(r), int(k))
@@ -260,14 +260,21 @@ class TestOmegaCommand:
         assert err.startswith("error: omega would take about ")
 
     def test_estimate_counts_components_and_inverses(self, capsys, monkeypatch):
-        # a quadratic entry is two residues; at a point with denominators
-        # every entry also inverts a power of the scale mod m
+        # a quadratic entry is two residues; a point with denominators adds
+        # one inverse of its scale mod m for the whole table
         monkeypatch.setattr(cli, "BUDGET_S", 0.0)
         estimates = [
             estimate(capsys, "omega", "--point", point, "--n", "64", "--mod", str(10**300))
-            for point in ("1,4", "1,1*sqrt(2)", "1/3,1")
+            for point in ("1,4", "1/3,1", "1,1*sqrt(2)")
         ]
         assert estimates == sorted(estimates) and len(set(estimates)) == 3
+        for n in (64, 1024):
+            entries = (n // 2 + 1) * (n // 2 + 2) // 2
+            plain, scaled = (
+                cli._value_ops(parse_point(point), n, 10**300, entries=entries)[0][0]
+                for point in ("1,4", "1/3,1")
+            )
+            assert scaled - plain == 45
 
 
 class TestVerifyCommand:

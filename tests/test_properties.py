@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quanta.polynomials import UniPoly
-from quanta.scalars import QuadExt, divides_int, format_scalar, parse_scalar
+from quanta.scalars import QuadExt, divides_int, format_scalar, parse_scalar, reduce_mod
 from quanta.sequences import (
     QPoint,
     falling_factorial,
@@ -227,17 +227,19 @@ class TestSequenceInvariants:
 
     @given(
         ab=nonzero_pairs,
+        qs=st.tuples(st.sampled_from([1, 2, 4]), st.sampled_from([1, 2, 4])),
         n=st.integers(2, 14),
         m=st.sampled_from([3, 5, 7, 11, 13]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_modular_table_matches_exact(self, ab, n, m):
-        point = QPoint(*ab)
+    def test_modular_table_matches_exact(self, ab, qs, n, m):
+        # components a/q with q prime to every m, so the lift has a scale
+        point = QPoint(*(Fraction(a, q) for a, q in zip(ab, qs)))
         exact = omega_table(point, n)
         modular = omega_table(point, n, modulus=m)
         for k in range(n // 2 + 1):
             for r in range(n // 2 - k + 1):
-                assert modular.entry(r, k) == int(exact.entry(r, k).a) % m
+                assert modular.entry(r, k) == reduce_mod(exact.entry(r, k), m)
 
     @given(n=st.integers(1, 40))
     @settings(max_examples=40)

@@ -243,9 +243,9 @@ class TestModularLift:
                     want = reduce_mod(exact.entry(r, k), m)
                     assert self.residue(table.entry(r, k), m) == want, (n, r, k)
 
-    def test_residue_at_a_scaled_point_inverts_once(self, monkeypatch):
-        # the lift checks m against the denominators without inverting them;
-        # only _unlift inverts the scale power
+    @staticmethod
+    def counted_inverses(monkeypatch) -> list:
+        # the bases of every pow(x, -1, m) in sequences and scalars
         inverses = []
 
         def counting_pow(base, exp, mod=None):
@@ -254,10 +254,26 @@ class TestModularLift:
 
         for module in (sequences, scalars):
             monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+        return inverses
+
+    def test_residue_at_a_scaled_point_inverts_once(self, monkeypatch):
+        # the lift checks m against the denominators without inverting them
+        # and inverts the scale once; _unlift only reduces
+        inverses = self.counted_inverses(monkeypatch)
         point, m = QPoint(Fraction(1, 2**64), 7), 10**40 + 1
         residue = psi_point(point, 4, m)
-        assert inverses == [2**128]
+        assert inverses == [2**64]
         assert residue == reduce_mod(psi_point(point, 4), m)
+
+    def test_modular_table_at_a_scaled_point_inverts_once(self, monkeypatch):
+        # one inverse for the whole table, not one per entry read
+        inverses = self.counted_inverses(monkeypatch)
+        point, m = QPoint(Fraction(1, 2**64), 7), 10**40 + 1
+        table = omega_table(point, 12, m)
+        residues = [table.entry(r, k) for k in range(7) for r in range(7 - k)]
+        assert inverses == [2**64]
+        exact = omega_table(point, 12)
+        assert residues == [reduce_mod(exact.entry(r, k), m) for k in range(7) for r in range(7 - k)]
 
 
 class TestPsiClosed:
@@ -349,7 +365,7 @@ class TestOmegaTable:
                     if isinstance(want, QuadExt):
                         assert (type(got.a), type(got.b)) == (type(want.a), type(want.b))
                     if modulus is not None:
-                        # both sides above divide by the scale in _unlift;
+                        # both sides above run on the point's residues;
                         # reduce_mod of the exact top is an independent reference
                         want = reduce_mod(omega_top(point, n), modulus)
                         assert got == want, (flipped, n)

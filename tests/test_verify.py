@@ -110,6 +110,11 @@ class TestRunCheck:
         report = run_check("k00", {"nmax": 20, "coord": 2}, profile="quick")
         assert report.status == "pass"
 
+    def test_u14_knows_the_mersenne_exponents_its_overrides_admit(self):
+        # 61, 89 and 107 are Mersenne prime exponents within 4 x 31; 67 is not
+        report = run_check("U14", {"pset": [61, 89, 107, 67]})
+        assert (report.status, report.cases_run) == ("pass", 8)
+
     def test_unknown_id(self):
         with pytest.raises(KeyError):
             run_check("nonexistent")
