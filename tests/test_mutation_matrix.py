@@ -1,9 +1,9 @@
-"""Mutation matrix: twenty-three faults injected at the boundaries of the
+"""Mutation matrix: twenty-four faults injected at the boundaries of the
 integer lift, the expansion coefficients, the ratio denominators, polynomial
 evaluation, the directional derivative, the modular values, the exact values
 at integral, scaled rational and quadratic points, the fundamental ratio, the
-classical Lucas and Fibonacci numbers and the harmonic numbers, and the
-registered checks that catch each one at tiny bounds.
+classical Lucas and Fibonacci numbers, the harmonic numbers and the Lagarias
+sweep, and the registered checks that catch each one at tiny bounds.
 
 ``tests/mutation_matrix.json`` records mutant -> sorted ids of the checks
 whose status is not "pass" while it is active (gen1, which records genuine
@@ -14,16 +14,28 @@ and only direct tests guard those functions.  To print the sets of the
 current tree:
 
     PYTHONPATH=src python tests/test_mutation_matrix.py
+
+``tests/mutant_report_digests.json`` records, under each mutant and under the
+flipped omega coupling, the SHA-256 of the canonical tiny report (seed 0) of
+F1100 and lagarias: their failure texts, order and counts, not only their
+statuses.  To print them for the current tree:
+
+    PYTHONPATH=src python tests/test_mutation_matrix.py digests
 """
 
+import hashlib
 import json
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 from quanta import polynomials, primes, sequences, verify
-from quanta.verify import REGISTRY, run_check
+from quanta.verify import REGISTRY, flipped_omega_coupling, run_check
 
 MATRIX_FILE = Path(__file__).with_name("mutation_matrix.json")
+DIGESTS_FILE = Path(__file__).with_name("mutant_report_digests.json")
+DIGEST_IDS = ("F1100", "lagarias")
+FLIPPED = "flipped omega coupling"
 MODULES = (sequences, verify, primes, polynomials)
 
 
@@ -160,6 +172,10 @@ def _harmonic_plus_one_from_k1000(harmonic_number):
     return lambda k: harmonic_number(k) + 1 if k >= 1000 else harmonic_number(k)
 
 
+def _also_undecided_at_n7(lagarias_sweep):
+    return lambda nmax: lagarias_sweep(nmax) + [7]
+
+
 # mutant -> (the name it replaces, a factory from the original to the mutant)
 MUTANTS = {
     "lambda_seed sign flipped at r=1": ("lambda_seed", _seed_sign_flipped_at_r1),
@@ -193,6 +209,7 @@ MUTANTS = {
         "_harmonic_brackets", _lower_end_one_unit_high
     ),
     "harmonic_number +1 at k>=1000": ("harmonic_number", _harmonic_plus_one_from_k1000),
+    "lagarias_sweep reports n=7 undecided": ("lagarias_sweep", _also_undecided_at_n7),
 }
 # The sweep decides sigma(n) < H_n + log(H_n) e^(H_n) with a margin far above
 # one unit in 2^-192, and no check at tiny bounds asks for H_k with k >= 1000.
@@ -235,6 +252,21 @@ def catching_sets() -> dict[str, list[str]]:
     return sets
 
 
+def report_digests() -> dict[str, dict[str, str]]:
+    faults = {label: (lambda name=name, factory=factory: mutated(name, factory))
+              for label, (name, factory) in MUTANTS.items()}
+    faults[FLIPPED] = flipped_omega_coupling
+    digests = {}
+    for label, fault in faults.items():
+        with fault():
+            reports = {id: run_check(id, REGISTRY[id].tiny, seed=0) for id in DIGEST_IDS}
+        digests[label] = {
+            id: hashlib.sha256(report.to_json(volatile=False).encode()).hexdigest()
+            for id, report in reports.items()
+        }
+    return digests
+
+
 def test_no_catching_set_shrank():
     recorded = json.loads(MATRIX_FILE.read_text())
     assert set(recorded) == set(MUTANTS)
@@ -249,5 +281,17 @@ def test_no_catching_set_shrank():
     assert not shrank, f"checks that stopped catching a mutant: {shrank}"
 
 
+def test_mutant_reports_match_recorded_digests():
+    recorded = json.loads(DIGESTS_FILE.read_text())
+    assert set(recorded) == set(MUTANTS) | {FLIPPED}
+    digests = report_digests()
+    changed = sorted(
+        f"{id} under {label}" for label, by_id in recorded.items()
+        for id, digest in by_id.items() if digests[label][id] != digest
+    )
+    assert not changed, f"canonical tiny report bytes changed for {changed}"
+
+
 if __name__ == "__main__":
-    print(json.dumps(catching_sets(), indent=2))
+    table = report_digests() if sys.argv[1:] == ["digests"] else catching_sets()
+    print(json.dumps(table, indent=2))

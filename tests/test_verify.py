@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from quanta import primes
 from quanta.primes import FeasibilityError
 from quanta.scalars import SQRT2, SQRT3
 from quanta.verify import (
@@ -318,6 +319,17 @@ class TestFailureCount:
         assert report.to_dict(volatile=False)["failures_total"] == 25
         row = reports_to_csv([report], volatile=False).splitlines()[1]
         assert row == "G4,fail,25,25,0"
+
+    def test_lagarias_keeps_the_first_offenders_in_n_order(self, monkeypatch):
+        # twelve offenders, reported out of order: the first ten by n are kept
+        offenders = list(range(190, 0, -16))
+        monkeypatch.setattr(primes, "lagarias_sweep", lambda nmax: offenders)
+        report = run_check("lagarias", {"nmax": 200})
+        assert (report.status, report.cases_run, report.failures_total) == ("fail", 200, 12)
+        assert [f["params"] for f in report.failures] == [{"n": n} for n in sorted(offenders)[:10]]
+        assert {(f["expected"], f["actual"]) for f in report.failures} == {
+            ("holds", "undecided or violated")
+        }
 
     def test_total_omitted_when_list_is_complete(self):
         report = run_check("gen1", {"kmax": 6})
