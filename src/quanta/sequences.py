@@ -362,14 +362,18 @@ def _unit_seed_top(t, z, diag_weights, coupling_weights, d: int = 0, modulus: in
     g_j = g_{j-1} coupling[j-1] (K-j+1), the Horner steps
     T_j = j diag[j] T_{j-1} + g_j end at T_K = K! X_0(K).  With a ``modulus``
     m prime to K! (every emergence modulus p_{k+1} > K is), g and T are
-    reduced mod m at each step and X_0(K) = T_K (K!)^-1 mod m; for any other
-    m, T_K stays exact and the caller reduces the exact X_0(K) once.
+    reduced mod m at each step and X_0(K) = T_K (K!)^-1 mod m, with K! mod m
+    from products of 64 factors, each reduced mod m; for any other m, T_K
+    stays exact and the caller reduces the exact X_0(K) once.
     """
     K = len(diag_weights) - 1
     m = modulus
     if m is not None:
-        try:
-            finv = pow(factorial(K), -1, m)
+        kfact = 1
+        for lo in range(1, K + 1, 64):
+            kfact = kfact * prod(range(lo, min(lo + 64, K + 1))) % m
+        try:  # gcd(K! mod m, m) = gcd(K!, m)
+            finv = pow(kfact, -1, m)
         except ValueError:  # m shares a factor with K!
             m = None
     steps = zip(range(1, K + 1), range(K, 0, -1), coupling_weights, diag_weights[1:])

@@ -5,14 +5,18 @@ profile (quick / full, plus the reduced `tiny` grid of fault-injection
 runs).  One `_register(...)` next to the check's runner enters it in
 REGISTRY.  A runner is a generator `runner(bounds, rng)` that yields cases
 `(params, fn, expected)`: the case passes when `fn()` equals `expected`, and
-a predicate case yields `expected=True`.  `_execute` is the one loop over
-cases.  It counts them, calls each `fn` under the
-TheoremViolationError/KernelPointError guard (a raise fails that case),
-counts every failing case and keeps the first MAX_FAILURES_RECORDED
-counterexamples; a report whose list was cut short also carries
-`failures_total`.  A runner that raises mid-sweep leaves one sweep-level
-failure instead: status `fail` for a violation, `error` for any other
-exception, and the other checks still run.
+a predicate case yields `expected=True`.  It may also yield a block
+`(params_of, actual, expected)` of two equally long lists, whose case i has
+params `params_of(i)` and passes when actual[i] equals expected[i]; its
+values are computed before it is yielded, so a block suits only cases that
+cannot raise.  `_execute` is the one loop over cases.  It counts them, calls
+each `fn` under the TheoremViolationError/KernelPointError guard (a raise
+fails that case), compares a block at once, counts every failing case and
+keeps the first MAX_FAILURES_RECORDED counterexamples in case order; a
+report whose list was cut short also carries `failures_total`.  A runner
+that raises mid-sweep, or yields a block of unequal lists, leaves one
+sweep-level failure instead: status `fail` for a violation, `error` for any
+other exception, and the other checks still run.
 
 Reports serialize to a fixed JSON schema and a CSV summary; identical bounds
 and seed reproduce identical payloads (timing is zeroed in the canonical
@@ -28,8 +32,9 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, count, islice
 from math import factorial, prod
+from operator import ne
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .scalars import GOLDEN, QuadExt, SQRT2, SQRT3, SQRT5
@@ -130,8 +135,9 @@ MAX_FAILURES_RECORDED = 10
 OVERRIDE_MAX_SCALE = 4
 
 
-# (params, fn, expected): the case passes when fn() == expected
-Case = tuple[Mapping, Callable[[], object], object]
+# (params, fn, expected): the case passes when fn() == expected; or a block
+# (params_of, actual, expected): case i passes when actual[i] == expected[i]
+Case = tuple[Mapping, Callable[[], object], object] | tuple[Callable[[int], Mapping], list, list]
 
 
 @dataclass(frozen=True)
@@ -539,7 +545,7 @@ def _run_f1100(bounds, rng) -> Iterator[Case]:
         al, be = point.alpha.a, point.beta.a
         if be * a == al * b:
             continue
-        label = str(point)
+        label, paths = str(point), ("bridge", "k!|lam")
         taylor = islice(_psi_values(UniPoly([a, al]), UniPoly([b, be])), 2, nmax + 1)
         for n, poly in enumerate(taylor, 2):
             otable = omega_table(point, n)
@@ -557,19 +563,17 @@ def _run_f1100(bounds, rng) -> Iterator[Case]:
                         "integral coefficients",
                     )
                     continue
+                actual, expected = [], []
                 for r, c in enumerate(coeffs):
                     # c_r (-1)^k k! = lambda_r(k), lambda from its own triangle
                     lam = ltable.entry(r, k).a
-                    yield (
-                        {"point": label, "n": n, "k": k, "r": r, "path": "bridge"},
-                        lambda: c * signed,
-                        lam,
-                    )
-                    yield (
-                        {"point": label, "n": n, "k": k, "r": r, "path": "k!|lam"},
-                        lambda: lam % signed == 0,
-                        True,
-                    )
+                    actual += c * signed, lam % signed == 0
+                    expected += lam, True
+                yield (  # one block: per r, its bridge case, then its k!|lam case
+                    lambda i: {"point": label, "n": n, "k": k, "r": i // 2, "path": paths[i & 1]},
+                    actual,
+                    expected,
+                )
                 yield (
                     {"point": label, "n": n, "k": k, "path": "derivative"},
                     lambda: _psi_sum(coeffs, a, 2 * a - b) * signed,
@@ -1014,10 +1018,12 @@ def _run_harmonic(bounds, rng) -> Iterator[Case]:
     quick={"nmax": 2000}, full={"nmax": 100000}, tiny={"nmax": 200},
 )
 def _run_lagarias(bounds, rng) -> Iterator[Case]:
-    offenders = set(primes.lagarias_sweep(bounds["nmax"]))
-    holds, offends = "holds".__str__, "undecided or violated".__str__
-    for n in range(1, bounds["nmax"] + 1):
-        yield {"n": n}, offends if n in offenders else holds, "holds"
+    offenders = primes.lagarias_sweep(bounds["nmax"])  # its sieve is freed first
+    expected = ["holds"] * bounds["nmax"]
+    actual = expected.copy()
+    for n in offenders:  # each n in [1, nmax]
+        actual[n - 1] = "undecided or violated"
+    yield lambda i: {"n": i + 1}, actual, expected
 
 
 OMEGA_TOUCHING_IDS = frozenset(c.id for c in REGISTRY.values() if c.touches_omega)
@@ -1035,9 +1041,18 @@ def _execute(check: TheoremCheck, bounds: Mapping | None, seed: int) -> TheoremR
     start = time.perf_counter()
     try:
         cases = () if status else check.runner(bounds, rng)
-        # `fn` runs before the generator resumes, so a closure over the
-        # runner's loop variables sees the values of its own case.
+        # `fn` and `params_of` run before the generator resumes, so a closure
+        # over the runner's loop variables sees the values of its own case.
         for params, fn, expected in cases:
+            if type(fn) is list:  # a block: case i has params(i), fn[i], expected[i]
+                if len(fn) != len(expected):
+                    raise ValueError(f"a block of {len(fn)} values and {len(expected)} expected")
+                cases_run += len(fn)
+                wrong = list(compress(count(), map(ne, fn, expected)))
+                failures_total += len(wrong)
+                for i in wrong[: MAX_FAILURES_RECORDED - len(failures)]:
+                    failures.append(_failure(params(i), str(expected[i]), str(fn[i])))
+                continue
             cases_run += 1
             try:
                 actual = fn()

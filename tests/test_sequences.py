@@ -380,6 +380,22 @@ class TestOmegaTable:
                 got = omega_top(point, n, m)
                 assert type(got) is QuadExt and got == reduce_mod(top, m), (m, n)
 
+    @pytest.mark.parametrize("point", [QPoint(1, 4), QPoint(1, SQRT2)], ids=repr)
+    def test_modular_top_never_forms_the_whole_factorial(self, monkeypatch, point):
+        # K! mod m comes from products of 64 factors reduced mod m; K = 64,
+        # 65 and 1000 end on and past chunk boundaries, and m = 12 shares a
+        # factor with K!, so its top is the residue of the exact one
+        exact = {n: omega_top(point, n) for n in (128, 130, 131, 2000)}
+
+        def whole_factorial(k):
+            raise AssertionError(f"factorial({k}) formed")
+
+        monkeypatch.setattr(sequences, "factorial", whole_factorial)
+        for n, top in exact.items():
+            assert omega_top(point, n, 1000003) == reduce_mod(top, 1000003), n
+        monkeypatch.undo()
+        assert omega_top(point, 131, 12) == reduce_mod(exact[131], 12)
+
     def test_top_matches_table_at_large_n(self):
         assert omega_top(QPoint(1, 4), 1024) == omega_table(QPoint(1, 4), 1024).top()
 

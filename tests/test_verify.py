@@ -17,6 +17,8 @@ from quanta.verify import (
     OMEGA_TOUCHING_IDS,
     REGISTRY,
     SPECIAL_TABLES,
+    TheoremCheck,
+    _execute,
     flipped_omega_coupling,
     mutation_sensitivity,
     reports_to_csv,
@@ -344,6 +346,58 @@ class TestFailureCount:
         assert report.failures_total > MAX_FAILURES_RECORDED
         row = reports_to_csv([report], volatile=False).splitlines()[1]
         assert row.split(",")[3] == str(report.failures_total)
+
+
+def _segment_report(segments, as_blocks):
+    """_execute's report of (is_block, actual, expected) segments, case i with
+    params {"i": i}; as_blocks=False yields every case singly."""
+
+    def runner(bounds, rng):
+        start = 0
+        for block, actual, expected in segments:
+            if block and as_blocks:
+                yield (lambda i, start=start: {"i": start + i}), actual, expected
+            else:
+                for i, (a, e) in enumerate(zip(actual, expected), start):
+                    yield {"i": i}, (lambda a=a: a), e
+            start += len(actual)
+
+    check = TheoremCheck("block", "anchor", "grid", runner, False, None, {}, {})
+    return _execute(check, {}, 0)
+
+
+class TestBlocks:
+    # a block gives the report of the same cases yielded one by one
+    @pytest.mark.parametrize(
+        "segments, failing",
+        [
+            ([(True, [1, 2, 3], [1, 2, 3])], 0),
+            (
+                [
+                    (True, [1, 5, 3], [1, 2, 3]),
+                    (False, ["a", "b"], ["a", "c"]),
+                    (True, [True, False], [True, True]),
+                ],
+                3,
+            ),
+            ([(True, list(range(12)), [-1] * 12), (True, [0], [0])], 12),
+            ([(False, [1], [1]), (True, [], []), (False, [2], [3])], 1),
+        ],
+        ids=["no-mismatch", "three-around-singles", "twelve", "empty-block"],
+    )
+    def test_block_matches_single_cases(self, segments, failing):
+        block, single = _segment_report(segments, True), _segment_report(segments, False)
+        assert block.to_json(volatile=False) == single.to_json(volatile=False)
+        assert (block.failures_total, single.failures_total) == (failing, failing)
+        assert block.cases_run == sum(len(actual) for _, actual, _ in segments)
+        assert len(block.failures) == min(failing, MAX_FAILURES_RECORDED)
+
+    def test_unequal_lists_are_an_error(self):
+        report = _segment_report([(False, [1], [1]), (True, [1, 2], [1])], True)
+        assert report.status == "error"
+        (failure,) = report.failures
+        assert failure["params"] == {"stage": "sweep"}
+        assert failure["actual"].startswith("ValueError: ")
 
 
 class TestFaultInjection:
