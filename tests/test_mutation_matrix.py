@@ -20,12 +20,11 @@ flipped omega coupling, the SHA-256 of the canonical tiny report (seed 0) of
 F1100 and lagarias: their failure texts, order and counts, not only their
 statuses.  To print them for the current tree:
 
-    PYTHONPATH=src python tests/test_mutation_matrix.py digests
+    PYTHONPATH=src:tests python -c "import json, test_mutation_matrix as m; print(json.dumps(m.report_digests(), indent=2))"
 """
 
 import hashlib
 import json
-import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -293,5 +292,4 @@ def test_mutant_reports_match_recorded_digests():
 
 
 if __name__ == "__main__":
-    table = report_digests() if sys.argv[1:] == ["digests"] else catching_sets()
-    print(json.dumps(table, indent=2))
+    print(json.dumps(catching_sets(), indent=2))

@@ -380,7 +380,8 @@ class TestBlocks:
                 ],
                 3,
             ),
-            ([(True, list(range(12)), [-1] * 12), (True, [0], [0])], 12),
+            # two single mismatches leave room for eight of the block's ten
+            ([(False, [0, 1], [9, 9]), (True, list(range(10)), [-1] * 10), (True, [0], [0])], 12),
             ([(False, [1], [1]), (True, [], []), (False, [2], [3])], 1),
         ],
         ids=["no-mismatch", "three-around-singles", "twelve", "empty-block"],
