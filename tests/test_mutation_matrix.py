@@ -1,9 +1,10 @@
-"""Mutation matrix: twenty-four faults injected at the boundaries of the
-integer lift, the expansion coefficients, the ratio denominators, polynomial
-evaluation, the directional derivative, the modular values, the exact values
-at integral, scaled rational and quadratic points, the fundamental ratio, the
-classical Lucas and Fibonacci numbers, the harmonic numbers and the Lagarias
-sweep, and the registered checks that catch each one at tiny bounds.
+"""Mutation matrix: twenty-seven faults injected at the boundaries of the
+integer lift, the omega table, the expansion coefficients and columns, the
+ratio denominators, polynomial evaluation, the directional derivative, the
+modular values, the exact values at integral, scaled rational and quadratic
+points, the fundamental ratio, the classical Lucas and Fibonacci numbers, the
+harmonic numbers and the Lagarias sweep, and the registered checks that catch
+each one at tiny bounds.
 
 ``tests/mutation_matrix.json`` records mutant -> sorted ids of the checks
 whose status is not "pass" while it is active (gen1, which records genuine
@@ -17,7 +18,7 @@ current tree:
 
 ``tests/mutant_report_digests.json`` records, under each mutant and under the
 flipped omega coupling, the SHA-256 of the canonical tiny report (seed 0) of
-F1100 and lagarias: their failure texts, order and counts, not only their
+F1100, H2 and lagarias: their failure texts, order and counts, not only their
 statuses.  To print them for the current tree:
 
     PYTHONPATH=src:tests python -c "import json, test_mutation_matrix as m; print(json.dumps(m.report_digests(), indent=2))"
@@ -33,7 +34,7 @@ from quanta.verify import REGISTRY, flipped_omega_coupling, run_check
 
 MATRIX_FILE = Path(__file__).with_name("mutation_matrix.json")
 DIGESTS_FILE = Path(__file__).with_name("mutant_report_digests.json")
-DIGEST_IDS = ("F1100", "lagarias")
+DIGEST_IDS = ("F1100", "H2", "lagarias")
 FLIPPED = "flipped omega coupling"
 MODULES = (sequences, verify, primes, polynomials)
 
@@ -45,6 +46,16 @@ def _seed_sign_flipped_at_r1(lambda_seed):
 def _entries_plus_one_from_k2(lambda_table):
     def mutant(point, n):
         table = lambda_table(point, n)
+        entry = table.entry
+        table.entry = lambda r, k: entry(r, k) + 1 if k >= 2 else entry(r, k)
+        return table
+
+    return mutant
+
+
+def _omega_entries_plus_one_from_k2(omega_table):
+    def mutant(point, n, modulus=None):
+        table = omega_table(point, n, modulus)
         entry = table.entry
         table.entry = lambda r, k: entry(r, k) + 1 if k >= 2 else entry(r, k)
         return table
@@ -81,6 +92,23 @@ def _plus_one_at_last_r(expansion_coeff):
     def mutant(table, r, k):
         value = expansion_coeff(table, r, k)
         return value + 1 if r == table.K - k else value
+
+    return mutant
+
+
+def _column_negated_at_k1(expansion_column):
+    # a changed copy: the column cached on the table stays intact
+    def mutant(table, k):
+        column = expansion_column(table, k)
+        return [-c for c in column] if k == 1 else column
+
+    return mutant
+
+
+def _column_plus_one_at_last_r(expansion_column):
+    def mutant(table, k):
+        column = expansion_column(table, k)
+        return column[:-1] + [column[-1] + 1]
 
     return mutant
 
@@ -179,6 +207,7 @@ def _also_undecided_at_n7(lagarias_sweep):
 MUTANTS = {
     "lambda_seed sign flipped at r=1": ("lambda_seed", _seed_sign_flipped_at_r1),
     "lambda_table entries +1 at k>=2": ("lambda_table", _entries_plus_one_from_k2),
+    "omega_table entries +1 at k>=2": ("omega_table", _omega_entries_plus_one_from_k2),
     "psi_point +1 at n=7": ("psi_point", _plus_one_at_n7),
     "psi_point +1 at a quadratic point": ("psi_point", _psi_plus_one_at_a_quadratic_point),
     "psi_point +1 with a modulus": ("psi_point", _plus_one_with_modulus),
@@ -187,6 +216,8 @@ MUTANTS = {
     "modular lift keeps the scale": ("_reduced_lift", _modular_lift_keeps_the_scale),
     "_expansion_coeff negated at k=1": ("_expansion_coeff", _negated_at_k1),
     "_expansion_coeff +1 at r=K-k": ("_expansion_coeff", _plus_one_at_last_r),
+    "_expansion_column negated at k=1": ("_expansion_column", _column_negated_at_k1),
+    "_expansion_column +1 at r=K-k": ("_expansion_column", _column_plus_one_at_last_r),
     "UniPoly.evaluate +1 when degree>5": ("UniPoly.evaluate", _plus_one_above_degree5),
     "dir_derivative +1 at times=1": ("dir_derivative", _plus_one_at_one_step),
     "falling_factorial +1 at n=7": ("falling_factorial", _plus_one_at(7)),
