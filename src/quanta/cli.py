@@ -142,11 +142,12 @@ def _cmd_mersenne(args) -> int:
 
 def _cmd_emerge(args) -> int:
     point = parse_point(args.point)
-    # p_k steps mod p_{k+1}, and p_k! mod p_{k+1} from p_k / 64 reduced products;
-    # above the first primes p_k < k (ln k + ln ln k), so no sieve runs
+    # p_k steps mod p_{k+1} (a quadratic step costs about two rational ones),
+    # and p_k! mod p_{k+1} from p_k / 64 reduced products; above the first
+    # primes p_k < k (ln k + ln ln k), so no sieve runs
     k = min(args.k, 10**30)  # past any budget, and a float below
     p = primes.nth_prime(k) if 2 <= k <= 31 else k * (log(k) + log(log(k))) if k > 31 else 2
-    steps = [((4 if point.d else 1) * p, log2(p) + 1, "product"), (p / 64, 64 * log2(p), "reduction")]
+    steps = [((2 if point.d else 1) * p, log2(p) + 1, "product"), (p / 64, 64 * log2(p), "reduction")]
     # emergence_check's exact ratio, and the top computed again and printed
     exact = _value_ops(point, 2 * p, tops=2) if p <= primes.EXACT_EMERGENCE_MAX_P else []
     _refuse_over_budget("emerge", *steps, *exact)

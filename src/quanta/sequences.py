@@ -98,7 +98,7 @@ def _lucas_coeff(n: int, i: int) -> int:
 class QPoint:
     """A nonzero parameter pair (alpha, beta) over a shared radicand."""
 
-    __slots__ = ("alpha", "beta")
+    __slots__ = ("alpha", "beta", "d")
 
     def __init__(self, alpha: Scalar, beta: Scalar) -> None:
         a = alpha if isinstance(alpha, QuadExt) else QuadExt(alpha)
@@ -108,13 +108,10 @@ class QPoint:
             raise ValueError("point (0, 0) is not allowed")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "d", a.d or b.d)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QPoint is immutable")
-
-    @property
-    def d(self) -> int:
-        return self.alpha.d or self.beta.d
 
     @property
     def is_rational(self) -> bool:
@@ -525,37 +522,33 @@ def lambda_table(point: QPoint | tuple, n: int) -> Triangle:
 # -- fundamental expansions ---------------------------------------------------
 
 
-def _expansion_coeff(table: Triangle, r: int, k: int) -> int | QuadExt:
-    """(-1)^(r+k) n (n-r-k-1)! C(K-r, k) / ((n-2r)! r!) times omega_r(k), the
-    r-th coefficient of the k-th expansion of psi; an int when omega_r(k) is one
-    and the division exact.  Every expansion reads the omega table through here:
-    a modular table is refused with ValueError, and ``entry`` raises IndexError outside it."""
-    if table.modulus is not None:
-        raise ValueError(f"expansions need an exact omega table, not one mod {table.modulus}")
-    entry, n = table.entry(r, k), table.n
-    num = n * factorial(n - r - k - 1) * comb(table.K - r, k)
-    if (r + k) & 1:
-        num = -num
-    den = factorial(n - 2 * r) * factorial(r)
-    if not entry.d and type(entry.a) is int:
-        c, rem = divmod(entry.a * num, den)
-        if not rem:
-            return c
-    return entry * num / den
-
-
 def _expansion_column(table: Triangle, k: int) -> list:
-    """[_expansion_coeff(table, r, k) for r in 0..K-k], built once per table;
-    at an integral point each is checked to be an int."""
+    """[c_r(k) for r in 0..K-k], the coefficients of the k-th expansion of psi,
+    c_r(k) = (-1)^(r+k) n (n-r-k-1)! C(K-r, k) / ((n-2r)! r!) omega_r(k), built
+    once per table: an int when omega_r(k) is one and the division exact, and
+    checked to be one at an integral point.  Every expansion reads the omega
+    table through here; k outside [0, K] and a modular table are refused with
+    ValueError."""
     if k not in table._columns:
         if not 0 <= k <= table.K:
             raise ValueError(f"k={k} outside [0, {table.K}] for n={table.n}")
-        column = [_expansion_coeff(table, r, k) for r in range(table.K - k + 1)]
-        for r, c in enumerate(column):
-            if type(c) is not int and table.point.is_integral:
-                raise TheoremViolationError(
-                    f"non-integral expansion coefficient at n={table.n}, k={k}, r={r}"
-                )
+        if table.modulus is not None:
+            raise ValueError(f"expansions need an exact omega table, not one mod {table.modulus}")
+        n, K, column = table.n, table.K, []
+        for r in range(K - k + 1):
+            entry = table.entry(r, k)
+            num = n * factorial(n - r - k - 1) * comb(K - r, k)
+            if (r + k) & 1:
+                num = -num
+            den = factorial(n - 2 * r) * factorial(r)
+            c, rem = divmod(entry.a * num, den) if not entry.d and type(entry.a) is int else (0, 1)
+            if rem:
+                if table.point.is_integral:
+                    raise TheoremViolationError(
+                        f"non-integral expansion coefficient at n={n}, k={k}, r={r}"
+                    )
+                c = entry * num / den
+            column.append(c)
         table._columns[k] = column
     return table._columns[k]
 

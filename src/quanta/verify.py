@@ -42,7 +42,6 @@ from .sequences import (
     KernelPointError,
     QPoint,
     TheoremViolationError,
-    _expansion_coeff,
     _expansion_column,
     _power_sum_expansion,
     _psi_sum,
@@ -523,7 +522,7 @@ def _run_h2(bounds, rng) -> Iterator[Case]:
                 for r in range(K - k + 1):
                     yield (
                         {"point": label, "n": n, "r": r, "k": k},
-                        lambda: _expansion_coeff(otable, r, k) * signed,
+                        lambda: _expansion_column(otable, k)[r] * signed,
                         ltable.entry(r, k),
                     )
 

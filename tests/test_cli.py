@@ -569,6 +569,7 @@ class TestBudget:
             ("omega --point 1,1 --n 6 --k 3 --mod 5", cli, "omega_table"),
             (f"emerge 2048 --point {10**60},1", primes, "emergence_check"),
             ("emerge 60000 --point 1,4", primes, "emergence_check"),
+            ("emerge 221023 --point 1,1*sqrt(2)", primes, "emergence_check"),
             ("mersenne 13", primes, "mersenne_test"),
             ("mersenne 4423", primes, "mersenne_test"),
             ("mersenne 4447", primes, "mersenne_test"),

@@ -1,10 +1,10 @@
-"""Mutation matrix: twenty-seven faults injected at the boundaries of the
-integer lift, the omega table, the expansion coefficients and columns, the
-ratio denominators, polynomial evaluation, the directional derivative, the
-modular values, the exact values at integral, scaled rational and quadratic
-points, the fundamental ratio, the classical Lucas and Fibonacci numbers, the
-harmonic numbers and the Lagarias sweep, and the registered checks that catch
-each one at tiny bounds.
+"""Mutation matrix: twenty-five faults injected at the boundaries of the
+integer lift, the omega table, the expansion columns, the ratio denominators,
+polynomial evaluation, the directional derivative, the modular values, the
+exact values at integral, scaled rational and quadratic points, the
+fundamental ratio, the classical Lucas and Fibonacci numbers, the harmonic
+numbers and the Lagarias sweep, and the registered checks that catch each one
+at tiny bounds.
 
 ``tests/mutation_matrix.json`` records mutant -> sorted ids of the checks
 whose status is not "pass" while it is active (gen1, which records genuine
@@ -75,23 +75,6 @@ def _psi_plus_one_at_a_quadratic_point(psi_point):
     def mutant(point, n, modulus=None):
         value = psi_point(point, n, modulus)
         return value + 1 if sequences.as_point(point).d else value
-
-    return mutant
-
-
-def _negated_at_k1(expansion_coeff):
-    def mutant(table, r, k):
-        value = expansion_coeff(table, r, k)
-        return -value if k == 1 else value
-
-    return mutant
-
-
-def _plus_one_at_last_r(expansion_coeff):
-    # the last coefficient of a column, r = K - k
-    def mutant(table, r, k):
-        value = expansion_coeff(table, r, k)
-        return value + 1 if r == table.K - k else value
 
     return mutant
 
@@ -214,8 +197,6 @@ MUTANTS = {
     "psi_point +1 with a modulus at odd n": ("psi_point", _psi_plus_one_with_modulus_at_odd_n),
     "exact _unlift skips its division": ("_unlift", _exact_skips_division),
     "modular lift keeps the scale": ("_reduced_lift", _modular_lift_keeps_the_scale),
-    "_expansion_coeff negated at k=1": ("_expansion_coeff", _negated_at_k1),
-    "_expansion_coeff +1 at r=K-k": ("_expansion_coeff", _plus_one_at_last_r),
     "_expansion_column negated at k=1": ("_expansion_column", _column_negated_at_k1),
     "_expansion_column +1 at r=K-k": ("_expansion_column", _column_plus_one_at_last_r),
     "UniPoly.evaluate +1 when degree>5": ("UniPoly.evaluate", _plus_one_above_degree5),

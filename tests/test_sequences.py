@@ -24,7 +24,6 @@ from quanta.scalars import (
 )
 from quanta.sequences import (
     DegeneratePointError,
-    _expansion_coeff,
     _expansion_column,
     _psi_sum,
     _triangle,
@@ -497,14 +496,15 @@ class TestLambdaTable:
                 table = lambda_table(point, n)
                 otable = omega_table(point, n)
                 for k in range(n // 2 + 1):
+                    column = _expansion_column(otable, k)
                     for r in range(n // 2 - k + 1):
-                        bridged = _expansion_coeff(otable, r, k) * (-1) ** k * factorial(k)
+                        bridged = column[r] * (-1) ** k * factorial(k)
                         assert bridged == table.entry(r, k)
 
     def test_bridge_level_one_explicit(self):
         # factor 1/2 times omega_0(1) = -2 alpha - 4 beta
         k = 1
-        coeff = _expansion_coeff(omega_table(QPoint(1, 1), 5), 0, k)
+        coeff = _expansion_column(omega_table(QPoint(1, 1), 5), k)[0]
         assert coeff * (-1) ** k * factorial(k) == -3
 
     @pytest.mark.parametrize(
@@ -600,8 +600,6 @@ class TestExpansionSum:
         table = omega_table(QPoint(1, SQRT2), 9, modulus=7)
         with pytest.raises(ValueError):
             _expansion_column(table, 1)
-        with pytest.raises(ValueError):
-            _expansion_coeff(table, 0, 1)
 
 
 class TestExpansionColumn:
