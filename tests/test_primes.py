@@ -325,6 +325,13 @@ class TestCombinatorialIdentity:
     def test_sweep(self):
         assert all(combinatorial_identity_check(n) for n in range(2, 256))
 
+    def test_carried_verdicts_match_the_reference(self):
+        # AU7's carried verdicts against the per-n reference, to twice AU7's full bound
+        verdicts = primes.combinatorial_identity_checks()
+        assert [next(verdicts)() for n in range(2, 4097)] == [
+            combinatorial_identity_check(n) for n in range(2, 4097)
+        ]
+
     def test_falling_factorial_matches_range_product(self):
         from quanta.sequences import falling_factorial
 
