@@ -480,21 +480,31 @@ def combinatorial_identity_check(n: int) -> bool:
     K = n // 2
     shift = delta(n - 1)
     odds = range(n + shift - 2, n + shift - 2 * K - 1, -2)
-    return _combinatorial_verdict(n, prod(odds))
+    return _combinatorial_verdict(n, falling_factorial(n), prod(odds))
 
 
 def combinatorial_identity_checks() -> Iterator[Callable[[], bool]]:
-    """AU7's verdicts, n = 2, 3, ...: ``combinatorial_identity_check`` with the
-    odd product of each parity carried forward, odds(n) = odds(n-2)(n+d(n-1)-2),
-    instead of rebuilt for every n."""
+    """AU7's verdicts, n = 2, 3, ...: ``combinatorial_identity_check`` with both
+    sides carried forward, not rebuilt for every n: ``_falling_factorials`` and
+    the odd product of each parity, odds(n) = odds(n-2)(n+d(n-1)-2)."""
     odds = [1, 1]  # odds(n) of the last even and the last odd n
-    for n in count(2):
+    for n, ff in zip(count(2), _falling_factorials()):
         odds[n & 1] *= n + delta(n - 1) - 2
-        yield partial(_combinatorial_verdict, n, odds[n & 1])
+        yield partial(_combinatorial_verdict, n, ff, odds[n & 1])
 
 
-def _combinatorial_verdict(n: int, odds: int) -> bool:
-    return falling_factorial(n) == odds << (n // 2 - delta(n + 1))
+def _falling_factorials() -> Iterator[int]:
+    """falling_factorial(n), n = 2, 3, ...: its factors gain n-1, and lose the lowest at odd n."""
+    ff = 1
+    for n in count(2):
+        ff *= n - 1
+        if n & 1:
+            ff //= n - 1 - n // 2
+        yield ff
+
+
+def _combinatorial_verdict(n: int, ff: int, odds: int) -> bool:
+    return ff == odds << (n // 2 - delta(n + 1))
 
 
 def harmonic_congruence_check(n: int) -> bool:

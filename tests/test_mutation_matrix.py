@@ -1,4 +1,4 @@
-"""Mutation matrix: twenty-five faults injected at the boundaries of the
+"""Mutation matrix: twenty-six faults injected at the boundaries of the
 integer lift, the omega table, the expansion columns, the ratio denominators,
 polynomial evaluation, the directional derivative, the modular values, the
 exact values at integral, scaled rational and quadratic points, the
@@ -120,6 +120,15 @@ def _plus_one_at(m):
     return factory
 
 
+def _window_plus_one_at_n7(falling_factorials):
+    # the generator yields falling_factorial(n) for n = 2, 3, ...
+    def mutant():
+        for n, ff in enumerate(falling_factorials(), start=2):
+            yield ff + 1 if n == 7 else ff
+
+    return mutant
+
+
 def _ratio_plus_one_at_n7(second_fundamental):
     def mutant(point, n):
         value = second_fundamental(point, n)
@@ -203,6 +212,7 @@ MUTANTS = {
     "dir_derivative +1 at times=1": ("dir_derivative", _plus_one_at_one_step),
     "falling_factorial +1 at n=7": ("falling_factorial", _plus_one_at(7)),
     "falling_factorial +1 at n=10": ("falling_factorial", _plus_one_at(10)),
+    "_falling_factorials +1 at n=7": ("_falling_factorials", _window_plus_one_at_n7),
     "second_fundamental +1 at n=7": ("second_fundamental", _ratio_plus_one_at_n7),
     "lucas +1 at n=8": ("lucas", _plus_one_at(8)),
     "fibonacci +1 at n=7": ("fibonacci", _plus_one_at(7)),

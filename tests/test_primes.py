@@ -332,6 +332,14 @@ class TestCombinatorialIdentity:
             combinatorial_identity_check(n) for n in range(2, 4097)
         ]
 
+    def test_window_yields_the_falling_factorials(self):
+        from quanta.sequences import falling_factorial
+
+        window = primes._falling_factorials()
+        assert [next(window) for n in range(2, 4097)] == [
+            falling_factorial(n) for n in range(2, 4097)
+        ]
+
     def test_falling_factorial_matches_range_product(self):
         from quanta.sequences import falling_factorial
 
