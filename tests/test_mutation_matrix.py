@@ -1,10 +1,10 @@
-"""Mutation matrix: twenty-six faults injected at the boundaries of the
+"""Mutation matrix: twenty-eight faults injected at the boundaries of the
 integer lift, the omega table, the expansion columns, the ratio denominators,
 polynomial evaluation, the directional derivative, the modular values, the
 exact values at integral, scaled rational and quadratic points, the
 fundamental ratio, the classical Lucas and Fibonacci numbers, the harmonic
-numbers and the Lagarias sweep, and the registered checks that catch each one
-at tiny bounds.
+numbers, the divisor sums, the prime sieve and the Lagarias sweep, and the
+registered checks that catch each one at tiny bounds.
 
 ``tests/mutation_matrix.json`` records mutant -> sorted ids of the checks
 whose status is not "pass" while it is active (gen1, which records genuine
@@ -26,6 +26,7 @@ statuses.  To print them for the current tree:
 
 import hashlib
 import json
+from bisect import bisect_right
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -191,6 +192,26 @@ def _harmonic_plus_one_from_k1000(harmonic_number):
     return lambda k: harmonic_number(k) + 1 if k >= 1000 else harmonic_number(k)
 
 
+def _one_low_at_even_n(divisor_sums):
+    def mutant(nmax):
+        sums = divisor_sums(nmax)
+        for n in range(2, nmax + 1, 2):
+            sums[n] -= 1
+        return sums
+
+    return mutant
+
+
+def _drops_a_prime_above_2_12(rebuild):
+    # the first prime above 2^12 (4099) leaves the list of any sieve past it
+    def mutant(self, limit):
+        rebuild(self, limit)
+        i = bisect_right(self._primes, 1 << 12)
+        del self._primes[i : i + 1]
+
+    return mutant
+
+
 def _also_undecided_at_n7(lagarias_sweep):
     return lambda nmax: lagarias_sweep(nmax) + [7]
 
@@ -230,16 +251,22 @@ MUTANTS = {
         "_harmonic_brackets", _lower_end_one_unit_high
     ),
     "harmonic_number +1 at k>=1000": ("harmonic_number", _harmonic_plus_one_from_k1000),
+    "_divisor_sums one low at every even n": ("_divisor_sums", _one_low_at_even_n),
+    "the sieve drops one prime above 2^12": ("PrimeCache._rebuild", _drops_a_prime_above_2_12),
     "lagarias_sweep reports n=7 undecided": ("lagarias_sweep", _also_undecided_at_n7),
 }
 # The sweep decides sigma(n) < H_n + log(H_n) e^(H_n) with a margin far above
 # one unit in 2^-192, and no check at tiny bounds asks for H_k with k >= 1000.
 # The only modular psi_point caller in a check, mersenne_test, asks for an
-# even n = 2^(p-1).
+# even n = 2^(p-1).  A sigma one high only sends the sweep to lagarias_check,
+# which recomputes sigma, and one low hides nothing that the data holds.  No
+# check at tiny bounds grows the prime cache past its default 4096.
 KNOWN_GAPS = {
     "_harmonic_brackets lower end one unit high",
     "harmonic_number +1 at k>=1000",
     "psi_point +1 with a modulus at odd n",
+    "_divisor_sums one low at every even n",
+    "the sieve drops one prime above 2^12",
 }
 
 

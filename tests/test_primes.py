@@ -438,6 +438,11 @@ class TestLagarias:
         # the tiny lagarias bounds stop at n = 200; this covers the sieve above it
         assert list(primes._divisor_sums(N))[1:] == [sigma(n) for n in range(1, N + 1)]
 
+    @pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 8, 9, 2**12 - 1, 2**12, 2**12 + 1, 2**15 + 2])
+    def test_divisor_sums_at_power_of_two_edges(self, N):
+        # the last even n of each power of two, and odd nmax either side of one
+        assert list(primes._divisor_sums(N))[1:] == [sigma(n) for n in range(1, N + 1)]
+
     def test_sweep_beyond_sieve_cap_is_refused(self):
         from quanta.verify import run_check
 
