@@ -11,8 +11,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress, count
-from math import factorial, isqrt, prod
+from itertools import compress, count, islice
+from math import factorial, isqrt, log, prod
+from operator import add, le
 from typing import Callable, Iterable, Iterator
 
 from .scalars import QuadExt
@@ -40,17 +41,18 @@ class FeasibilityError(ValueError):
     """The requested exact computation exceeds the configured size bound."""
 
 
-# The sieve never grows past this limit (a 16 MiB flag array); a full
-# sweep stays at the default 4096.
+# The sieve never grows past this limit (an 8 MiB array of odd flags); a
+# full sweep stays at the default 4096.
 SIEVE_MAX_LIMIT = 1 << 24
 
 
 class PrimeCache:
     """Sieve-backed ordered prime list with an auto-extending limit.
 
-    The limit doubles on demand up to SIEVE_MAX_LIMIT; a request beyond it
-    raises FeasibilityError instead of allocating.  Every rebuild checks
-    p_k < p_{k+1} < 2 p_k for all k with 2 p_k within the limit; the
+    The sieve flags odd numbers only.  A request past the limit rebuilds it
+    once, at the next power of two up to SIEVE_MAX_LIMIT; a request beyond
+    that raises FeasibilityError instead of allocating.  Every rebuild checks
+    p_{k+1} < 2 p_k for all k with 2 p_k within the limit; the
     emergence checks lean on that gap bound, so a violation raises
     DataIntegrityError instead of continuing.
     """
@@ -63,18 +65,15 @@ class PrimeCache:
         self._rebuild(max(limit, 16))
 
     def _rebuild(self, limit: int) -> None:
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[0:2] = b"\x00\x00"
-        for p in range(2, isqrt(limit) + 1):
-            if sieve[p]:
-                start = p * p
-                sieve[start :: p] = b"\x00" * len(range(start, limit + 1, p))
-        primes = [i for i, flag in enumerate(sieve) if flag]
-        for i, p in enumerate(primes):
-            if 2 * p > limit:
-                break
-            if i + 1 >= len(primes) or not p < primes[i + 1] < 2 * p:
-                raise DataIntegrityError(f"no prime strictly between {p} and {2 * p}")
+        sieve = bytearray(1) + b"\x01" * ((limit - 1) // 2)  # flag i stands for 2i + 1
+        for p in compress(range(3, isqrt(limit) + 1, 2), memoryview(sieve)[1:]):
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
+        primes = [2, *compress(range(1, limit + 1, 2), sieve)]
+        low = primes[: bisect_right(primes, limit // 2)]  # the p with 2p <= limit
+        # the list increases; a successor (limit + 1 past the last) >= 2p is a gap
+        gaps = map(le, map(add, low, low), primes[1:] + [limit + 1])
+        if p := next(compress(low, gaps), 0):
+            raise DataIntegrityError(f"no prime strictly between {p} and {2 * p}")
         self._limit = limit
         self._primes = primes
 
@@ -83,16 +82,19 @@ class PrimeCache:
         return self._limit
 
     def _cover(self, x: int) -> None:
-        """Double the limit, up to SIEVE_MAX_LIMIT, until the sieve covers x."""
+        """Past the limit, rebuild once at the next power of two >= x, capped."""
         if x > SIEVE_MAX_LIMIT:
             raise FeasibilityError(f"{x} is beyond the sieve cap {SIEVE_MAX_LIMIT}")
-        while x > self._limit:
-            self._rebuild(min(self._limit * 2, SIEVE_MAX_LIMIT))
+        if x > self._limit:
+            self._rebuild(min(1 << (x - 1).bit_length(), SIEVE_MAX_LIMIT))
 
     def nth(self, k: int) -> int:
-        """The k-th prime, 1-indexed (p_1 = 2)."""
+        """The k-th prime, 1-indexed (p_1 = 2).  The sieve holds p_6 = 13, and
+        p_k < k (ln k + ln ln k) for k >= 6 (Rosser and Schoenfeld 1962)."""
         if k < 1:
             raise ValueError("prime index starts at 1")
+        if k > len(self._primes):
+            self._cover(min(int(k * (log(k) + log(log(k)))), SIEVE_MAX_LIMIT))
         while k > len(self._primes):
             self._cover(self._limit + 1)
         return self._primes[k - 1]
@@ -178,19 +180,27 @@ def sigma(n: int) -> int:
 
 
 def _divisor_sums(nmax: int) -> array:
-    """sigma(n) at index n <= nmax from a smallest-prime-factor sieve: with p
-    the smallest prime of n and m = n / p, sigma(n) = (p + 1) sigma(m), less
-    p sigma(m / p) if p | m.  12 bytes per n, about 192 MiB at the cap."""
+    """sigma(n) at index n <= nmax.  Odd n read a smallest-prime-factor sieve
+    over odd numbers: with p the smallest prime of n and m = n / p, sigma(n) =
+    (p + 1) sigma(m), less p sigma(m / p) if p | m.  Then n = 2^e o, o odd, is
+    (2^(e+1) - 1) sigma(o), one slice per e.  8 bytes per n, and at most 2 more
+    while the sieve or a slice lives: about 160 MiB at the cap."""
     if nmax > SIEVE_MAX_LIMIT:
         raise FeasibilityError(f"{nmax} is beyond the sieve cap {SIEVE_MAX_LIMIT}")
-    smallest = array("I", [0]) * (nmax + 1)  # 0 marks a prime
-    for p in reversed(primes_upto(isqrt(max(nmax, 0)))):
-        smallest[p * p :: p] = array("I", [p]) * len(range(p * p, nmax + 1, p))
+    smallest = array("I", [0]) * (nmax // 2 + 1)  # of 2i + 1 at i; 0 marks a prime
+    for p in reversed(primes_upto(isqrt(max(nmax, 0)))[1:]):
+        smallest[p * p // 2 :: p] = array("I", [p]) * len(range(p * p // 2, len(smallest), p))
     sums = array("q", [1]) * (nmax + 1)  # sigma(1) = 1; index 0 is unused
-    for n in range(2, nmax + 1):
-        p = smallest[n] or n
-        m = n // p
-        sums[n] = (p + 1) * sums[m] - (0 if m % p else p * sums[m // p])
+    for n, p in zip(range(3, nmax + 1, 2), islice(smallest, 1, None)):
+        if p:
+            m = n // p
+            sums[n] = (p + 1) * sums[m] - (0 if m % p else p * sums[m // p])
+        else:
+            sums[n] = n + 1
+    del smallest
+    with memoryview(sums) as odd:
+        for q in (1 << e for e in range(1, nmax.bit_length())):
+            sums[q :: 2 * q] = array("q", map((2 * q - 1).__mul__, odd[1 : nmax // q + 1 : 2]))
     return sums
 
 

@@ -110,6 +110,32 @@ class TestPrimeCache:
             cache.nth(173)
         assert cache.limit == 1 << 10
 
+    def test_nth_rebuilds_once_at_a_power_of_two(self, monkeypatch):
+        cache = PrimeCache(limit=16)
+        limits, rebuild = [], PrimeCache._rebuild
+
+        def spy(self, limit):
+            limits.append(limit)
+            rebuild(self, limit)
+
+        monkeypatch.setattr(PrimeCache, "_rebuild", spy)
+        assert cache.nth(100000) == 1299709
+        assert limits == [cache.limit]
+        assert cache.limit & (cache.limit - 1) == 0
+
+    @pytest.mark.parametrize(
+        "lost, p", [((13, 17, 19), 11), (range(62, 128), 61)], ids=["inner", "last"]
+    )
+    def test_gap_violation_raises(self, monkeypatch, lost, p):
+        # a listing that loses every prime in (p, 2p); past the last prime
+        # the check compares with limit + 1
+        listed = primes.compress
+        monkeypatch.setattr(
+            primes, "compress", lambda data, flags: (x for x in listed(data, flags) if x not in lost)
+        )
+        with pytest.raises(primes.DataIntegrityError, match=f"between {p} and {2 * p}$"):
+            PrimeCache(limit=128)
+
     def test_beyond_proven_bound_raises(self):
         assert not is_prime(MILLER_RABIN_BOUND - 1)  # even, and below the bound
         with pytest.raises(FeasibilityError):
