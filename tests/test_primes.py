@@ -484,27 +484,39 @@ class TestLagarias:
         undecided = [n for n in range(1, 2001) if lagarias_check(n) == "undecided"]
         assert lagarias_sweep(2000) == undecided
 
-    def test_full_sweep_interval_builds(self, monkeypatch):
-        # the 74 n above the running threshold, and the exact brackets they
-        # get, recorded from the per-n loop before the sweep skipped in C
-        built, escalated = [], []
-        interval, check = primes._harmonic_interval, primes.lagarias_check
+    def test_full_sweep_visits_recorded_n(self, monkeypatch):
+        # the 74 n above the running threshold, the only n whose H_n the
+        # sweep encloses, recorded from the per-n loop before the sweep
+        # skipped in C; of them only n = 1 escalates to the exact check
+        visited, escalated = [], []
+        brackets, check = primes._harmonic_brackets, primes.lagarias_check
 
-        def spy_interval(lo, hi, bits):
-            built.append((lo, hi, bits))
-            return interval(lo, hi, bits)
+        def spy_brackets(ns, bits):
+            return brackets((visited.append(n) or n for n in ns), bits)
 
         def spy_check(n):
             escalated.append(n)
             return check(n)
 
-        monkeypatch.setattr(primes, "_harmonic_interval", spy_interval)
+        monkeypatch.setattr(primes, "_harmonic_brackets", spy_brackets)
         monkeypatch.setattr(primes, "lagarias_check", spy_check)
         assert lagarias_sweep(100000) == []
-        assert len(built) == 74
-        assert hashlib.sha256(repr(built).encode()).hexdigest() == (
-            "5fe5849fa2602dee170019de3f4cbd6d9ef395a32c655642af46f9026b24cfe1"
+        assert len(visited) == 74
+        assert hashlib.sha256(repr(visited).encode()).hexdigest() == (
+            "3be43dd3628bfb5bbf69ac1a7bf511856416fa95947e1218a9dcbe9926903b35"
         )
+        assert escalated == [1]
+
+    @pytest.mark.parametrize("N", [200, 2000, 400000])
+    def test_sweep_escalates_only_n1(self, monkeypatch, N):
+        escalated, check = [], primes.lagarias_check
+
+        def spy_check(n):
+            escalated.append(n)
+            return check(n)
+
+        monkeypatch.setattr(primes, "lagarias_check", spy_check)
+        assert lagarias_sweep(N) == []
         assert escalated == [1]
 
 
