@@ -11,10 +11,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
 from math import factorial, isqrt, log, prod
-from operator import add, le
-from typing import Callable, Iterable, Iterator
+from operator import add, le, lt
+from typing import Callable, Iterator
 
 from .scalars import QuadExt
 from .sequences import (
@@ -187,8 +187,9 @@ def _divisor_sums(nmax: int) -> array:
     while the sieve or a slice lives: about 160 MiB at the cap."""
     if nmax > SIEVE_MAX_LIMIT:
         raise FeasibilityError(f"{nmax} is beyond the sieve cap {SIEVE_MAX_LIMIT}")
+    nmax = max(nmax, 0)  # a negative bound sieves nothing, as 0 does
     smallest = array("I", [0]) * (nmax // 2 + 1)  # of 2i + 1 at i; 0 marks a prime
-    for p in reversed(primes_upto(isqrt(max(nmax, 0)))[1:]):
+    for p in reversed(primes_upto(isqrt(nmax))[1:]):
         smallest[p * p // 2 :: p] = array("I", [p]) * len(range(p * p // 2, len(smallest), p))
     sums = array("q", [1]) * (nmax + 1)  # sigma(1) = 1; index 0 is unused
     for n, p in zip(range(3, nmax + 1, 2), islice(smallest, 1, None)):
@@ -538,7 +539,7 @@ def harmonic_congruence_check(n: int) -> bool:
 # -- divisor-sum inequality -------------------------------------------------------
 
 LAGARIAS_PRECISION_CAP = 16384
-_SWEEP_BITS = 192  # fractional bits of lagarias_sweep's H_n brackets
+_SWEEP_BITS = 192  # iv precision of lagarias_sweep's H_n enclosures and right sides
 
 
 def lagarias_check(n: int) -> str:
@@ -574,28 +575,15 @@ def lagarias_check(n: int) -> str:
     return "undecided"
 
 
-def _harmonic_brackets(ns: Iterable[int], bits: int) -> Iterator[tuple[int, int, int]]:
-    """(n, lo, hi) for each n < 2^bits of the increasing `ns`, with
-    lo / 2^bits <= H_n <= hi / 2^bits by exact integer outward rounding.
-
-    lo adds floor(2^bits / k) over each span of k between requested n in one
-    `sum`.  Each ceiling exceeds its floor by one except at the bit_length(n)
-    powers of two k <= n, so the sum of ceilings is hi = lo + n - bit_length(n).
-    """
-    one = 1 << bits
-    lo = done = 0
-    for n in ns:
-        lo += sum(map(one.__floordiv__, range(done + 1, n + 1)))
-        done = n
-        yield n, lo, lo + n - n.bit_length()
-
-
-def _harmonic_interval(lo: int, hi: int, bits: int):
-    """The iv interval [lo, hi] / 2^bits at the current iv precision.  The
-    endpoints may have more than `iv.prec` bits; their conversion rounds
-    outward and the division by a power of two is exact."""
+def _harmonic_enclosure(n: int, euler):
+    """An iv interval holding H_n at the current iv precision, from the
+    Euler-Maclaurin bounds 0 < H_n - ln n - gamma - 1/(2n) + 1/(12n^2) <
+    1/(120n^4) (Knuth, TAOCP vol. 1, 1.2.7 eq. (3)): ln n + gamma + [r, r + 1]
+    / (120n^4) with r = 60n^3 - 10n^2, `euler` the iv interval of gamma."""
     import mpmath
-    return mpmath.iv.mpf([lo, hi]) / (1 << bits)
+    iv = mpmath.iv
+    r = 60 * n**3 - 10 * n**2
+    return iv.log(n) + euler + iv.mpf([r, r + 1]) / (120 * n**4)
 
 
 def lagarias_sweep(nmax: int) -> list[int]:
@@ -604,9 +592,9 @@ def lagarias_sweep(nmax: int) -> list[int]:
     The right side grows with n, so once it exceeds an integer threshold every
     later n with sigma(n) (from the `_divisor_sums` sieve) at or below it holds.
     A scan in C finds each next n above the threshold; only that n gets its H_n
-    bracket (`_harmonic_brackets`, ``_SWEEP_BITS`` fractional bits), the iv
-    interval and the right side, and escalates to the exact per-n
-    `lagarias_check` if it does not hold strictly.
+    enclosure (`_harmonic_enclosure`: the Euler-Maclaurin bounds of Knuth,
+    TAOCP vol. 1, 1.2.7, at ``_SWEEP_BITS``) and the right side, and escalates
+    to the exact per-n `lagarias_check` if it does not hold strictly.
     """
     import mpmath
     sums = memoryview(_divisor_sums(nmax))
@@ -616,14 +604,15 @@ def lagarias_sweep(nmax: int) -> list[int]:
 
     def above() -> Iterator[int]:
         n = 0
-        while n := next(compress(range(n + 1, nmax + 1), map(threshold.__lt__, sums[n + 1 :])), 0):
+        while n := next(compress(range(n + 1, nmax + 1), map(lt, repeat(threshold), sums[n + 1 :])), 0):
             yield n
 
     saved = iv.prec
     try:
         iv.prec = _SWEEP_BITS
-        for n, lo, hi in _harmonic_brackets(above(), _SWEEP_BITS):
-            h = _harmonic_interval(lo, hi, _SWEEP_BITS)
+        euler = +iv.euler  # gamma at this precision, evaluated once
+        for n in above():
+            h = _harmonic_enclosure(n, euler)
             rhs = h + iv.log(h) * iv.exp(h)
             if sums[n] < rhs.a:
                 threshold = int(mpmath.floor(rhs.a)) - 1

@@ -545,7 +545,7 @@ def _run_f1100(bounds, rng) -> Iterator[Case]:
         if be * a == al * b:
             continue
         label, paths = str(point), ("bridge", "k!|lam")
-        taylor = islice(_psi_values(UniPoly([a, al]), UniPoly([b, be])), 2, nmax + 1)
+        taylor = islice(_psi_values(UniPoly([a, al]), UniPoly([b, be])), 2, max(nmax + 1, 2))
         for n, poly in enumerate(taylor, 2):
             otable = omega_table(point, n)
             ltable = lambda_table(point, n)

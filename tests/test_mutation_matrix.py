@@ -30,6 +30,8 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from pathlib import Path
 
+import mpmath
+
 from quanta import polynomials, primes, sequences, verify
 from quanta.verify import REGISTRY, flipped_omega_coupling, run_check
 
@@ -181,9 +183,10 @@ def _modular_lift_keeps_the_scale(reduced_lift):
     return mutant
 
 
-def _lower_end_one_unit_high(harmonic_brackets):
-    def mutant(ns, bits):
-        return ((n, lo + 1, hi) for n, lo, hi in harmonic_brackets(ns, bits))
+def _omits_the_n_squared_term(harmonic_enclosure):
+    # ln n + gamma + 1/(2n) + [0, 1/(120n^4)], whose lower end lies above H_n
+    def mutant(n, euler):
+        return harmonic_enclosure(n, euler) + mpmath.iv.mpf(1) / (12 * n * n)
 
     return mutant
 
@@ -247,22 +250,21 @@ MUTANTS = {
     "omega_top +1 at an exact quadratic point": (
         "omega_top", _exact_top_plus_one_where(lambda point: point.d)
     ),
-    "_harmonic_brackets lower end one unit high": (
-        "_harmonic_brackets", _lower_end_one_unit_high
-    ),
+    "H_n enclosure omits -1/(12n^2)": ("_harmonic_enclosure", _omits_the_n_squared_term),
     "harmonic_number +1 at k>=1000": ("harmonic_number", _harmonic_plus_one_from_k1000),
     "_divisor_sums one low at every even n": ("_divisor_sums", _one_low_at_even_n),
     "the sieve drops one prime above 2^12": ("PrimeCache._rebuild", _drops_a_prime_above_2_12),
     "lagarias_sweep reports n=7 undecided": ("lagarias_sweep", _also_undecided_at_n7),
 }
-# The sweep decides sigma(n) < H_n + log(H_n) e^(H_n) with a margin far above
-# one unit in 2^-192, and no check at tiny bounds asks for H_k with k >= 1000.
+# The sweep decides sigma(n) < H_n + log(H_n) e^(H_n) with a margin that an H_n
+# up to 1/(12n^2) high does not close, and no check at tiny bounds asks for H_k
+# with k >= 1000.
 # The only modular psi_point caller in a check, mersenne_test, asks for an
 # even n = 2^(p-1).  A sigma one high only sends the sweep to lagarias_check,
 # which recomputes sigma, and one low hides nothing that the data holds.  No
 # check at tiny bounds grows the prime cache past its default 4096.
 KNOWN_GAPS = {
-    "_harmonic_brackets lower end one unit high",
+    "H_n enclosure omits -1/(12n^2)",
     "harmonic_number +1 at k>=1000",
     "psi_point +1 with a modulus at odd n",
     "_divisor_sums one low at every even n",

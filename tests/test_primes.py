@@ -50,6 +50,30 @@ from quanta.primes import (
 )
 
 
+def _harmonic_brackets(ns, bits):
+    """(n, lo, hi) for each n of the increasing `ns`, with lo and hi the sums
+    of floor(2^bits / k) and ceil(2^bits / k) over k <= n: an exact integer
+    enclosure lo / 2^bits <= H_n <= hi / 2^bits, the reference for the
+    sweep's enclosure."""
+    one = 1 << bits
+    lo = hi = done = 0
+    for n in ns:
+        lo += sum(one // k for k in range(done + 1, n + 1))
+        hi += sum(-(-one // k) for k in range(done + 1, n + 1))
+        done = n
+        yield n, lo, hi
+
+
+def _enclosure(n):
+    """The ends of the sweep's H_n enclosure as Fractions."""
+    saved, mpmath.iv.prec = mpmath.iv.prec, primes._SWEEP_BITS
+    try:
+        a, b = primes._harmonic_enclosure(n, +mpmath.iv.euler)._mpi_
+    finally:
+        mpmath.iv.prec = saved
+    return Fraction(*to_rational(a)), Fraction(*to_rational(b))
+
+
 class TestPrimeCache:
     def test_first_primes(self):
         assert nth_prime(1) == 2
@@ -419,45 +443,31 @@ class TestLagarias:
     def test_sweep(self):
         assert lagarias_sweep(500) == []
 
-    def test_brackets_enclose_harmonic_numbers(self):
-        bits = 192
-        one = 1 << bits
+    def test_enclosure_holds_harmonic_numbers(self):
         h = Fraction(0)
-        for n, lo, hi in primes._harmonic_brackets(range(1, 2001), bits):
+        for n in range(1, 2001):
             h += Fraction(1, n)
-            assert Fraction(lo, one) <= h <= Fraction(hi, one), n
-            assert hi - lo <= n, n
-        assert n == 2000
+            a, b = _enclosure(n)
+            assert a < h < b, n
         assert h == harmonic_number(2000)
 
-    @pytest.mark.parametrize(
-        "ns",
-        [[1, 2, 3, 4, 5, 7, 8, 9, 1023, 1024, 1025, 2000], [2000], []],
-        ids=["sparse", "one-jump", "empty"],
-    )
-    def test_sparse_brackets_match_dense(self, ns):
-        bits = 192
-        one = 1 << bits
-        dense = {n: (lo, hi) for n, lo, hi in primes._harmonic_brackets(range(1, 2001), bits)}
-        sparse = list(primes._harmonic_brackets(ns, bits))
-        assert [n for n, _, _ in sparse] == ns
-        for n, lo, hi in sparse:
-            assert (lo, hi) == dense[n], n
-            assert hi == sum(-(-one // k) for k in range(1, n + 1)), n
+    def test_enclosure_holds_integer_brackets_at_visited_n(self, monkeypatch):
+        # at the n the full sweep visits, the enclosure holds the exact
+        # outward-rounded sums of 1/k at _SWEEP_BITS fractional bits
+        visited, enclosure = [], primes._harmonic_enclosure
 
-    def test_interval_contains_harmonic_number(self):
-        # the endpoints have more bits than the precision, so a conversion
-        # that rounds to nearest instead of outward would show here
-        bits = 192
-        h = Fraction(0)
-        saved, mpmath.iv.prec = mpmath.iv.prec, bits
-        try:
-            for n, lo, hi in primes._harmonic_brackets(range(1, 2001), bits):
-                h += Fraction(1, n)
-                a, b = primes._harmonic_interval(lo, hi, bits)._mpi_
-                assert Fraction(*to_rational(a)) <= h <= Fraction(*to_rational(b)), n
-        finally:
-            mpmath.iv.prec = saved
+        def spy_enclosure(n, euler):
+            visited.append(n)
+            return enclosure(n, euler)
+
+        monkeypatch.setattr(primes, "_harmonic_enclosure", spy_enclosure)
+        assert lagarias_sweep(100000) == []
+        monkeypatch.undo()
+        assert len(visited) == 74
+        one = 1 << primes._SWEEP_BITS
+        for n, lo, hi in _harmonic_brackets(visited, primes._SWEEP_BITS):
+            a, b = _enclosure(n)
+            assert a < Fraction(lo, one) <= Fraction(hi, one) < b, n
 
     @pytest.mark.parametrize("N", [0, 1, 2, 2**14, 3**9, 7**5, 20000])
     def test_divisor_sums_match_sigma(self, N):
@@ -489,16 +499,17 @@ class TestLagarias:
         # sweep encloses, recorded from the per-n loop before the sweep
         # skipped in C; of them only n = 1 escalates to the exact check
         visited, escalated = [], []
-        brackets, check = primes._harmonic_brackets, primes.lagarias_check
+        enclosure, check = primes._harmonic_enclosure, primes.lagarias_check
 
-        def spy_brackets(ns, bits):
-            return brackets((visited.append(n) or n for n in ns), bits)
+        def spy_enclosure(n, euler):
+            visited.append(n)
+            return enclosure(n, euler)
 
         def spy_check(n):
             escalated.append(n)
             return check(n)
 
-        monkeypatch.setattr(primes, "_harmonic_brackets", spy_brackets)
+        monkeypatch.setattr(primes, "_harmonic_enclosure", spy_enclosure)
         monkeypatch.setattr(primes, "lagarias_check", spy_check)
         assert lagarias_sweep(100000) == []
         assert len(visited) == 74

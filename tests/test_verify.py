@@ -175,6 +175,15 @@ class TestRunCheck:
         assert report.status == "error"
         assert report.failures[0]["actual"].startswith("FeasibilityError: exact path is bounded")
 
+    @pytest.mark.parametrize("id", sorted(REGISTRY))
+    def test_negative_int_bound_is_no_error(self, id):
+        # a bound below every grid empties it; `quanta verify` then exits 2
+        tiny = REGISTRY[id].tiny or REGISTRY[id].full
+        for key, value in tiny.items():
+            if type(value) is int:
+                report = run_check(id, {**tiny, key: -3})
+                assert report.status != "error", (key, report.failures[:1])
+
     def test_schema_keys(self):
         report = run_check("G4", {"nmax": 2})
         payload = report.to_dict()
