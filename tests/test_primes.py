@@ -74,6 +74,19 @@ def _enclosure(n):
     return Fraction(*to_rational(a)), Fraction(*to_rational(b))
 
 
+def _record_calls(monkeypatch, name):
+    """Patch ``primes.<name>`` to record the first argument of each call and
+    return the record."""
+    calls, original = [], getattr(primes, name)
+
+    def spy(n, *rest):
+        calls.append(n)
+        return original(n, *rest)
+
+    monkeypatch.setattr(primes, name, spy)
+    return calls
+
+
 class TestPrimeCache:
     def test_first_primes(self):
         assert nth_prime(1) == 2
@@ -454,13 +467,7 @@ class TestLagarias:
     def test_enclosure_holds_integer_brackets_at_visited_n(self, monkeypatch):
         # at the n the full sweep visits, the enclosure holds the exact
         # outward-rounded sums of 1/k at _SWEEP_BITS fractional bits
-        visited, enclosure = [], primes._harmonic_enclosure
-
-        def spy_enclosure(n, euler):
-            visited.append(n)
-            return enclosure(n, euler)
-
-        monkeypatch.setattr(primes, "_harmonic_enclosure", spy_enclosure)
+        visited = _record_calls(monkeypatch, "_harmonic_enclosure")
         assert lagarias_sweep(100000) == []
         monkeypatch.undo()
         assert len(visited) == 74
@@ -498,19 +505,8 @@ class TestLagarias:
         # the 74 n above the running threshold, the only n whose H_n the
         # sweep encloses, recorded from the per-n loop before the sweep
         # skipped in C; of them only n = 1 escalates to the exact check
-        visited, escalated = [], []
-        enclosure, check = primes._harmonic_enclosure, primes.lagarias_check
-
-        def spy_enclosure(n, euler):
-            visited.append(n)
-            return enclosure(n, euler)
-
-        def spy_check(n):
-            escalated.append(n)
-            return check(n)
-
-        monkeypatch.setattr(primes, "_harmonic_enclosure", spy_enclosure)
-        monkeypatch.setattr(primes, "lagarias_check", spy_check)
+        visited = _record_calls(monkeypatch, "_harmonic_enclosure")
+        escalated = _record_calls(monkeypatch, "lagarias_check")
         assert lagarias_sweep(100000) == []
         assert len(visited) == 74
         assert hashlib.sha256(repr(visited).encode()).hexdigest() == (
@@ -520,13 +516,7 @@ class TestLagarias:
 
     @pytest.mark.parametrize("N", [200, 2000, 400000])
     def test_sweep_escalates_only_n1(self, monkeypatch, N):
-        escalated, check = [], primes.lagarias_check
-
-        def spy_check(n):
-            escalated.append(n)
-            return check(n)
-
-        monkeypatch.setattr(primes, "lagarias_check", spy_check)
+        escalated = _record_calls(monkeypatch, "lagarias_check")
         assert lagarias_sweep(N) == []
         assert escalated == [1]
 
